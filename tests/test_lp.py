@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +251,55 @@ def test_seeded_stress_against_scipy():
         assert mine.status == status_map.get(ref.status, f"scipy-{ref.status}")
         if mine.status == "optimal":
             assert mine.value == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
+
+
+def _digest_instances(count):
+    """Seeded bound-free LPs: mixed relations and senses, zero rows,
+    signed zeros, negative rhs and rows spread over many binary scales."""
+    rng = np.random.default_rng(20251017)
+    for _ in range(count):
+        nv = int(rng.integers(1, 12))
+        nr = int(rng.integers(0, 10))
+        A = np.round(rng.uniform(-1, 3, size=(nr, nv)), 2)
+        A[rng.random(A.shape) < 0.25] = 0.0
+        A[rng.random(A.shape) < 0.1] = -0.0
+        if nr and rng.random() < 0.2:
+            A[int(rng.integers(0, nr))] = rng.choice([0.0, -0.0])
+        b = np.round(rng.uniform(-1, 6, size=nr), 2)
+        b[rng.random(nr) < 0.15] = rng.choice([0.0, -0.0])
+        row_scale = 10.0 ** rng.integers(-3, 4, size=nr)
+        A *= row_scale[:, None]
+        b *= row_scale
+        c = np.round(rng.uniform(-2, 2, size=nv), 2)
+        c[rng.random(nv) < 0.2] = -0.0
+        rels = tuple(str(r) for r in rng.choice(["<=", ">=", "="], size=nr, p=[0.6, 0.25, 0.15]))
+        if rng.random() < 0.6:
+            # a budget row keeps most instances bounded
+            A = np.vstack([A, np.ones(nv)])
+            b = np.append(b, float(rng.integers(1, 20)))
+            rels += ("<=",)
+        sense = "min" if rng.random() < 0.5 else "max"
+        yield fb.LpProblem(sense, c, A, rels, b)
+
+
+# SHA-256 over the solver outputs of _digest_instances(2000) with the NumPy
+# kernel.  A change to the solver that moves any status, pivot count,
+# degenerate flag, bit of x or repr of the value changes this digest.
+LP_DIGEST = "08f080c4e7a8643be3512912149ee0a4b38bd7b1977636753a38798f66ba8a79"
+
+
+def test_seeded_outputs_bit_reproducible():
+    lp.set_kernel("python")
+    try:
+        h = hashlib.sha256()
+        for problem in _digest_instances(2000):
+            try:
+                sol = fb.solve_lp(problem)
+            except SolverError as exc:
+                h.update(f"error:{exc}".encode())
+                continue
+            h.update(f"{sol.status}|{sol.iterations}|{sol.degenerate_optimal_face}|{sol.value!r}|".encode())
+            h.update(sol.x.tobytes())
+    finally:
+        lp.set_kernel("auto")
+    assert h.hexdigest() == LP_DIGEST

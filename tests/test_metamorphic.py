@@ -1,0 +1,72 @@
+"""Metamorphic invariants on the 985 study.
+
+Changing one column's unit of measure by a power of two is exact in binary
+floating point, and every LP row is equilibrated by a power of two, so the
+extreme test, the facets, the partition and every robust theta must come
+out bit-identical.
+"""
+
+import numpy as np
+import pytest
+
+import facetbench as fb
+from facetbench.profiles import PAPER_985_EXTREMES
+from facetbench.robust import RobustConfig, batch_evaluate
+
+COLUMNS = ("in:researchers", "in:size", "out:nsa", "out:sb", "out:hp")
+
+
+def _rescaled(ds, column, factor):
+    role, label = column.split(":")
+    X = ds.inputs.copy()
+    Y = ds.outputs.copy()
+    if role == "in":
+        X[ds.input_labels.index(label)] *= factor
+    else:
+        Y[ds.output_labels.index(label)] *= factor
+    return fb.Dataset(ds.names, X, Y, ds.input_labels, ds.output_labels)
+
+
+def _pipeline(ds):
+    ext = fb.extreme_set(ds, override=PAPER_985_EXTREMES)
+    fs = fb.enumerate_facets(ds, ext.indices, "extremes")
+    part = fb.partition_robust(fs)
+    rows = batch_evaluate(ds, part, RobustConfig(aggregation="table4-max"))
+    thetas = [(r.theta, tuple(g.theta for g in r.groups)) for r in rows]
+    return {
+        "lambda0": ext.lambda0,
+        "facets": [f.members for f in fs.facets],
+        "groups": [g.members for g in part.groups],
+        "thetas": thetas,
+    }
+
+
+def _flat(obj):
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _flat(obj[k])
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from _flat(v)
+    else:
+        yield float(obj)
+
+
+def _bits(obj):
+    return np.array(list(_flat(obj))).tobytes()
+
+
+@pytest.fixture(scope="module")
+def baseline(uni985):
+    return _pipeline(uni985)
+
+
+@pytest.mark.parametrize("factor", [2.0**10, 2.0**-10], ids=["x1024", "div1024"])
+@pytest.mark.parametrize("column", COLUMNS)
+def test_power_of_two_unit_change_is_bit_identical(uni985, baseline, column, factor):
+    scaled = _pipeline(_rescaled(uni985, column, factor))
+    assert scaled["facets"] == baseline["facets"]
+    assert scaled["groups"] == baseline["groups"]
+    # float equality ignores the sign of zero; compare the bytes
+    for key in ("lambda0", "thetas"):
+        assert _bits(scaled[key]) == _bits(baseline[key]), key
