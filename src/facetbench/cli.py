@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_dataset, parse_dataset, validate_dataset
+from .dataset import load_dataset, parse_dataset, parse_float, validate_dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import FacetTolerances, enumerate_facets
 from .lp import SolverConfig
@@ -78,9 +78,11 @@ def _parse_xbar(spec: str | None, m: int) -> np.ndarray:
     if spec is None:
         return np.ones(m)
     try:
-        vals = [float(tok) for tok in spec.split(",")]
+        vals = [parse_float(tok.strip()) for tok in spec.split(",")]
     except ValueError:
         raise DataError(f"bad --xbar {spec!r}: expected comma-separated numbers") from None
+    if not all(np.isfinite(vals)):
+        raise DataError(f"bad --xbar {spec!r}: components must be finite")
     if len(vals) != m:
         raise DataError(f"--xbar has {len(vals)} components, dataset has m={m} inputs")
     return np.array(vals)

@@ -6,8 +6,8 @@ The canonical file format is UTF-8 CSV with a header row of the form
 
 Columns may appear in any order; roles come from the ``in:``/``out:``
 prefixes and the single unprefixed column holds DMU names.  Values are
-parsed with ``float()`` (no locale dependence) and stored at full double
-precision.
+parsed as C-locale decimal literals (``parse_float``) and stored at full
+double precision.
 """
 
 from __future__ import annotations
@@ -19,6 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+
+
+def parse_float(text: str) -> float:
+    """Parse a C-locale decimal literal: ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``
+    over ASCII digits, or nan/inf/infinity in any case and with a sign.
+
+    That is ``float()``'s grammar without what it adds beyond C: digit
+    separators (``1_0``), non-ASCII digits and surrounding whitespace.
+    Raises ValueError.
+    """
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 @dataclass(frozen=True)
@@ -209,7 +222,7 @@ def parse_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dat
             for i, (k, label) in enumerate(cols):
                 cell = row[k].strip()
                 try:
-                    dest[i, j] = float(cell)
+                    dest[i, j] = parse_float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric cell {cell!r} at row {j + 2}, column {rows[0][k]!r}"

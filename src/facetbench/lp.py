@@ -6,6 +6,9 @@ ties broken by lowest basis index).  The rule is anti-cycling and makes
 every solve reproducible bit for bit: identical problem and config produce
 identical pivot sequences, hence identical solutions.
 
+Every variable is nonnegative (x >= 0), the only bound the package's
+programs use, so the tableau's structural columns are the problem's own.
+
 Constraint rows are equilibrated by powers of two before solving, which
 changes no binary value exactly representable in the data and keeps the
 stated tolerances meaningful across scales.
@@ -86,10 +89,9 @@ class SolverConfig:
 
 @dataclass
 class LpProblem:
-    """min/max c@x subject to A x (<=|=|>=) b and lower <= x <= upper.
+    """min/max c@x subject to A x (<=|=|>=) b and x >= 0.
 
-    Bounds default to [0, +inf).  All matrix/vector coefficients must be
-    finite; bounds may be infinite.
+    All coefficients must be finite.
     """
 
     sense: str
@@ -97,8 +99,6 @@ class LpProblem:
     A: np.ndarray
     relations: tuple[str, ...]
     b: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -115,17 +115,9 @@ class LpProblem:
             raise SolverError(f"rhs shape {self.b.shape} != ({nrow},)")
         if any(rel not in ("<=", "=", ">=") for rel in self.relations):
             raise SolverError(f"relations must be <=, =, >=: {self.relations}")
-        self.lower = np.zeros(nvar) if self.lower is None else np.asarray(self.lower, dtype=float)
-        self.upper = np.full(nvar, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (nvar,) or self.upper.shape != (nvar,):
-            raise SolverError("bound vectors must match the variable count")
         for arr, what in ((self.c, "objective"), (self.A, "matrix"), (self.b, "rhs")):
             if not np.all(np.isfinite(arr)):
                 raise SolverError(f"non-finite coefficient in {what}")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise SolverError("NaN variable bound")
-        if np.any(self.lower > self.upper):
-            raise SolverError("lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -144,95 +136,25 @@ class LpSolution:
     iterations: int = 0
 
 
-def _pow2_row_scale(row: np.ndarray, rhs: float) -> float:
-    """Power-of-two factor bringing max|coefficient| into [1, 2)."""
-    mx = float(np.max(np.abs(row))) if row.size else 0.0
-    mx = max(mx, abs(rhs))
-    if mx == 0.0:
-        return 1.0
-    return math.ldexp(1.0, math.frexp(mx)[1] - 1)
-
-
 def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
     """Solve a dense LP; deterministic given (problem, config, kernel)."""
     cfg = cfg or SolverConfig()
     nvar = problem.c.size
-
-    # Substitute variables so every standard column is >= 0.
-    # back[j] describes how to recover original x_j from standard columns.
-    cols_of: list[tuple[str, int, float, int]] = []  # (kind, col, offset, col2)
-    std_cols = 0
-    extra_rows: list[tuple[np.ndarray, str, float]] = []
-    for j in range(nvar):
-        lo, hi = problem.lower[j], problem.upper[j]
-        if np.isfinite(lo):
-            cols_of.append(("shift", std_cols, lo, -1))
-            std_cols += 1
-        elif np.isfinite(hi):
-            cols_of.append(("neg", std_cols, hi, -1))
-            std_cols += 1
-        else:
-            cols_of.append(("split", std_cols, 0.0, std_cols + 1))
-            std_cols += 2
-
-    def to_std_row(row: np.ndarray) -> tuple[np.ndarray, float]:
-        """Rewrite a row over original variables; returns (row', rhs shift)."""
-        out = np.zeros(std_cols)
-        shift = 0.0
-        for j in range(nvar):
-            kind, col, off, col2 = cols_of[j]
-            a = row[j]
-            if a == 0.0:
-                continue
-            if kind == "shift":
-                out[col] += a
-                shift += a * off
-            elif kind == "neg":
-                out[col] -= a
-                shift += a * off
-            else:
-                out[col] += a
-                out[col2] -= a
-        return out, shift
-
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for i in range(problem.A.shape[0]):
-        r, shift = to_std_row(problem.A[i])
-        rows.append(r)
-        rels.append(problem.relations[i])
-        rhs.append(problem.b[i] - shift)
-    # Finite upper bounds on shifted columns become explicit rows.
-    for j in range(nvar):
-        kind, col, off, _ = cols_of[j]
-        if kind == "shift" and np.isfinite(problem.upper[j]):
-            r = np.zeros(std_cols)
-            r[col] = 1.0
-            rows.append(r)
-            rels.append("<=")
-            rhs.append(problem.upper[j] - off)
-
-    c_std = np.zeros(std_cols)
-    sign = 1.0 if problem.sense == "min" else -1.0
-    for j in range(nvar):
-        kind, col, off, col2 = cols_of[j]
-        a = sign * problem.c[j]
-        if kind == "neg":
-            c_std[col] -= a
-        else:
-            c_std[col] += a
-            if kind == "split":
-                c_std[col2] -= a
-
-    # Scale, orient rhs nonnegative, classify rows.
     ftol = cfg.feasibility_tol
+
+    # Equilibrate each row (with its rhs) by the power of two that brings
+    # its largest magnitude into [1, 2).  Adding 0.0 turns -0.0 into +0.0,
+    # so the tableau's zeros do not depend on how the caller built A.
+    A = problem.A + 0.0
+    mx = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(problem.b))
+    scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
+    A = A / scale[:, None]
+    rhs = problem.b / scale
+
+    # Orient rhs nonnegative and classify rows.
     kept: list[tuple[np.ndarray, str, float]] = []
-    for r, rel, beta in zip(rows, rels, rhs):
-        scale = _pow2_row_scale(r, beta)
-        r = r / scale
-        beta = beta / scale
-        if not np.any(r != 0.0):
+    for r, rel, beta in zip(A, problem.relations, rhs):
+        if not r.any():
             sat = (beta >= -ftol) if rel == "<=" else (beta <= ftol) if rel == ">=" else (abs(beta) <= ftol)
             if not sat:
                 return LpSolution("infeasible", math.nan, np.full(nvar, math.nan))
@@ -246,14 +168,14 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
     nrow = len(kept)
     n_slack = sum(1 for _, rel, _ in kept if rel != "=")
     n_art = sum(1 for _, rel, _ in kept if rel != "<=")
-    total = std_cols + n_slack + n_art
+    total = nvar + n_slack + n_art
     T = np.zeros((nrow + 1, total + 1))
     basis = np.empty(nrow, dtype=np.int64)
-    art_start = std_cols + n_slack
-    s_at, a_at = std_cols, art_start
+    art_start = nvar + n_slack
+    s_at, a_at = nvar, art_start
     art_rows: list[int] = []
     for i, (r, rel, beta) in enumerate(kept):
-        T[i, :std_cols] = r
+        T[i, :nvar] = r
         T[i, total] = beta
         if rel == "<=":
             T[i, s_at] = 1.0
@@ -306,9 +228,9 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
         nrow = len(keep_rows)
         total = art_start
 
-    # Phase 2 objective row: eliminate basic columns from c_std.
+    # Phase 2 objective row (minimization form): eliminate basic columns.
     T[nrow, :] = 0.0
-    T[nrow, :std_cols] = c_std
+    T[nrow, :nvar] = (problem.c if problem.sense == "min" else -problem.c) + 0.0
     for i in range(nrow):
         cb = T[nrow, basis[i]]
         if cb != 0.0:
@@ -328,15 +250,7 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
     if nrow and float(np.min(x_std)) < -1e3 * ftol:
         raise SolverError("basis produced a significantly negative basic value")
     np.maximum(x_std, 0.0, out=x_std)
-    x = np.empty(nvar)
-    for j in range(nvar):
-        kind, col, off, col2 = cols_of[j]
-        if kind == "shift":
-            x[j] = off + x_std[col]
-        elif kind == "neg":
-            x[j] = off - x_std[col]
-        else:
-            x[j] = x_std[col] - x_std[col2]
+    x = 0.0 + x_std[:nvar]
     value = float(np.sum(problem.c * x))
 
     # Alternate-optima probe: a nonbasic column with zero reduced cost that

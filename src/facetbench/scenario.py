@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, parse_float
 from .errors import DataError, FacetInfeasibleError, SolverError
 from .facets import Facet, FacetSet, facet_contains
 from .lp import LpProblem, SolverConfig, solve_lp
@@ -55,8 +55,10 @@ class PriceScenario:
             slopes = np.asarray(self.slopes, dtype=float)
             if bases.shape != slopes.shape or bases.ndim != 1:
                 raise DataError("bases and slopes must be equal-length vectors")
-            if self.domain is None or self.domain[0] > self.domain[1]:
-                raise DataError("affine scenario needs a domain [lo, hi] with lo <= hi")
+            if not (np.all(np.isfinite(bases)) and np.all(np.isfinite(slopes))):
+                raise DataError("bases and slopes must be finite")
+            if self.domain is None or not (np.isfinite(self.domain).all() and self.domain[0] <= self.domain[1]):
+                raise DataError("affine scenario needs a finite domain [lo, hi] with lo <= hi")
             for endpoint in self.domain:
                 p = bases + slopes * endpoint
                 if np.any(p <= 0):
@@ -74,8 +76,8 @@ class PriceScenario:
             for d, p in table.items():
                 if p.shape != (len(self.output_names),):
                     raise DataError(f"price vector at delta={d} has wrong length")
-                if np.any(p <= 0):
-                    raise DataError(f"nonpositive price at delta={d}")
+                if not np.all(np.isfinite(p)) or np.any(p <= 0):
+                    raise DataError(f"price at delta={d} must be finite and positive")
             object.__setattr__(self, "table", table)
 
     @property
@@ -109,6 +111,10 @@ def revenue(y: np.ndarray, sc: PriceScenario, delta: float) -> float:
     return float(np.sum(p * y))
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_scenario(path: str | Path) -> PriceScenario:
     path = Path(path)
     if not path.exists():
@@ -117,8 +123,23 @@ def load_scenario(path: str | Path) -> PriceScenario:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a scenario file holds one JSON object")
     if "table" in payload:
-        table = {float(k): np.asarray(v, dtype=float) for k, v in payload["table"].items()}
+        raw = payload["table"]
+        if not isinstance(raw, dict) or not raw:
+            raise DataError(f"{path}: 'table' must map at least one delta to a price list")
+        table: dict[float, np.ndarray] = {}
+        for key, prices in raw.items():
+            try:
+                delta = parse_float(key)
+            except ValueError:
+                raise DataError(f"{path}: table key {key!r} is not a number") from None
+            if delta in table:
+                raise DataError(f"{path}: table lists delta={delta} twice")
+            if not isinstance(prices, list) or not all(_is_number(p) for p in prices):
+                raise DataError(f"{path}: prices at delta {key!r} must be a list of numbers")
+            table[delta] = np.array(prices, dtype=float)
         width = len(next(iter(table.values())))
         names = tuple(payload.get("outputs", [f"y{r+1}" for r in range(width)]))
         return PriceScenario(output_names=names, table=table)
@@ -126,10 +147,12 @@ def load_scenario(path: str | Path) -> PriceScenario:
         outputs = payload["outputs"]
         lo, hi = payload["delta_domain"]
         names = tuple(o["name"] for o in outputs)
-        bases = [float(o["base"]) for o in outputs]
-        slopes = [float(o.get("slope", 0.0)) for o in outputs]
-    except (KeyError, TypeError) as exc:
+        bases = [o["base"] for o in outputs]
+        slopes = [o.get("slope", 0.0) for o in outputs]
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"{path}: malformed scenario file ({exc})") from None
+    if not all(_is_number(v) for v in [lo, hi, *bases, *slopes]):
+        raise DataError(f"{path}: bases, slopes and delta_domain must be numbers")
     return PriceScenario(
         output_names=names, bases=np.array(bases), slopes=np.array(slopes),
         domain=(float(lo), float(hi)),

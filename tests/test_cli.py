@@ -167,3 +167,31 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
     assert code == 1
     assert "no facets" in err
     assert not out_path.exists()
+
+
+# case -> (files written to the working directory, argv); argv without
+# --data runs on the toy dataset
+INPUT_FAULTS = {
+    "scenario-empty-table": ({"p.json": '{"table": {}}'}, ["scenario", "--prices", "p.json"]),
+    "scenario-key-not-number": ({"p.json": '{"table": {"a": [1, 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
+    "scenario-price-not-number": ({"p.json": '{"table": {"0": ["x", 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
+    "xbar-nan": ({}, ["coverage", "--trials", "10", "--xbar", "nan"]),
+    "xbar-inf": ({}, ["coverage", "--trials", "10", "--xbar", "inf"]),
+    "xbar-digit-separator": ({}, ["coverage", "--trials", "10", "--xbar", "1_0"]),
+    "cell-digit-separator": (
+        {"d.csv": "dmu,in:a,out:b,out:c\nA,1,1_0,2\nB,1,2,3\n"}, ["extremes", "--data", "d.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+def test_input_faults_exit_1(capsys, data_dir, tmp_path, monkeypatch, case):
+    files, argv = INPUT_FAULTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    if "--data" not in argv:
+        argv = argv + ["--data", str(data_dir / "toy_isoquant_a.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1, err
+    assert err.startswith("error: ")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.dataset import parse_dataset, save_dataset
+from facetbench.dataset import parse_dataset, parse_float, save_dataset
 
 
 def test_load_985_shape(uni985):
@@ -137,3 +137,23 @@ def test_parse_allows_invalid_values_for_diagnosis(tmp_path):
     p.write_text("dmu,in:a,out:b\nA,1,0\n")
     ds = parse_dataset(p)
     assert [v.rule for v in fb.validate_dataset(ds)] == ["nonpositive-output"]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1.0), ("-1.5", -1.5), ("+.5", 0.5), ("5.", 5.0), ("2.5e-3", 0.0025), ("1E3", 1000.0),
+])
+def test_parse_float_accepts_decimal_literals(text, value):
+    assert parse_float(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "0x10", "\u0661", " 1", "", ".", "1e", "e5", "1.2.3", "--1"])
+def test_parse_float_rejects_other_spellings(text):
+    with pytest.raises(ValueError):
+        parse_float(text)
+
+
+def test_non_finite_cells_parse_and_are_reported(tmp_path):
+    p = tmp_path / "diag.csv"
+    p.write_text("dmu,in:a,out:b\nA,NaN,2\nB,1,-inf\n")
+    ds = parse_dataset(p)
+    assert [v.rule for v in fb.validate_dataset(ds)] == ["nonpositive-input", "nonpositive-output"]

@@ -298,3 +298,25 @@ def test_single_facet_global_equals_facet_optimum(toy_a, toy_facets, toy_scenari
     alone = facet_optimum(toy_a, single.facets[0], XBAR, toy_scenario, 1.0)
     assert best.value == alone.value
     assert owners == (1,)
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"table": {}},
+    {"table": [[0, 1]]},
+    {"table": {"a": [1, 2, 3]}},
+    {"table": {"1_0": [1, 2, 3]}},
+    {"table": {"0": ["x", 2, 3]}},
+    {"table": {"0": "5"}},
+    {"table": {"0": [1, 2, 3], "0.0": [1, 2, 3]}},
+    {"table": {"0": [1, 2, 3], "1": [1, 2]}},
+    {"table": {"0": [float("nan"), 2, 3]}},
+    {"outputs": [{"name": "a", "base": "1_0"}], "delta_domain": [0, 1]},
+    {"outputs": [{"name": "a", "base": 1}], "delta_domain": [0]},
+    {"outputs": [{"name": "a", "base": 1}], "delta_domain": [0, float("inf")]},
+], ids=lambda p: json.dumps(p))
+def test_load_scenario_rejects_malformed_files(tmp_path, payload):
+    p = tmp_path / "prices.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(fb.DataError):
+        fb.load_scenario(p)
