@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled pivot kernel against the pure-NumPy fallback.
 
-Three workloads, each solved identically on both kernels:
+Two workloads, each solved identically on both kernels:
 
   random-lp   a seeded batch of dense LPs (the solver in isolation)
   pipeline    the full 985-style report pipeline on the bundled dataset
-  coverage    Monte-Carlo strategy coverage on the toy configuration
-              (many tiny LPs; the per-solve overhead shows up here)
 
-Usage: python benchmarks/bench_solver.py [--trials N] [--lps N]
+The coverage simulator is not timed here: it solves no LPs.
+
+Usage: python benchmarks/bench_solver.py [--lps N]
 """
 
 from __future__ import annotations
@@ -69,23 +69,8 @@ def bench_pipeline() -> dict[str, float]:
     return out
 
 
-def bench_coverage(trials: int) -> dict[str, float]:
-    ds = fb.load_dataset(DATA / "toy_isoquant_a.csv")
-    ext = fb.extreme_set(ds)
-    fs = fb.enumerate_facets(ds, ext.indices)
-    strategies = [(1,), (2,), (1, 2)]
-    out = {}
-    for kernel in lp.available_kernels():
-        lp.set_kernel(kernel)
-        t0 = time.perf_counter()
-        fb.simulate_coverage(ds, fs, strategies, np.ones(ds.m), trials, seed=7)
-        out[kernel] = time.perf_counter() - t0
-    return out
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--trials", type=int, default=2000, help="coverage trials")
     ap.add_argument("--lps", type=int, default=500, help="random LP count")
     args = ap.parse_args()
 
@@ -93,7 +78,6 @@ def main():
     rows = [
         ("random-lp", bench_random_lps(args.lps)),
         ("pipeline", bench_pipeline()),
-        ("coverage", bench_coverage(args.trials)),
     ]
     print(f"{'workload':<12}" + "".join(f"{k:>12}" for k in lp.available_kernels()) + f"{'speedup':>10}")
     for name, res in rows:

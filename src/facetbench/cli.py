@@ -74,6 +74,27 @@ def _parse_strategies(spec: str) -> list[tuple[int, ...]]:
     return out
 
 
+def _parse_delta(flag: str, text: str) -> float:
+    try:
+        value = parse_float(text)
+    except ValueError:
+        raise DataError(f"bad {flag} {text!r}: expected a decimal number") from None
+    if not np.isfinite(value):
+        raise DataError(f"bad {flag} {text!r}: must be finite")
+    return value
+
+
+def _parse_count(flag: str, text: str) -> int:
+    """A nonnegative integer written in ASCII digits only: no sign, digit
+    separator or surrounding whitespace, which ``int()`` would accept."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise DataError(f"bad {flag} {text!r}: expected a nonnegative integer")
+
+
 def _parse_xbar(spec: str | None, m: int) -> np.ndarray:
     if spec is None:
         return np.ones(m)
@@ -211,12 +232,12 @@ def cmd_report(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    d0 = _parse_delta("--delta0", args.delta0)
+    d1 = _parse_delta("--delta", args.delta) if args.delta is not None else _parse_delta("--delta1", args.delta1)
     ds, ext, fs, cfg, tols, scope = _pipeline(args)
     sc = load_scenario(args.prices)
     if sc.s != ds.s:
         raise DataError(f"scenario has {sc.s} outputs, dataset has {ds.s}")
-    d0 = args.delta0
-    d1 = args.delta if args.delta is not None else args.delta1
     if args.xbar is not None:
         xbar = _parse_xbar(args.xbar, ds.m)
     elif args.target:
@@ -276,13 +297,15 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    trials = _parse_count("--trials", args.trials)
+    seed = _parse_count("--seed", args.seed)
     ds, ext, fs, cfg, tols, scope = _pipeline(args)
     xbar = _parse_xbar(args.xbar, ds.m)
     if args.strategies:
         strategies = _parse_strategies(args.strategies)
     else:
         strategies = [(fid,) for fid in fs.ids()] + [tuple(fs.ids())]
-    rep = simulate_coverage(ds, fs, strategies, xbar, args.trials, args.seed)
+    rep = simulate_coverage(ds, fs, strategies, xbar, trials, seed)
     _emit_payload(rep.to_payload(), args)
     return 0
 
@@ -330,17 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="two-stage revenue analysis")
     add_common(p)
     p.add_argument("--prices", required=True, help="price scenario JSON")
-    p.add_argument("--delta0", type=float, default=0.0, help="pre-risk parameter")
-    p.add_argument("--delta1", type=float, default=1.0, help="post-risk parameter")
-    p.add_argument("--delta", type=float, help="shorthand for --delta1")
+    p.add_argument("--delta0", default="0", help="pre-risk parameter")
+    p.add_argument("--delta1", default="1", help="post-risk parameter")
+    p.add_argument("--delta", help="shorthand for --delta1")
     p.add_argument("--target", help="DMU whose point anchors the analysis")
     p.add_argument("--xbar", help="fixed input vector, comma-separated (default: target's inputs, else ones)")
     p.set_defaults(fn=cmd_scenario, aggregation=None)
 
     p = sub.add_parser("coverage", help="Monte-Carlo strategy coverage")
     add_common(p)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default="10000")
+    p.add_argument("--seed", default="0")
     p.add_argument("--strategies", help="semicolon-separated facet-id groups, e.g. '1;2;1,2'")
     p.add_argument("--xbar", help="fixed input vector, comma-separated (default: ones)")
     p.set_defaults(fn=cmd_coverage, aggregation=None)

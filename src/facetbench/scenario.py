@@ -11,10 +11,20 @@ sampled price draws as any of their sub-strategies.
 Sampling is counter-based: trial i draws from Philox(key=seed) advanced
 to counter i * 2**64, so any subset of trials can be reproduced (or run
 concurrently) without generating the rest of the stream.
+
+The coverage simulation solves no LPs.  With the inputs fixed, a facet's
+feasible set {lambda >= 0 : X_f lambda = xbar} does not depend on prices,
+so its revenue optimum under any prices is the best of its basic feasible
+solutions.  Each facet's vertex table (the output vectors Y_B lambda_B of
+those solutions) is built once per run from every nonsingular basis of a
+maximal independent row set of X_f whose lambda_B = B^-1 xbar is
+nonnegative and meets the dropped rows, and a trial is one max over the
+table's rows.  A facet with an empty table admits no point at xbar.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +39,7 @@ from .lp import LpProblem, SolverConfig, solve_lp
 OWNERSHIP_RTOL = 1e-9
 PARALLEL_TOL = 1e-9
 TIE_RTOL = 1e-9
+COVERAGE_CHUNK = 1024   # trials priced per block; bounds the block's arrays
 
 
 @dataclass(frozen=True)
@@ -199,6 +210,41 @@ def _optimum_for_prices(
     lam = sol.x
     y = Yf @ lam
     return lam, y, float(np.sum(prices * y)), sol.degenerate_optimal_face
+
+
+def _vertex_table(ds: Dataset, facet: Facet, xbar: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Output vectors of the basic feasible solutions of {lambda >= 0 :
+    X_f lambda = xbar}, one row per basis (no rows when xbar is infeasible).
+
+    Rows of [X_f | xbar] are equilibrated by powers of two as in solve_lp,
+    so the table does not depend on the inputs' units and the tolerances
+    read in the same scale as the LP's.  When X_f is rank deficient the
+    bases span a maximal independent row set, and each solution must
+    still meet the dropped rows: that is the check that xbar is consistent
+    with them.
+    """
+    cols = list(facet.members)
+    Xf = np.column_stack([ds.inputs[:, cols], xbar])
+    mx = np.abs(Xf).max(axis=1)
+    Xf = Xf / np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
+    Xf, x = Xf[:, :-1], Xf[:, -1]
+    rows: list[int] = []
+    for i in range(ds.m):
+        if np.linalg.matrix_rank(Xf[rows + [i]]) > len(rows):
+            rows.append(i)
+    ftol = cfg.feasibility_tol
+    verts = []
+    for basis in itertools.combinations(range(len(cols)), len(rows)):
+        B = Xf[np.ix_(rows, basis)]
+        if np.linalg.matrix_rank(B) < len(rows):
+            continue
+        lam = np.linalg.solve(B, x[rows])
+        if lam.min() < -ftol * max(1.0, float(lam.max())):
+            continue
+        if np.abs(Xf[:, basis] @ lam - x).max() > ftol:
+            continue
+        verts.append(ds.outputs[:, [cols[j] for j in basis]] @ np.maximum(lam, 0.0))
+    return np.array(verts).reshape(-1, ds.s)
 
 
 def _classify_uniqueness(facet: Facet, prices: np.ndarray, degenerate: bool) -> str:
@@ -487,6 +533,8 @@ def simulate_coverage(
         raise DataError("coverage simulation needs a nonempty facet set")
     if trials < 1:
         raise DataError("trials must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise DataError("seed must be in [0, 2**128) (the Philox key range)")
     if not strategies:
         raise DataError("at least one strategy (set of facet ids) required")
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
@@ -500,25 +548,20 @@ def simulate_coverage(
             raise DataError(f"strategy names unknown facet ids {unknown}")
         strategy_sets.append(kset)
 
-    usable: list[tuple[int, Facet]] = []
-    for f in facets.facets:
-        try:
-            _optimum_for_prices(ds, f, xbar, np.ones(ds.s), cfg)
-        except FacetInfeasibleError:
-            continue
-        usable.append((col_of[f.id], f))
+    tables = [(col_of[f.id], _vertex_table(ds, f, xbar, cfg)) for f in facets.facets]
+    usable = [(col, V) for col, V in tables if len(V)]
     if not usable:
         raise FacetInfeasibleError(f"no facet admits the input vector {xbar.tolist()}")
 
     incidence = np.zeros((trials, len(fids)), dtype=bool)
-    for i in range(trials):
-        prices = sampler.draw(seed, i, ds.s)
-        values = np.full(len(fids), -np.inf)
-        for col, f in usable:
-            _, _, val, _ = _optimum_for_prices(ds, f, xbar, prices, cfg)
-            values[col] = val
-        best = float(np.max(values))
-        incidence[i] = values >= best - OWNERSHIP_RTOL * max(1.0, abs(best))
+    for start in range(0, trials, COVERAGE_CHUNK):
+        stop = min(start + COVERAGE_CHUNK, trials)
+        prices = np.array([sampler.draw(seed, i, ds.s) for i in range(start, stop)])
+        values = np.full((stop - start, len(fids)), -np.inf)
+        for col, V in usable:
+            values[:, col] = (prices @ V.T).max(axis=1)
+        best = values.max(axis=1)
+        incidence[start:stop] = values >= (best - OWNERSHIP_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
 
     facet_counts = {fid: int(incidence[:, col_of[fid]].sum()) for fid in fids}
     strategy_counts = []

@@ -169,6 +169,8 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
     assert not out_path.exists()
 
 
+TOY_TABLE = '{"table": {"0": [5, 5, 12], "0.1": [5, 5.5, 10.81], "1": [5, 10, 0.1]}}'
+
 # case -> (files written to the working directory, argv); argv without
 # --data runs on the toy dataset
 INPUT_FAULTS = {
@@ -181,6 +183,17 @@ INPUT_FAULTS = {
     "cell-digit-separator": (
         {"d.csv": "dmu,in:a,out:b,out:c\nA,1,1_0,2\nB,1,2,3\n"}, ["extremes", "--data", "d.csv"],
     ),
+    "trials-digit-separator": ({}, ["coverage", "--trials", "1_0", "--seed", "1"]),
+    "seed-digit-separator": ({}, ["coverage", "--trials", "10", "--seed", "0_1"]),
+    "trials-not-number": ({}, ["coverage", "--trials", "abc"]),
+    "trials-signed": ({}, ["coverage", "--trials", "+10"]),
+    "trials-non-ascii-digits": ({}, ["coverage", "--trials", "\u0661\u0660"]),
+    "seed-negative": ({}, ["coverage", "--trials", "10", "--seed", "-1"]),
+    "seed-beyond-philox-key": ({}, ["coverage", "--trials", "10", "--seed", str(2**128)]),
+    "delta1-digit-separator": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta1", "0_1"]),
+    "delta-not-number": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "one"]),
+    "delta0-nan": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta0", "nan"]),
+    "delta-inf": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "inf"]),
 }
 
 

@@ -3,7 +3,9 @@
 Changing one column's unit of measure by a power of two is exact in binary
 floating point, and every LP row is equilibrated by a power of two, so the
 extreme test, the facets, the partition and every robust theta must come
-out bit-identical.
+out bit-identical.  Coverage at a fixed input vector must not change when
+an input column and the matching input-vector component change unit
+together.
 """
 
 import numpy as np
@@ -70,3 +72,18 @@ def test_power_of_two_unit_change_is_bit_identical(uni985, baseline, column, fac
     # float equality ignores the sign of zero; compare the bytes
     for key in ("lambda0", "thetas"):
         assert _bits(scaled[key]) == _bits(baseline[key]), key
+
+
+@pytest.mark.parametrize("factor", [2.0**10, 2.0**-10], ids=["x1024", "div1024"])
+@pytest.mark.parametrize("column", ["in:researchers", "in:size"])
+def test_power_of_two_input_unit_change_keeps_coverage(uni985, uni_facets, column, factor):
+    def coverage(ds, facets):
+        xbar = ds.inputs[:, ds.index("WHU")]
+        return fb.simulate_coverage(ds, facets, [facets.ids()], xbar, trials=1000, seed=11)
+
+    scaled = _rescaled(uni985, column, factor)
+    ext = fb.extreme_set(scaled, override=PAPER_985_EXTREMES)
+    base = coverage(uni985, uni_facets)
+    got = coverage(scaled, fb.enumerate_facets(scaled, ext.indices, "extremes"))
+    assert got.facet_counts == base.facet_counts
+    assert np.array_equal(got.incidence, base.incidence)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import facetbench as fb
+from facetbench.facets import Facet, FacetSet
 from facetbench.scenario import (
+    OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
+    _optimum_for_prices,
+    _vertex_table,
     check_assumptions,
     facet_optimum,
     global_optimum,
@@ -320,3 +324,106 @@ def test_load_scenario_rejects_malformed_files(tmp_path, payload):
     p.write_text(json.dumps(payload))
     with pytest.raises(fb.DataError):
         fb.load_scenario(p)
+
+
+def lp_incidence(ds, facets, xbar, trials, seed):
+    """Per-trial coverage oracle on the LP path: one facet-optimum LP per
+    facet and trial, then the documented ownership test."""
+    cfg = fb.SolverConfig()
+    rows = []
+    for i in range(trials):
+        prices = PriceSampler().draw(seed, i, ds.s)
+        values = np.full(len(facets.facets), -np.inf)
+        for col, f in enumerate(facets.facets):
+            try:
+                values[col] = _optimum_for_prices(ds, f, xbar, prices, cfg)[2]
+            except fb.FacetInfeasibleError:
+                pass
+        best = float(np.max(values))
+        rows.append(values >= best - OWNERSHIP_RTOL * max(1.0, abs(best)))
+    return np.array(rows)
+
+
+def lp_infeasible(ds, facet, xbar):
+    try:
+        _optimum_for_prices(ds, facet, xbar, np.ones(ds.s), fb.SolverConfig())
+    except fb.FacetInfeasibleError:
+        return True
+    return False
+
+
+def test_coverage_incidence_matches_lp_oracle_toy(toy_a, toy_facets):
+    rep = simulate_coverage(toy_a, toy_facets, [(1, 2)], XBAR, trials=400, seed=985)
+    assert np.array_equal(rep.incidence, lp_incidence(toy_a, toy_facets, XBAR, 400, 985))
+
+
+@pytest.mark.parametrize("dmu", ["WHU", "PKU"])
+def test_coverage_incidence_matches_lp_oracle_985(uni985, uni_facets, dmu):
+    xbar = uni985.inputs[:, uni985.index(dmu)]
+    rep = simulate_coverage(uni985, uni_facets, [uni_facets.ids()], xbar, trials=150, seed=31)
+    assert rep.facet_ids == uni_facets.ids()
+    assert np.array_equal(rep.incidence, lp_incidence(uni985, uni_facets, xbar, 150, 31))
+
+
+def test_empty_vertex_table_iff_lp_infeasible_985(uni985, uni_facets):
+    outcomes = set()
+    for o in range(uni985.n):
+        xbar = uni985.inputs[:, o]
+        for f in uni_facets.facets:
+            empty = len(_vertex_table(uni985, f, xbar, fb.SolverConfig())) == 0
+            assert empty == lp_infeasible(uni985, f, xbar), (uni985.names[o], f.id)
+            outcomes.add(empty)
+    assert outcomes == {True, False}  # both cases occur
+
+
+def rank_deficient_case(unit=1.0):
+    """Facet 1's members have proportional inputs along (2, 3), so X_f has
+    rank 1 < m; facet 2's inputs span a cone that excludes that ray.  The
+    proportions are not exact in binary (0.2 * 1.5 != 0.3), as in real
+    data.  Facet 3 has full rank, but two of its members' inputs are
+    exactly proportional, so one of its bases is singular.  `unit` scales
+    every input."""
+    ds = fb.Dataset(
+        names=("A", "B", "C", "D", "E", "F"),
+        inputs=unit * np.array([[0.2, 0.4, 1.4, 1.0, 2.0, 1.0],
+                                [0.3, 0.6, 2.1, 1.0, 1.0, 1.4]]),
+        outputs=np.array([[10.0, 6.0, 1.0, 5.0, 8.0, 3.0],
+                          [1.0, 6.0, 10.0, 5.0, 3.0, 8.0]]),
+    )
+    unit = np.ones(2) / 2.0
+    facets = FacetSet(
+        facets=(Facet(1, (0, 1, 2), unit, unit), Facet(2, (3, 4, 5), unit, unit),
+                Facet(3, (0, 1, 3), unit, unit)),
+        extremes=tuple(range(6)), scope="extremes",
+    )
+    return ds, facets
+
+
+@pytest.mark.parametrize("xbar, usable", [
+    ((0.6, 0.9), (True, False, True)),    # on facet 1's input ray
+    ((2.0, 2.5), (False, True, True)),    # off it: facet 1 admits no point
+], ids=["on-ray", "off-ray"])
+@pytest.mark.parametrize("unit", [1.0, 2.0**-30, 2.0**30], ids=["unit", "div2^30", "x2^30"])
+def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
+    # tolerances are judged after power-of-two row equilibration, so a
+    # change of input unit moves neither path's feasibility verdicts
+    ds, facets = rank_deficient_case(unit)
+    xbar = unit * np.array(xbar)
+    cfg = fb.SolverConfig()
+    for f, want in zip(facets.facets, usable):
+        table = _vertex_table(ds, f, xbar, cfg)
+        assert (len(table) > 0) == want
+        assert lp_infeasible(ds, f, xbar) == (not want)
+        for i in range(20):
+            prices = PriceSampler().draw(3, i, ds.s)
+            if want:
+                lp_value = _optimum_for_prices(ds, f, xbar, prices, cfg)[2]
+                assert float(np.max(table @ prices)) == pytest.approx(lp_value, rel=1e-12)
+    rep = simulate_coverage(ds, facets, [(1,), (2,), (3,), (1, 2, 3)], xbar, trials=300, seed=3)
+    assert np.array_equal(rep.incidence, lp_incidence(ds, facets, xbar, 300, 3))
+    assert rep.strategy_counts[-1] == 300
+
+
+def test_coverage_no_usable_facet(uni985, uni_facets):
+    with pytest.raises(fb.FacetInfeasibleError, match="no facet admits"):
+        simulate_coverage(uni985, uni_facets, [(1,)], np.array([1.0, 1e9]), trials=5, seed=0)
