@@ -5,8 +5,11 @@ whose stacked (outputs, inputs) rows have full rank and whose
 one-dimensional null direction, signed as (u, -v), is strictly positive
 and supports every DMU in scope: u@y_j - v@x_j <= 0.  Enumeration is
 exhaustive over all C(|extremes|, s+m-1) subsets, which is exact and
-cheap at DEA scale (hundreds of candidates); datasets with hundreds of
-extreme units would need the dedicated identification literature instead.
+cheap at DEA scale; datasets with hundreds of extreme units would need the
+dedicated identification literature instead.  The subsets are processed
+in chunks of FACET_CHUNK, with one stacked SVD and one array support test
+per chunk: about 7 us per subset for s+m = 5 (10,626 subsets in 0.07 s with
+single-threaded BLAS on a 2-vCPU x86 host, NumPy 2.4).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError
 from .lp import LpProblem, SolverConfig, solve_lp
+
+FACET_CHUNK = 1024  # subsets per batched SVD and support test; bounds the chunk's arrays
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,42 @@ class FacetSet:
         return tuple(f.id for f in self.facets)
 
 
+def _normals(
+    ds: Dataset, subsets: np.ndarray, tols: FacetTolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals of a (k, s+m-1) array of subsets of DMU indices.
+
+    Returns (ok, u, v): u and v are the output and input parts of each
+    subset's null direction (u, -v), signed so that the first nonzero
+    component of u is positive, and ok marks the subsets whose rows have
+    full rank and whose normal is strictly positive.  The batched SVD
+    runs LAPACK on each subset as a single-matrix call does, so the
+    normals do not depend on how the subsets are batched.
+    """
+    rows = np.vstack([ds.outputs, ds.inputs]).T[subsets]  # (k, s+m-1, s+m)
+    _, sv, vh = np.linalg.svd(rows)
+    normal = vh[:, -1, :]  # unit length; rows @ normal ~ 0
+    u = normal[:, : ds.s]
+    v = -normal[:, ds.s:]
+    first = np.argmax(u != 0.0, axis=1)
+    flip = (u[np.arange(len(u)), first] < 0.0)[:, None]
+    u = np.where(flip, -u, u)
+    v = np.where(flip, -v, v)
+    ok = ~(sv[:, -1] <= tols.rank_tol * sv[:, 0])
+    ok &= ~(np.minimum(u.min(axis=1, initial=np.inf), v.min(axis=1, initial=np.inf)) <= tols.positivity_tol)
+    return ok, u, v
+
+
+def _residuals(ds: Dataset, u: np.ndarray, v: np.ndarray, cols) -> np.ndarray:
+    """(k, len(cols)) values u@y_j - v@x_j of k normals at the DMUs cols,
+    each divided by the DMU's row norm."""
+    cols = np.asarray(cols, dtype=np.intp)
+    Y = ds.outputs[:, cols].T
+    X = ds.inputs[:, cols].T
+    value = (u[:, None, :] * Y[None]).sum(-1) - (v[:, None, :] * X[None]).sum(-1)
+    return value / _row_norms(ds)[cols]
+
+
 def facet_normal(
     ds: Dataset,
     subset: tuple[int, ...] | list[int],
@@ -78,25 +119,8 @@ def facet_normal(
     d = ds.s + ds.m - 1
     if len(subset) != d:
         raise DataError(f"subset size {len(subset)} != s+m-1 = {d}")
-    rows = np.empty((d, ds.s + ds.m))
-    for i, j in enumerate(subset):
-        rows[i, : ds.s] = ds.outputs[:, j]
-        rows[i, ds.s:] = ds.inputs[:, j]
-    _, sv, vh = np.linalg.svd(rows)
-    if sv[-1] <= tols.rank_tol * sv[0]:
-        return None
-    normal = vh[-1]  # unit length; rows @ normal ~ 0
-    u = normal[: ds.s]
-    v = -normal[ds.s:]
-    for comp in u:
-        if comp != 0.0:
-            if comp < 0.0:
-                u = -u
-                v = -v
-            break
-    if min(u.min(initial=np.inf), v.min(initial=np.inf)) <= tols.positivity_tol:
-        return None
-    return u, v
+    ok, u, v = _normals(ds, np.array([subset], dtype=np.intp), tols)
+    return (u[0], v[0]) if ok[0] else None
 
 
 def _row_norms(ds: Dataset) -> np.ndarray:
@@ -126,27 +150,36 @@ def enumerate_facets(
     if len(extremes) < d:
         raise DataError(f"need at least s+m-1 = {d} extreme DMUs, got {len(extremes)}")
     support = extremes if scope == "extremes" else tuple(range(ds.n))
-    norms = _row_norms(ds)
+    ext = np.array(extremes, dtype=np.intp)
 
     found: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
     examined = 0
-    for pos_subset in itertools.combinations(range(len(extremes)), d):
-        examined += 1
-        subset = tuple(extremes[p] for p in pos_subset)
-        res = facet_normal(ds, subset, tols)
-        if res is None:
-            continue
-        u, v = res
-        supported = True
-        for j in support:
-            resid = (np.sum(u * ds.outputs[:, j]) - np.sum(v * ds.inputs[:, j])) / norms[j]
-            if resid > tols.support_tol:
-                supported = False
-                break
-        if supported:
-            found.append((subset, u, v))
+    positions = itertools.combinations(range(len(extremes)), d)
+    while True:
+        pos = np.fromiter(itertools.islice(positions, FACET_CHUNK), dtype=np.dtype((np.intp, d)))
+        if not len(pos):
+            break
+        examined += len(pos)
+        subsets = ext[pos]
+        ok, u, v = _normals(ds, subsets, tols)
+        keep = np.flatnonzero(ok)
+        supported = ~(_residuals(ds, u[keep], v[keep], support) > tols.support_tol).any(axis=1)
+        for i in keep[supported]:
+            found.append((tuple(subsets[i].tolist()), u[i], v[i]))
+    return _facet_set(ds, found, extremes, scope, examined, tols)
 
-    # Deduplicate coincident hyperplanes (same unit normal).
+
+def _facet_set(
+    ds: Dataset,
+    found: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
+    extremes: tuple[int, ...],
+    scope: str,
+    examined: int,
+    tols: FacetTolerances,
+) -> FacetSet:
+    """Number the supported subsets of `found`, in canonical order, as
+    facets, collapsing coincident hyperplanes (same unit normal) to the
+    first subset."""
     facets: list[Facet] = []
     warnings: list[str] = []
     kept: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, set[int]]] = []
@@ -204,26 +237,25 @@ def facet_contains(
     return solve_lp(problem, cfg).status == "optimal"
 
 
+def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
+    """(len(fs), n) scaled residuals of every facet at every DMU."""
+    u = np.array([f.u for f in fs.facets]).reshape(len(fs), ds.s)
+    v = np.array([f.v for f in fs.facets]).reshape(len(fs), ds.m)
+    return _residuals(ds, u, v, range(ds.n))
+
+
 def verify_facet_set(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> dict:
     """Residual summary for reporting and invariant tests.
 
     Returns per-facet max |u@y_j - v@x_j| over members (span residual),
     max scaled support residual over the scope, and min normal component.
     """
-    tols = tols or FacetTolerances()
-    norms = _row_norms(ds)
     support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
     out = {}
-    for f in fs.facets:
-        span = max(
-            abs(f.value(ds.outputs[:, j], ds.inputs[:, j])) / norms[j] for j in f.members
-        )
-        sup = max(
-            f.value(ds.outputs[:, j], ds.inputs[:, j]) / norms[j] for j in support
-        )
+    for f, resid in zip(fs.facets, _facet_residuals(ds, fs)):
         out[f.id] = {
-            "span_residual": span,
-            "max_support_residual": sup,
+            "span_residual": max(abs(resid[j]) for j in f.members),
+            "max_support_residual": max(resid[j] for j in support),
             "min_normal_component": float(min(f.u.min(), f.v.min())),
         }
     return out
@@ -235,11 +267,8 @@ def envelope_violations(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None 
     scope=extremes alike; a nonempty list under scope=extremes flags the
     kind of data anomaly that support checks over extremes cannot see."""
     tols = tols or FacetTolerances()
-    norms = _row_norms(ds)
-    out = []
-    for j in range(ds.n):
-        for f in fs.facets:
-            resid = f.value(ds.outputs[:, j], ds.inputs[:, j]) / norms[j]
-            if resid > tols.support_tol:
-                out.append({"dmu": ds.names[j], "facet": f.id, "residual": float(resid)})
-    return out
+    resid = _facet_residuals(ds, fs)
+    return [
+        {"dmu": ds.names[j], "facet": fs.facets[i].id, "residual": float(resid[i, j])}
+        for j, i in zip(*np.nonzero(resid.T > tols.support_tol))
+    ]

@@ -1,8 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import facetbench as fb
+from facetbench import facets as facets_module
 
+from facet_oracle import oracle_enumerate_facets, oracle_facet_normal, oracle_residual
 from table4 import TABLE3
 
 
@@ -150,3 +155,208 @@ def test_dedup_records_regularity_warning():
     assert any("regularity" in w for w in fs.warnings)
     assert len(fs) == 1
     assert fs.facets[0].members == (0, 1, 2)  # first canonical subset kept
+
+
+# ---------------------------------------------------------------------------
+# Batched enumeration against the per-subset oracle: identical facet ids,
+# members, warnings, subset counts and u/v bytes.
+
+# Every full-rank subset becomes a facet and nothing merges, so the sign
+# flip and the bytes of every normal are visible in the facet set.
+EXPOSE = fb.FacetTolerances(positivity_tol=-2.0, support_tol=np.inf, dedup_tol=-1.0)
+
+
+def assert_same_facet_set(got, ref):
+    assert got.subsets_examined == ref.subsets_examined
+    assert got.extremes == ref.extremes
+    assert got.scope == ref.scope
+    assert got.warnings == ref.warnings
+    assert [(f.id, f.members) for f in got.facets] == [(f.id, f.members) for f in ref.facets]
+    for f, g in zip(got.facets, ref.facets):
+        assert f.u.tobytes() == g.u.tobytes(), f.id
+        assert f.v.tobytes() == g.v.tobytes(), f.id
+
+
+def curved_dataset(seed, n_curved, n_dominated=0, extra=()):
+    """m=2, s=3 units on the curved cone ||y|| = sqrt(x1 x2), each of them
+    an extreme unit, plus dominated convex combinations of three of them,
+    plus `extra` columns (x, y) appended last."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(100.0, 1000.0, size=(2, n_curved))
+    g = rng.uniform(0.2, 1.0, size=(3, n_curved))
+    y = g / np.linalg.norm(g, axis=0) * np.sqrt(x[0] * x[1])
+    xs, ys = [x], [y]
+    for _ in range(n_dominated):
+        idx = rng.choice(n_curved, size=3, replace=False)
+        w = rng.dirichlet(np.ones(3))
+        xs.append((x[:, idx] @ w * 1.1)[:, None])
+        ys.append((y[:, idx] @ w * 0.9)[:, None])
+    for xe, ye in extra:
+        xs.append(np.asarray(xe, float)[:, None])
+        ys.append(np.asarray(ye, float)[:, None])
+    X, Y = np.hstack(xs), np.hstack(ys)
+    return fb.Dataset(tuple(f"U{j}" for j in range(X.shape[1])), X, Y)
+
+
+@pytest.fixture(scope="module")
+def curved16():
+    """C(16, 4) = 1820 subsets, more than one chunk of FACET_CHUNK = 1024,
+    with the oracle's facet set for each scope."""
+    ds = curved_dataset(2025, 16, n_dominated=6)
+    return ds, {scope: oracle_enumerate_facets(ds, range(16), scope) for scope in ("extremes", "all")}
+
+
+@pytest.fixture(scope="module")
+def curved10_exposed():
+    """C(10, 4) = 210 subsets, every full-rank one kept as a facet."""
+    ds = curved_dataset(11, 10)
+    return ds, oracle_enumerate_facets(ds, range(10), "all", EXPOSE)
+
+
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_985_matches_oracle(uni985, uni_extremes, scope):
+    ref = oracle_enumerate_facets(uni985, uni_extremes.indices, scope)
+    got = fb.enumerate_facets(uni985, uni_extremes.indices, scope)
+    assert ref.subsets_examined == 330 < facets_module.FACET_CHUNK
+    assert len(got) == {"extremes": 14, "all": 13}[scope]  # TSU lies outside facet 13
+    assert_same_facet_set(got, ref)
+
+
+def test_985_every_normal_matches_oracle(uni985, uni_extremes):
+    # support_tol = inf: the scope does not matter
+    ref = oracle_enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE)
+    assert len(ref) == 330
+    assert_same_facet_set(fb.enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE), ref)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 910, 1820, 1821, None],
+                         ids=["1", "7", "half", "exact", "above", "default"])
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_chunking_matches_oracle(curved16, monkeypatch, chunk, scope):
+    if chunk is not None:
+        monkeypatch.setattr(facets_module, "FACET_CHUNK", chunk)
+    ds, refs = curved16
+    ref = refs[scope]
+    got = fb.enumerate_facets(ds, range(16), scope)
+    assert ref.subsets_examined == math.comb(16, 4) == 1820
+    assert len(got) > 10
+    assert_same_facet_set(got, ref)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 210, 211, None],
+                         ids=["1", "7", "exact", "above", "default"])
+def test_chunking_keeps_every_normal(curved10_exposed, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(facets_module, "FACET_CHUNK", chunk)
+    ds, ref = curved10_exposed
+    assert len(ref) == ref.subsets_examined == 210
+    assert_same_facet_set(fb.enumerate_facets(ds, range(10), "all", EXPOSE), ref)
+
+
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_duplicate_and_proportional_units_match_oracle(scope):
+    base = curved_dataset(7, 8)
+    # U8 duplicates U0 and U9 is U3 at twice the scale: every subset
+    # holding both units of a pair is rank-deficient, and the copies span
+    # the same hyperplanes as the originals
+    ds = curved_dataset(7, 8, n_dominated=3, extra=[
+        (base.inputs[:, 0], base.outputs[:, 0]),
+        (2.0 * base.inputs[:, 3], 2.0 * base.outputs[:, 3]),
+    ])
+    ext = (*range(8), 11, 12)
+    for a, b in [(0, 11), (3, 12)]:
+        assert fb.facet_normal(ds, (a, b, 1, 2)) is None
+        assert oracle_facet_normal(ds, (a, b, 1, 2)) is None
+    ref = oracle_enumerate_facets(ds, ext, scope)
+    assert any("regularity" in w for w in ref.warnings)
+    assert_same_facet_set(fb.enumerate_facets(ds, ext, scope), ref)
+    if scope == "all":  # support_tol = inf: the scope does not matter
+        assert_same_facet_set(
+            fb.enumerate_facets(ds, ext, scope, EXPOSE),
+            oracle_enumerate_facets(ds, ext, scope, EXPOSE),
+        )
+
+
+def test_coincident_hyperplanes_match_oracle():
+    outputs = np.array([
+        [10.0, 1.0, 1.0, 10.5, 2.0],
+        [1.0, 10.0, 1.0, 1.2, 2.0],
+        [1.0, 1.0, 10.0, 0.3, 2.0],
+    ])
+    ds = fb.Dataset(("P", "Q", "R", "S", "T"), np.ones((1, 5)), outputs)
+    for scope in ("extremes", "all"):
+        ref = oracle_enumerate_facets(ds, (0, 1, 2, 3), scope)
+        assert len(ref) == 1 and len(ref.warnings) == 1
+        assert_same_facet_set(fb.enumerate_facets(ds, (0, 1, 2, 3), scope), ref)
+
+
+def test_zero_first_output_weight_matches_oracle():
+    # A's row (1, 0 | 0) lies along the first output axis, so a normal
+    # through A and one other unit has u[0] exactly 0 and the sign flip
+    # is decided by the second output weight
+    ds = fb.Dataset(
+        ("A", "B", "C", "D"),
+        np.array([[0.0, 1.0, 2.0, 1.0]]),
+        np.array([[1.0, 0.0, 0.0, 3.0], [0.0, 1.0, 1.0, 2.0]]),
+    )
+    u, v = oracle_facet_normal(ds, (0, 1), EXPOSE)
+    assert u[0] == 0.0
+    assert u[1] > 0.0
+    assert oracle_facet_normal(ds, (0, 1)) is None
+    assert fb.facet_normal(ds, (0, 1)) is None
+    got_u, got_v = fb.facet_normal(ds, (0, 1), EXPOSE)
+    assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes())
+    for scope in ("extremes", "all"):
+        assert_same_facet_set(
+            fb.enumerate_facets(ds, range(4), scope, EXPOSE),
+            oracle_enumerate_facets(ds, range(4), scope, EXPOSE),
+        )
+
+
+def test_one_input_one_output_matches_oracle():
+    # s+m-1 = 1: every subset is a single DMU ray
+    ds = fb.Dataset(("A", "B", "C"), np.array([[1.0, 2.0, 1.5]]), np.array([[2.0, 3.0, 1.0]]))
+    for scope in ("extremes", "all"):
+        ref = oracle_enumerate_facets(ds, range(3), scope)
+        assert [f.members for f in ref.facets] == [(0,)]
+        assert_same_facet_set(fb.enumerate_facets(ds, range(3), scope), ref)
+
+
+def test_toy_b_no_facet_matches_oracle(toy_b):
+    ext = fb.extreme_set(toy_b).indices
+    for scope in ("extremes", "all"):
+        ref = oracle_enumerate_facets(toy_b, ext, scope)
+        assert len(ref) == 0
+        assert_same_facet_set(fb.enumerate_facets(toy_b, ext, scope), ref)
+    assert fb.envelope_violations(toy_b, ref) == []
+    assert fb.verify_facet_set(toy_b, ref) == {}
+
+
+def test_facet_normal_matches_oracle_on_every_subset(uni985, uni_extremes):
+    for subset in itertools.combinations(uni_extremes.indices, 4):
+        for tols in (None, EXPOSE):
+            got = fb.facet_normal(uni985, subset, tols)
+            ref = oracle_facet_normal(uni985, subset, tols)
+            assert (got is None) == (ref is None), subset
+            if ref is not None:
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_residuals_match_per_dmu_oracle(uni985, uni_extremes, scope):
+    fs = fb.enumerate_facets(uni985, uni_extremes.indices, scope)
+    support = fs.extremes if scope == "extremes" else range(uni985.n)
+    summary = fb.verify_facet_set(uni985, fs)
+    expect_violations = []
+    for j in range(uni985.n):
+        for f in fs.facets:
+            resid = oracle_residual(uni985, f, j)
+            if resid > fb.FacetTolerances().support_tol:
+                expect_violations.append({"dmu": uni985.names[j], "facet": f.id, "residual": float(resid)})
+    assert fb.envelope_violations(uni985, fs) == expect_violations
+    for f in fs.facets:
+        span = max(abs(oracle_residual(uni985, f, j)) for j in f.members)
+        sup = max(oracle_residual(uni985, f, j) for j in support)
+        assert repr(summary[f.id]["span_residual"]) == repr(span)
+        assert repr(summary[f.id]["max_support_residual"]) == repr(sup)

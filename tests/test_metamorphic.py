@@ -87,3 +87,48 @@ def test_power_of_two_input_unit_change_keeps_coverage(uni985, uni_facets, colum
     got = coverage(scaled, fb.enumerate_facets(scaled, ext.indices, "extremes"))
     assert got.facet_counts == base.facet_counts
     assert np.array_equal(got.incidence, base.incidence)
+
+
+def test_dmu_reordering_keeps_every_result(uni985):
+    """Permuting the DMUs, with the extreme list pinned by name, permutes
+    the results and changes nothing else: facet ids, members by name, u/v
+    bytes, partition groups, and the robust and closest theta of every
+    DMU are bit-identical.  Russell's LP takes its intensity columns in
+    dataset order, so pivoting reaches the same optimum through a
+    different sequence of floating-point operations; its theta moves in
+    the last digits (by up to 8.6e-13 on this permutation) and is
+    compared to 1e-9."""
+    perm = np.random.default_rng(3).permutation(uni985.n)
+    shuffled = fb.Dataset(
+        tuple(uni985.names[j] for j in perm),
+        uni985.inputs[:, perm],
+        uni985.outputs[:, perm],
+        uni985.input_labels,
+        uni985.output_labels,
+    )
+
+    def by_name(ds):
+        ext = fb.extreme_set(ds, override=PAPER_985_EXTREMES)
+        fs = fb.enumerate_facets(ds, ext.indices, "extremes")
+        part = fb.partition_robust(fs)
+        robust = batch_evaluate(ds, part, RobustConfig(aggregation="table4-max"))
+        return {
+            "facets": [(f.id, sorted(ds.names[j] for j in f.members), f.u.tobytes(), f.v.tobytes())
+                       for f in fs.facets],
+            "groups": [(g.facet_ids, sorted(ds.names[j] for j in g.members)) for g in part.groups],
+            "robust": {ds.names[o]: (r.theta, tuple(g.theta for g in r.groups))
+                       for o, r in enumerate(robust)},
+            "closest": {ds.names[o]: fb.closest_on_efpps(fs, ds, o).theta for o in range(ds.n)},
+            "russell": {ds.names[o]: fb.russell_farthest(ds, o).theta for o in range(ds.n)},
+        }
+
+    base, got = by_name(uni985), by_name(shuffled)
+    assert list(perm) != list(range(uni985.n))
+    assert got["facets"] == base["facets"]
+    assert got["groups"] == base["groups"]
+    # repr round-trips a float exactly (and shows the sign of zero)
+    for key in ("robust", "closest"):
+        assert repr(sorted(got[key].items())) == repr(sorted(base[key].items())), key
+    assert got["russell"].keys() == base["russell"].keys()
+    for name, theta in base["russell"].items():
+        assert got["russell"][name] == pytest.approx(theta, abs=1e-9), name
