@@ -20,7 +20,7 @@ from .facets import (
     facet_normal,
     verify_facet_set,
 )
-from .lp import LpProblem, LpSolution, SolverConfig, available_kernels, kernel_name, set_kernel, solve_lp
+from .lp import LpProblem, LpSolution, SolverConfig, solve_lp
 from .measures import (
     ExtremeSetResult,
     MeasureResult,

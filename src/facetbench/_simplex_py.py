@@ -1,9 +1,8 @@
-"""Pure-NumPy simplex pivot kernel.
+"""NumPy simplex pivot kernel, the solver's only one.
 
-Twin of the compiled kernel in ``_simplex_core.pyx``: same entering rule
-(Bland, lowest eligible column), same ratio test (lowest basis index on
-exact ties), and the same per-element pivot arithmetic, so both backends
-trace identical sequences of bases on identical tableaus.
+Bland's entering rule (lowest eligible column) and a minimum-ratio test
+that breaks exact ties by lowest basis index, so identical tableaus trace
+identical sequences of bases.
 
 Tableau layout: rows 0..m-1 are constraints, row m is the objective
 (minimization, reduced-cost form); the last column is the right-hand side.
@@ -16,8 +15,6 @@ import numpy as np
 OPTIMAL = 0
 UNBOUNDED = 1
 MAXITER = 2
-
-KERNEL_NAME = "python"
 
 
 def pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_dataset, parse_dataset, parse_float, validate_dataset
+from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import FacetTolerances, enumerate_facets
 from .lp import SolverConfig
@@ -47,11 +47,8 @@ from .scenario import (
 
 
 def _read_extremes_file(path: str) -> tuple[str, ...]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"no such file: {path}")
     names = [
-        line.strip() for line in p.read_text(encoding="utf-8").splitlines()
+        line.strip() for line in read_text(path).splitlines()
         if line.strip() and not line.strip().startswith("#")
     ]
     if not names:

@@ -13,6 +13,7 @@ double precision.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,23 @@ def parse_float(text: str) -> float:
     if not text.isascii() or "_" in text or text != text.strip():
         raise ValueError(f"not a decimal number: {text!r}")
     return float(text)
+
+
+def read_text(path: str | Path, newline: str | None = None) -> str:
+    """The whole of a UTF-8 text file, read with ``open``'s ``newline``.
+
+    Every input file goes through here, so a path that cannot be read as
+    text (missing, a directory, unreadable, not UTF-8) raises DataError.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -198,10 +216,12 @@ def parse_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dat
     validate_dataset so that a diagnosis run can report them all.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    text = read_text(path, newline="")
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
+    rows = [row for row in rows if row and any(c.strip() for c in row)]
     if not rows:
         raise DataError(f"{path}: no data rows (file is empty)")
     name_col, ins, outs = _split_header(rows[0], schema)

@@ -179,20 +179,22 @@ def _facet_set(
 ) -> FacetSet:
     """Number the supported subsets of `found`, in canonical order, as
     facets, collapsing coincident hyperplanes (same unit normal) to the
-    first subset."""
+    first subset.
+
+    Each new normal is compared with every kept normal in one array test
+    and merges into the first within ``dedup_tol`` (max-abs distance)."""
     facets: list[Facet] = []
     warnings: list[str] = []
     kept: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, set[int]]] = []
+    normals = np.empty((len(found), ds.s + ds.m))  # rows [:len(kept)] are the kept (u, v)
     for subset, u, v in found:
-        nvec = np.concatenate([u, v])
-        merged = False
-        for prev in kept:
-            pvec = np.concatenate([prev[1], prev[2]])
-            if float(np.max(np.abs(nvec - pvec))) <= tols.dedup_tol:
-                prev[3].update(subset)
-                merged = True
-                break
-        if not merged:
+        k = len(kept)
+        normals[k, : ds.s] = u
+        normals[k, ds.s:] = v
+        hits = np.flatnonzero(np.max(np.abs(normals[:k] - normals[k]), axis=1) <= tols.dedup_tol)
+        if hits.size:
+            kept[hits[0]][3].update(subset)
+        else:
             kept.append((subset, u, v, set(subset)))
     for fid, (subset, u, v, span_union) in enumerate(kept, start=1):
         if span_union != set(subset):

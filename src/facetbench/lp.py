@@ -13,56 +13,22 @@ Constraint rows are equilibrated by powers of two before solving, which
 changes no binary value exactly representable in the data and keeps the
 stated tolerances meaningful across scales.
 
-The pivot loop itself lives in a kernel module: the compiled
-``_simplex_core`` extension when importable, else the pure-NumPy twin
-``_simplex_py``.  Set FACETBENCH_PURE_PYTHON=1 (or call ``set_kernel``)
-to force the fallback.
+The pivot loop itself lives in the NumPy kernel module ``_simplex_py``,
+bound here as ``_kernel``; its ``run`` and ``pivot`` are called through
+that name so that a profiler can wrap them in place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _simplex_py
+from . import _simplex_py as _kernel
 from .errors import SolverError
 
-try:
-    from . import _simplex_core
-except ImportError:
-    _simplex_core = None
-
 _MAXITER = 200_000
-
-_kernel = _simplex_py if (
-    _simplex_core is None or os.environ.get("FACETBENCH_PURE_PYTHON") == "1"
-) else _simplex_core
-
-
-def set_kernel(name: str) -> None:
-    """Select the pivot kernel: 'cython', 'python', or 'auto'."""
-    global _kernel
-    if name == "python":
-        _kernel = _simplex_py
-    elif name == "cython":
-        if _simplex_core is None:
-            raise SolverError("compiled kernel not available (extension not built)")
-        _kernel = _simplex_core
-    elif name == "auto":
-        _kernel = _simplex_core if _simplex_core is not None else _simplex_py
-    else:
-        raise SolverError(f"unknown kernel {name!r}")
-
-
-def kernel_name() -> str:
-    return _kernel.KERNEL_NAME
-
-
-def available_kernels() -> tuple[str, ...]:
-    return ("python", "cython") if _simplex_core is not None else ("python",)
 
 
 @dataclass(frozen=True)
@@ -70,21 +36,16 @@ class SolverConfig:
     """Numerical policy shared by every program the engine emits.
 
     priority_weight is the lexicographic weight W of the signed-slack
-    program; big_m_scale fixes the test-oracle Big-M at
-    ``big_m_scale * max output value`` of the active data.
+    program.
     """
 
     feasibility_tol: float = 1e-9
     optimality_tol: float = 1e-9
     priority_weight: float = 10_000.0
-    big_m_scale: float = 10.0
-    pivot_rule: str = "bland"
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
             raise SolverError("tolerances must be positive")
-        if self.pivot_rule != "bland":
-            raise SolverError(f"unknown pivot rule {self.pivot_rule!r}")
 
 
 @dataclass
@@ -137,7 +98,7 @@ class LpSolution:
 
 
 def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
-    """Solve a dense LP; deterministic given (problem, config, kernel)."""
+    """Solve a dense LP; deterministic given (problem, config)."""
     cfg = cfg or SolverConfig()
     nvar = problem.c.size
     ftol = cfg.feasibility_tol
@@ -203,9 +164,9 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
         T[nrow, art_start:total] = 0.0
         code, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
         iters += it
-        if code == _simplex_py.MAXITER:
+        if code == _kernel.MAXITER:
             raise SolverError("phase-1 iteration limit exceeded")
-        if code == _simplex_py.UNBOUNDED:
+        if code == _kernel.UNBOUNDED:
             raise SolverError("phase-1 reported unbounded (cannot happen)")
         if -T[nrow, total] > ftol * max(1.0, float(np.max(np.abs(T[:nrow, total]))) if nrow else 1.0):
             return LpSolution("infeasible", math.nan, np.full(nvar, math.nan), iterations=iters)
@@ -238,9 +199,9 @@ def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
     T = np.ascontiguousarray(T)
     code, it = _kernel.run(T, basis, total, cfg.optimality_tol, _MAXITER)
     iters += it
-    if code == _simplex_py.MAXITER:
+    if code == _kernel.MAXITER:
         raise SolverError("phase-2 iteration limit exceeded")
-    if code == _simplex_py.UNBOUNDED:
+    if code == _kernel.UNBOUNDED:
         return LpSolution("unbounded", math.nan, np.full(nvar, math.nan), iterations=iters)
 
     x_std = np.zeros(total)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lp
 from .dataset import Dataset
 from .errors import DataError
 from .facets import FacetSet, FacetTolerances, envelope_violations, verify_facet_set
@@ -35,9 +34,6 @@ def config_echo(cfg: RobustConfig, tols: FacetTolerances, scope: str, extra: dic
         "feasibility_tol": cfg.solver.feasibility_tol,
         "optimality_tol": cfg.solver.optimality_tol,
         "priority_weight": cfg.solver.priority_weight,
-        "big_m_policy": f"{cfg.solver.big_m_scale} x max output value (test oracle only)",
-        "pivot_rule": cfg.solver.pivot_rule,
-        "kernel": lp.kernel_name(),
         "aggregation": cfg.aggregation,
         "shrink_warn_fraction": cfg.shrink_warn_fraction,
         "support_scope": scope,

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, parse_float
+from .dataset import Dataset, parse_float, read_text
 from .errors import DataError, FacetInfeasibleError, SolverError
 from .facets import Facet, FacetSet, facet_contains
 from .lp import LpProblem, SolverConfig, solve_lp
@@ -123,17 +124,21 @@ def revenue(y: np.ndarray, sc: PriceScenario, delta: float) -> float:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number a double can hold (an integer beyond its range is not)."""
+    if isinstance(v, bool):
+        return False
+    return isinstance(v, float) or (isinstance(v, int) and abs(v) <= sys.float_info.max)
 
 
 def load_scenario(path: str | Path) -> PriceScenario:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
+    text = read_text(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise DataError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a scenario file holds one JSON object")
     if "table" in payload:
@@ -152,8 +157,10 @@ def load_scenario(path: str | Path) -> PriceScenario:
                 raise DataError(f"{path}: prices at delta {key!r} must be a list of numbers")
             table[delta] = np.array(prices, dtype=float)
         width = len(next(iter(table.values())))
-        names = tuple(payload.get("outputs", [f"y{r+1}" for r in range(width)]))
-        return PriceScenario(output_names=names, table=table)
+        names = payload.get("outputs", [f"y{r+1}" for r in range(width)])
+        if not isinstance(names, list):
+            raise DataError(f"{path}: 'outputs' must be a list of output names")
+        return PriceScenario(output_names=tuple(names), table=table)
     try:
         outputs = payload["outputs"]
         lo, hi = payload["delta_domain"]

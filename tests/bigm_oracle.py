@@ -4,8 +4,8 @@ mixed-integer formulation solved by HiGHS branch-and-bound (scipy).
 Variables, in order: lambda (k), s_plus (s), s_minus (s), s (s, free
 within [-M, M]), z (s, binary).  Objective W * sum(1 - z) + mean
 normalized |slack| encoded as W*s - W*sum(z) + sum((s_plus + s_minus) /
-(s * y_o)).  W and the Big-M scale come from ``SolverConfig``
-(``priority_weight``, ``big_m_scale``).  Deliberately a different
+(s * y_o)).  W is ``SolverConfig.priority_weight``; M is ``BIG_M_SCALE``
+times the largest output value of the active data.  Deliberately a different
 formulation, search method, and LP engine from the package's sign-pattern
 enumeration.
 
@@ -21,6 +21,7 @@ from scipy.sparse import csr_matrix
 
 from facetbench.lp import SolverConfig
 
+BIG_M_SCALE = 10.0
 GAP_TOL = 1e-9   # proven |primal - dual bound|, so also the bound on gamma's error
 SIGN_TOL = 1e-9  # largest slack allowed on the wrong side of its z_r
 
@@ -35,7 +36,7 @@ def solve_bigm(x_o, y_o, X_ref, Y_ref):
     Y_ref = np.asarray(Y_ref, float)
     m, k = X_ref.shape
     s = Y_ref.shape[0]
-    M = cfg.big_m_scale * max(float(Y_ref.max()), float(y_o.max()))
+    M = BIG_M_SCALE * max(float(Y_ref.max()), float(y_o.max()))
 
     nvar = k + 3 * s + s  # lambda, s+, s-, s, z
     iL, iP, iN, iS, iZ = 0, k, k + s, k + 2 * s, k + 3 * s

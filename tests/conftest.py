@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 import facetbench as fb
-from facetbench import lp
 from facetbench.profiles import PAPER_985_EXTREMES
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -48,14 +47,6 @@ def uni_facets(uni985, uni_extremes):
 @pytest.fixture(scope="session")
 def uni_partition(uni_facets):
     return fb.partition_robust(uni_facets)
-
-
-@pytest.fixture(params=lp.available_kernels())
-def kernel(request):
-    """Run the decorated test once per available pivot kernel."""
-    lp.set_kernel(request.param)
-    yield request.param
-    lp.set_kernel("auto")
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,57 @@
 One SVD, one sign flip and one positivity test per subset, then a
 per-DMU support scan that stops at the first violating unit: the
 enumeration loop the package ran before it processed subsets in batched
-chunks.  The supported subsets go through the package's own numbering and
-coincident-hyperplane merge, so facet ids, members, warnings and the u/v
-bytes of the two paths can be compared exactly.
+chunks.  The supported subsets are then numbered and merged by
+``oracle_facet_set``, the pairwise first-match scan the package ran before
+it compared each normal with all kept normals in one array test.  Facet
+ids, members, warnings and the u/v bytes of the two paths can be compared
+exactly.
 """
 
 import itertools
 
 import numpy as np
 
-from facetbench.facets import FacetTolerances, _facet_set, _row_norms
+from facetbench.facets import Facet, FacetSet, FacetTolerances, _row_norms
+
+
+def oracle_facet_set(ds, found, extremes, scope, examined, tols):
+    """Number `found` as facets, merging each normal into the first kept
+    normal within dedup_tol: one kept normal at a time, in order.
+
+    The distance test is done in Python floats, component by component
+    (``max |n - p| <= tol`` holds iff every component does, and a NaN
+    fails both), so that an all-kept scan of 1,820 normals takes about
+    2 s rather than the 13 s of one NumPy call per pair.
+    """
+    facets = []
+    warnings = []
+    kept = []
+    for subset, u, v in found:
+        nvec = (*u.tolist(), *v.tolist())
+        merged = False
+        for prev in kept:
+            if all(abs(a - b) <= tols.dedup_tol for a, b in zip(nvec, prev[4])):
+                prev[3].update(subset)
+                merged = True
+                break
+        if not merged:
+            kept.append((subset, u, v, set(subset), nvec))
+    for fid, (subset, u, v, span_union, _) in enumerate(kept, start=1):
+        if span_union != set(subset):
+            names = ", ".join(ds.names[j] for j in sorted(span_union))
+            warnings.append(
+                f"regularity condition violated: DMUs {{{names}}} lie on one hyperplane "
+                f"(facet {fid} keeps spanning set {tuple(ds.names[j] for j in sorted(subset))})"
+            )
+        facets.append(Facet(id=fid, members=tuple(sorted(subset)), u=u.copy(), v=v.copy()))
+    return FacetSet(
+        facets=tuple(facets),
+        extremes=extremes,
+        scope=scope,
+        warnings=tuple(warnings),
+        subsets_examined=examined,
+    )
 
 
 def oracle_facet_normal(ds, subset, tols=None):
@@ -63,7 +104,7 @@ def oracle_enumerate_facets(ds, extremes, scope="extremes", tols=None):
                 break
         if supported:
             found.append((subset, u, v))
-    return _facet_set(ds, found, extremes, scope, examined, tols)
+    return oracle_facet_set(ds, found, extremes, scope, examined, tols)
 
 
 def oracle_residual(ds, facet, j):

@@ -170,10 +170,34 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
 
 
 TOY_TABLE = '{"table": {"0": [5, 5, 12], "0.1": [5, 5.5, 10.81], "1": [5, 10, 0.1]}}'
+NOT_UTF8 = b"dmu,in:a,out:b\nA\xff,1,2\n"
+DIRECTORY = None  # in place of a file's text: make a directory of that name
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # case -> (files written to the working directory, argv); argv without
 # --data runs on the toy dataset
 INPUT_FAULTS = {
+    "validate-data-not-utf8": ({"d.csv": NOT_UTF8}, ["validate", "--data", "d.csv"]),
+    "validate-data-directory": ({"d.csv": DIRECTORY}, ["validate", "--data", "d.csv"]),
+    "report-data-not-utf8": ({"d.csv": NOT_UTF8}, ["report", "--data", "d.csv"]),
+    "report-data-directory": ({"d.csv": DIRECTORY}, ["report", "--data", "d.csv"]),
+    "report-extremes-not-utf8": ({"e.txt": b"WHU\n\xfe\n"}, ["report", "--extremes", "e.txt"]),
+    "report-extremes-directory": ({"e.txt": DIRECTORY}, ["report", "--extremes", "e.txt"]),
+    "scenario-prices-not-utf8": ({"p.json": b'{"table": {"0": [1, 2, 3]}}\xff'}, ["scenario", "--prices", "p.json"]),
+    "scenario-prices-directory": ({"p.json": DIRECTORY}, ["scenario", "--prices", "p.json"]),
+    "scenario-prices-nested-too-deep": ({"p.json": DEEP_JSON}, ["scenario", "--prices", "p.json"]),
+    "scenario-int-too-long": (
+        {"p.json": '{"table": {"0": [%s, 5, 12]}}' % ("1" * 5000)}, ["scenario", "--prices", "p.json"],
+    ),
+    "scenario-int-beyond-double": (
+        {"p.json": '{"table": {"0": [1%s, 5, 12]}}' % ("0" * 400)}, ["scenario", "--prices", "p.json"],
+    ),
+    "scenario-outputs-not-list": (
+        {"p.json": '{"table": {"0": [5, 5, 12]}, "outputs": null}'}, ["scenario", "--prices", "p.json"],
+    ),
+    "cell-over-csv-field-limit": (
+        {"d.csv": "dmu,in:a,out:b,out:c\nA,1,%s,2\nB,1,2,3\n" % ("9" * 140_000)}, ["extremes", "--data", "d.csv"],
+    ),
     "scenario-empty-table": ({"p.json": '{"table": {}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-key-not-number": ({"p.json": '{"table": {"a": [1, 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-price-not-number": ({"p.json": '{"table": {"0": ["x", 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
@@ -201,7 +225,12 @@ INPUT_FAULTS = {
 def test_input_faults_exit_1(capsys, data_dir, tmp_path, monkeypatch, case):
     files, argv = INPUT_FAULTS[case]
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if text is DIRECTORY:
+            (tmp_path / name).mkdir()
+        elif isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     if "--data" not in argv:
         argv = argv + ["--data", str(data_dir / "toy_isoquant_a.csv")]

@@ -7,7 +7,7 @@ import pytest
 import facetbench as fb
 from facetbench import facets as facets_module
 
-from facet_oracle import oracle_enumerate_facets, oracle_facet_normal, oracle_residual
+from facet_oracle import oracle_enumerate_facets, oracle_facet_normal, oracle_facet_set, oracle_residual
 from table4 import TABLE3
 
 
@@ -251,6 +251,35 @@ def test_chunking_keeps_every_normal(curved10_exposed, monkeypatch, chunk):
     ds, ref = curved10_exposed
     assert len(ref) == ref.subsets_examined == 210
     assert_same_facet_set(fb.enumerate_facets(ds, range(10), "all", EXPOSE), ref)
+
+
+def test_all_kept_1820_match_oracle():
+    # 1,820 kept normals: every new normal is compared with all kept ones
+    ds = curved_dataset(2025, 16, n_dominated=6)
+    ref = oracle_enumerate_facets(ds, range(16), "all", EXPOSE)
+    assert len(ref) == ref.subsets_examined == 1820
+    assert_same_facet_set(fb.enumerate_facets(ds, range(16), "all", EXPOSE), ref)
+
+
+def test_dedup_merges_into_first_normal_within_tol():
+    # Normals (u1, u2 | v) under dedup_tol = 0.25, all distances exact in
+    # binary: C lies within tol of both kept A and B and must merge into
+    # A, the first; D lies exactly tol from A and must merge too.
+    ds = fb.Dataset(tuple("PQRST"), np.ones((1, 5)), np.ones((2, 5)))
+    tols = fb.FacetTolerances(dedup_tol=0.25)
+    found = [
+        ((0, 1), np.array([1.0, 1.0]), np.array([1.0])),     # A
+        ((0, 2), np.array([1.375, 1.0]), np.array([1.0])),   # B: 0.375 from A
+        ((1, 2), np.array([1.1875, 1.0]), np.array([1.0])),  # C: 0.1875 from A and B
+        ((3, 4), np.array([1.0, 1.25]), np.array([1.0])),    # D: 0.25 from A, 0.375 from B
+    ]
+    ref = oracle_facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4, tols)
+    assert [f.members for f in ref.facets] == [(0, 1), (0, 2)]
+    assert ref.warnings == (
+        "regularity condition violated: DMUs {P, Q, R, S, T} lie on one hyperplane "
+        "(facet 1 keeps spanning set ('P', 'Q'))",
+    )
+    assert_same_facet_set(facets_module._facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4, tols), ref)
 
 
 @pytest.mark.parametrize("scope", ["extremes", "all"])

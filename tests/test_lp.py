@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import facetbench as fb
-from facetbench import lp
 from facetbench.errors import SolverError
 
 
@@ -15,30 +14,30 @@ def simple(sense, c, A, rels, b):
     return fb.solve_lp(fb.LpProblem(sense, np.asarray(c, float), np.asarray(A, float), tuple(rels), np.asarray(b, float)))
 
 
-def test_min_with_lower_row(kernel):
+def test_min_with_lower_row():
     sol = simple("min", [1.0], [[1.0]], [">="], [1.0])
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_unbounded(kernel):
+def test_unbounded():
     sol = simple("max", [1.0], [[1.0]], [">="], [0.0])
     assert sol.status == "unbounded"
 
 
-def test_infeasible(kernel):
+def test_infeasible():
     sol = simple("min", [0.0], [[1.0]], ["<="], [-1.0])
     assert sol.status == "infeasible"
 
 
-def test_equality_and_max(kernel):
+def test_equality_and_max():
     # max x + y s.t. x + y = 2, x <= 1.5
     sol = simple("max", [1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["=", "<="], [2.0, 1.5])
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_solution_satisfies_constraints(kernel):
+def test_solution_satisfies_constraints():
     rng = np.random.default_rng(5)
     A = rng.uniform(0.1, 2.0, size=(4, 6))
     b = rng.uniform(1.0, 5.0, size=4)
@@ -63,7 +62,7 @@ def test_non_finite_raises():
         fb.LpProblem("min", np.array([np.nan]), np.ones((1, 1)), ("<=",), np.ones(1))
 
 
-def test_determinism_bit_identical(kernel):
+def test_determinism_bit_identical():
     # feasible by construction (x = 0) and bounded below on the box
     rng = np.random.default_rng(11)
     A = rng.uniform(0.1, 2.0, size=(5, 7))
@@ -76,30 +75,6 @@ def test_determinism_bit_identical(kernel):
     assert s1.value == s2.value  # bitwise
     assert np.array_equal(s1.x, s2.x)
     assert s1.iterations == s2.iterations
-
-
-def test_kernels_agree():
-    if len(lp.available_kernels()) < 2:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        nv = int(rng.integers(2, 9))
-        nr = int(rng.integers(1, 7))
-        A = rng.uniform(-1.0, 2.0, size=(nr, nv))
-        b = rng.uniform(0.2, 5.0, size=nr)
-        c = rng.uniform(-1.0, 1.0, size=nv)
-        rels = tuple(str(rng.choice(["<=", ">=", "="])) for _ in range(nr))
-        p = fb.LpProblem("min", c, A, rels, b)
-        lp.set_kernel("python")
-        sp = fb.solve_lp(p)
-        lp.set_kernel("cython")
-        sc = fb.solve_lp(p)
-        lp.set_kernel("auto")
-        assert sp.status == sc.status
-        if sp.status == "optimal":
-            assert sp.value == pytest.approx(sc.value, abs=1e-12)
-            assert np.allclose(sp.x, sc.x, atol=1e-12)
-            assert sp.iterations == sc.iterations
 
 
 def test_alternate_optima_flag():
@@ -158,7 +133,7 @@ def test_agrees_with_scipy(instance):
         assert mine.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
 
 
-def test_redundant_equality_rows(kernel):
+def test_redundant_equality_rows():
     # duplicated equality: phase 1 must drop the redundant row instead of
     # leaving a basic artificial behind
     sol = simple("min", [1.0, 0.0], [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], ["=", "=", "="], [1.0, 1.0, 2.0])
@@ -167,7 +142,7 @@ def test_redundant_equality_rows(kernel):
     assert sol.x[0] + sol.x[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_degenerate_ties_terminate(kernel):
+def test_degenerate_ties_terminate():
     # many zero-rhs rows force degenerate pivots; Bland's rule must not cycle
     A = [[1.0, -1.0], [1.0, -2.0], [2.0, -1.0], [1.0, 1.0]]
     sol = simple("min", [-1.0, -1.0], A, ["<="] * 4, [0.0, 0.0, 0.0, 4.0])
@@ -240,24 +215,19 @@ def _digest_instances(count):
         yield fb.LpProblem(sense, c, A, rels, b)
 
 
-# SHA-256 over the solver outputs of _digest_instances(2000) with the NumPy
-# kernel.  A change to the solver that moves any status, pivot count,
+# SHA-256 over the solver outputs of _digest_instances(2000).  A change to the solver that moves any status, pivot count,
 # degenerate flag, bit of x or repr of the value changes this digest.
 LP_DIGEST = "08f080c4e7a8643be3512912149ee0a4b38bd7b1977636753a38798f66ba8a79"
 
 
 def test_seeded_outputs_bit_reproducible():
-    lp.set_kernel("python")
-    try:
-        h = hashlib.sha256()
-        for problem in _digest_instances(2000):
-            try:
-                sol = fb.solve_lp(problem)
-            except SolverError as exc:
-                h.update(f"error:{exc}".encode())
-                continue
-            h.update(f"{sol.status}|{sol.iterations}|{sol.degenerate_optimal_face}|{sol.value!r}|".encode())
-            h.update(sol.x.tobytes())
-    finally:
-        lp.set_kernel("auto")
+    h = hashlib.sha256()
+    for problem in _digest_instances(2000):
+        try:
+            sol = fb.solve_lp(problem)
+        except SolverError as exc:
+            h.update(f"error:{exc}".encode())
+            continue
+        h.update(f"{sol.status}|{sol.iterations}|{sol.degenerate_optimal_face}|{sol.value!r}|".encode())
+        h.update(sol.x.tobytes())
     assert h.hexdigest() == LP_DIGEST
