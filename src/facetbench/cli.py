@@ -307,8 +307,18 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1, the code of every input
+    error; argparse's own 2 is kept for internal faults.  Subparsers are
+    built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="facet-bench",
         description="DEA benchmarking against robust and closest facet targets",
     )

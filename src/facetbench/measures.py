@@ -7,7 +7,11 @@
   normalized slack) -- the farthest-target comparison column.
 * closest_on_efpps: least-distance projection onto the boundary of the
   facet half-space intersection (the extended-facet technology), computed
-  facet by facet: one equality LP per facet, minimum over facets.
+  facet by facet: one equality LP per facet, minimum over facets (first
+  facet on ties).  Facets are visited by a closed-form lower bound on
+  their LP, the LP cut down to its equality row, and the visit stops once
+  the bound exceeds the best gamma by more than a rounding margin; the
+  winner is the one solving every facet's LP would pick.
 """
 
 from __future__ import annotations
@@ -167,24 +171,33 @@ def closest_on_efpps(
             slacks=None, intensities={}, target=None,
         )
     U = np.vstack([f.u for f in facets.facets])
+    c = 1.0 / (s * y_o)
+    # Facet k's LP cut down to its equality row u_k @ x = -rhs_k, x >= 0,
+    # has the optimum -rhs_k * min_r c_r / u_kr when u_k > 0; any other
+    # row is bounded by 0, since gamma >= 0.
+    positive = np.all(U > 0, axis=1)
+    bound = np.zeros(len(U))
+    bound[positive] = -rhs[positive] * np.min(c / U[positive], axis=1)
     best: tuple[float, int, np.ndarray] | None = None
-    for k, f in enumerate(facets.facets):
-        others = [i for i in range(len(facets.facets)) if i != k]
+    for k in sorted(range(len(bound)), key=bound.__getitem__):
+        if best is not None and bound[k] > best[0] * (1 + 1e-9) + 1e-12:
+            break
+        others = [i for i in range(len(U)) if i != k]
         A = np.vstack([U[k:k + 1], U[others]]) if others else U[k:k + 1]
         b = np.concatenate([[-rhs[k]], -rhs[others]]) if others else np.array([-rhs[k]])
         rels = ("=",) + ("<=",) * len(others)
-        sol = solve_lp(LpProblem("min", 1.0 / (s * y_o), A, rels, b), cfg)
+        sol = solve_lp(LpProblem("min", c, A, rels, b), cfg)
         if sol.status != "optimal":
             continue
         gamma = float(np.sum(sol.x / y_o)) / s
-        if best is None or gamma < best[0]:
-            best = (gamma, f.id, sol.x)
+        if best is None or (gamma, k) < best[:2]:
+            best = (gamma, k, sol.x)
     if best is None:
         raise SolverError(
             f"no facet projection feasible for in-envelope DMU {ds.names[o]} "
             "(raising outputs always reaches the boundary)"
         )
-    gamma, fid, slacks = best
+    gamma, _, slacks = best
     theta = 1.0 / (1.0 + gamma)
     status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
     return MeasureResult(

@@ -4,13 +4,17 @@ The program projects a DMU onto the technology generated by a reference
 set, allowing each output slack to run negative, with a lexicographic
 objective: first make as many slacks as possible nonnegative, then
 minimize the mean normalized slack magnitude.  Only the s output slacks
-carry binary indicators, so all 2**s sign assignments can be enumerated,
+carry binary indicators, so the 2**s sign assignments can be enumerated,
 one LP each; this keeps the priority literal instead of weight-encoded
 and avoids Big-M conditioning entirely.
 
 Pattern p in [0, 2**s) assigns z_r = (p >> r) & 1; z_r = 1 restricts
-slack r to [0, inf), z_r = 0 to (-inf, 0].  Ties are broken by larger
-sum(z), then lower pattern index.
+slack r to [0, inf), z_r = 0 to (-inf, 0].  The winner has the least key
+(-sum(z), gamma, p): most nonnegative slacks, then least gamma, then
+lowest pattern index.  Patterns are visited by descending sum(z), then
+ascending p, and the visit stops at the first level below a level with a
+feasible pattern: the key ranks the level first, so no pattern there can
+win, and the winner is the one full enumeration would pick.
 """
 
 from __future__ import annotations
@@ -81,7 +85,9 @@ def solve_sign_pattern(
 
     best_key = None
     best = None
-    for p in range(1 << s):
+    for p in sorted(range(1 << s), key=lambda p: (-p.bit_count(), p)):
+        if best_key is not None and -p.bit_count() > best_key[0]:
+            break
         z = tuple((p >> r) & 1 for r in range(s))
         sigma = np.array([1.0 if zr else -1.0 for zr in z])
         sol = _pattern_lp(x_o, y_o, X_ref, Y_ref, sigma, cfg)

@@ -237,3 +237,32 @@ def test_input_faults_exit_1(capsys, data_dir, tmp_path, monkeypatch, case):
     code, _, err = run(capsys, *argv)
     assert code == 1, err
     assert err.startswith("error: ")
+
+
+TOY = object()  # in place of an argument: the toy dataset's path
+USAGE_ERRORS = {
+    "missing-data": ["report"],
+    "unknown-flag": ["report", "--data", TOY, "--bogus"],
+    "bad-aggregation-choice": ["report", "--data", TOY, "--aggregation", "mean"],
+    "no-subcommand": [],
+    "xbar-read-as-flag": ["coverage", "--data", TOY, "--xbar", "-1,-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_1(capsys, data_dir, case):
+    argv = [str(data_dir / "toy_isoquant_a.csv") if a is TOY else a for a in USAGE_ERRORS[case]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: facet-bench")
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: facet-bench")

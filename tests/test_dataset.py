@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import facetbench as fb
+from facetbench.cli import _read_extremes_file
 from facetbench.dataset import parse_dataset, parse_float, save_dataset
+from facetbench.scenario import load_scenario
 
 
 def test_load_985_shape(uni985):
@@ -157,3 +159,26 @@ def test_non_finite_cells_parse_and_are_reported(tmp_path):
     p.write_text("dmu,in:a,out:b\nA,NaN,2\nB,1,-inf\n")
     ds = parse_dataset(p)
     assert [v.rule for v in fb.validate_dataset(ds)] == ["nonpositive-input", "nonpositive-output"]
+
+
+BOM_CASES = {
+    "csv-name-column-second": ("dataset", "in:a,dmu,out:b\n1,A,2\n3,B,4\n"),
+    "csv-name-column-first": ("dataset", "dmu,in:a,out:b\nA,1,2\nB,3,4\n"),
+    "extremes": ("extremes", "A\n# pinned\nB\n"),
+    "scenario": ("scenario", '{"table": {"0": [1, 2]}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_leading_byte_order_mark_ignored(tmp_path, case):
+    # spreadsheet exports may start a UTF-8 file with U+FEFF; every reader
+    # must give what it gives for the same file without the mark
+    kind, text = BOM_CASES[case]
+    reader = {"dataset": parse_dataset, "extremes": _read_extremes_file, "scenario": load_scenario}[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert repr(reader(str(marked))) == repr(reader(str(plain)))
+    if kind == "dataset":
+        assert reader(str(marked)).names == ("A", "B")

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -107,8 +107,25 @@ def lp_instances(draw):
     return np.array(c), np.array(A), tuple(rels), np.array(b)
 
 
-@settings(max_examples=60, deadline=None)
+# HiGHS with presolve off stops with status 4 (numerical difficulties) on
+# this degenerate unbounded LP; with presolve on it reports unbounded.
+DEGENERATE_UNBOUNDED = (
+    np.array([0.0, 0.0, 0.0, -1.0, 0.0]),
+    np.array([
+        [0.0, 0.0, -1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -2.0, 0.0],
+    ]),
+    ("<=",) * 5,
+    np.array([0.0, 0.0, 0.0, 0.0, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(lp_instances())
+@example(DEGENERATE_UNBOUNDED)
 def test_agrees_with_scipy(instance):
     c, A, rels, b = instance
     mine = fb.solve_lp(fb.LpProblem("min", c, A, rels, b))
@@ -120,13 +137,20 @@ def test_agrees_with_scipy(instance):
     b_eq = b[[i for i, r in enumerate(rels) if r == "="]]
     ub = np.vstack([A_ub, -A_ge]) if len(A_ub) + len(A_ge) else None
     ubb = np.concatenate([b_ub, -b_ge]) if ub is not None else None
+
+    def reference(presolve):
+        return linprog(
+            c, A_ub=ub, b_ub=ubb, A_eq=A_eq if len(A_eq) else None,
+            b_eq=b_eq if len(b_eq) else None, bounds=(0, None), method="highs",
+            options={"presolve": presolve},
+        )
+
     # presolve off: HiGHS presolve labels some feasible-but-unbounded
-    # instances plain "infeasible"
-    ref = linprog(
-        c, A_ub=ub, b_ub=ubb, A_eq=A_eq if len(A_eq) else None,
-        b_eq=b_eq if len(b_eq) else None, bounds=(0, None), method="highs",
-        options={"presolve": False},
-    )
+    # instances plain "infeasible"; where presolve off stops on numerical
+    # difficulties (status 4), presolve on decides
+    ref = reference(False)
+    if ref.status == 4:
+        ref = reference(True)
     status_map = {0: "optimal", 2: "infeasible", 3: "unbounded"}
     assert mine.status == status_map.get(ref.status, f"scipy-{ref.status}")
     if mine.status == "optimal":
