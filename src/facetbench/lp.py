@@ -13,6 +13,20 @@ Constraint rows are equilibrated by powers of two before solving, which
 changes no binary value exactly representable in the data and keeps the
 stated tolerances meaningful across scales.
 
+Problems are solved in batches.  ``solve_lps`` groups independent problems
+by variable count and row relations after orientation, and runs each
+group's phase 1 and phase 2 as one stack of tableaus that the kernel
+advances in lockstep, one pivot of every running problem per pass.  The
+set-up, the phase-1 infeasibility test and the read-out of the solution
+(basic values, the negativity check, the alternate-optima probe) are
+vectorised over the stack: every problem sees the same elementwise
+operations it would see alone, and every reduction (max, min, any,
+argmax, argmin) is exact, so a problem's result does not depend on the
+other problems of its batch by a single bit.  Driving leftover artificials
+out of the basis, which may drop rows, runs problem by problem, and the
+survivors are regrouped by shape for phase 2.  ``solve_lp(p)`` is
+``solve_lps([p])[0]``: there is one LP path.
+
 The pivot loop itself lives in the NumPy kernel module ``_simplex_py``,
 bound here as ``_kernel``; its ``run`` and ``pivot`` are called through
 that name so that a profiler can wrap them in place.
@@ -22,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +44,11 @@ from . import _simplex_py as _kernel
 from .errors import SolverError
 
 _MAXITER = 200_000
+
+# Row relations as codes; orienting a row to a nonnegative rhs swaps <= and >=.
+_CODES = {"<=": 0, "=": 1, ">=": 2}
+_LE, _EQ, _GE, _DROPPED = 0, 1, 2, -1
+_FLIPPED = np.array([_GE, _EQ, _LE])
 
 
 @dataclass(frozen=True)
@@ -74,10 +94,10 @@ class LpProblem:
             raise SolverError(f"constraint matrix shape {self.A.shape} != ({nrow}, {nvar})")
         if self.b.shape != (nrow,):
             raise SolverError(f"rhs shape {self.b.shape} != ({nrow},)")
-        if any(rel not in ("<=", "=", ">=") for rel in self.relations):
+        if not _CODES.keys() >= set(self.relations):
             raise SolverError(f"relations must be <=, =, >=: {self.relations}")
         for arr, what in ((self.c, "objective"), (self.A, "matrix"), (self.b, "rhs")):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise SolverError(f"non-finite coefficient in {what}")
 
 
@@ -99,138 +119,247 @@ class LpSolution:
 
 def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
     """Solve a dense LP; deterministic given (problem, config)."""
-    cfg = cfg or SolverConfig()
-    nvar = problem.c.size
-    ftol = cfg.feasibility_tol
+    sol = solve_lps([problem], cfg)[0]
+    if isinstance(sol, SolverError):
+        raise sol
+    return sol
 
+
+def solve_lps(
+    problems: Iterable[LpProblem], cfg: SolverConfig | None = None
+) -> list[LpSolution | SolverError]:
+    """Solve independent dense LPs together, in input order.
+
+    Each entry is the problem's solution, or the SolverError that solving
+    it alone would raise; one failing problem leaves the others' results
+    untouched.
+    """
+    cfg = cfg or SolverConfig()
+    problems = list(problems)
+    out: list[LpSolution | SolverError | None] = [None] * len(problems)
+    shapes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        shapes.setdefault((p.c.size, p.relations), []).append(i)
+    oriented: dict[tuple, list[_Stack]] = {}
+    for (nvar, rels), idx in shapes.items():
+        for key, stack in _tableaus(problems, np.array(idx), nvar, rels, cfg.feasibility_tol, out):
+            oriented.setdefault(key, []).append(stack)
+    ready: dict[tuple, list[_Stack]] = {}
+    for (nvar, eq), stacks in oriented.items():
+        for stack in _phase1(_concat(stacks), nvar + eq.count(False), cfg, out):
+            ready.setdefault((nvar,) + stack.T.shape[1:], []).append(stack)
+    for stacks in ready.values():
+        _phase2(_concat(stacks), problems, cfg, out)
+    return out
+
+
+@dataclass
+class _Stack:
+    """Same-shape tableaus of the batch's problems idx, solved together."""
+
+    idx: np.ndarray        # (B,) positions in the batch
+    T: np.ndarray          # (B, rows + 1, cols + 1)
+    basis: np.ndarray      # (B, rows)
+    iters: np.ndarray      # (B,) pivots so far
+    nvar: int
+
+
+def _concat(stacks: list[_Stack]) -> _Stack:
+    if len(stacks) == 1:
+        return stacks[0]
+    return _Stack(*(np.concatenate([getattr(s, f) for s in stacks])
+                    for f in ("idx", "T", "basis", "iters")), stacks[0].nvar)
+
+
+def _unsolved(status: str, nvar: int, iters: int = 0) -> LpSolution:
+    return LpSolution(status, math.nan, np.full(nvar, math.nan), iterations=int(iters))
+
+
+def _tableaus(problems, idx, nvar, rels, ftol, out):
+    """Equilibrate and orient the problems idx, which share nvar and rels,
+    and yield ((nvar, which kept rows are equalities), phase-1 tableaus).
+
+    Every kept row gets an artificial column, at art_start + row, but only
+    rows that need one (= and oriented >=) carry its unit entry and start
+    with it basic; the others' stay zero.  A zero column stays zero through
+    every pivot, never enters and is cut before phase 2, and artificial
+    indices keep their row order, so the tie-break by basis index is
+    unchanged: the padding lets rows that orientation turned from <= into
+    >= share a stack without changing a bit.
+    """
     # Equilibrate each row (with its rhs) by the power of two that brings
     # its largest magnitude into [1, 2).  Adding 0.0 turns -0.0 into +0.0,
     # so the tableau's zeros do not depend on how the caller built A.
-    A = problem.A + 0.0
-    mx = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(problem.b))
+    A = np.stack([problems[i].A for i in idx]) + 0.0
+    b = np.stack([problems[i].b for i in idx])
+    mx = np.maximum(np.abs(A).max(axis=2, initial=0.0), np.abs(b))
     scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
-    A = A / scale[:, None]
-    rhs = problem.b / scale
+    A = A / scale[:, :, None]
+    rhs = b / scale
 
-    # Orient rhs nonnegative and classify rows.
-    kept: list[tuple[np.ndarray, str, float]] = []
-    for r, rel, beta in zip(A, problem.relations, rhs):
-        if not r.any():
-            sat = (beta >= -ftol) if rel == "<=" else (beta <= ftol) if rel == ">=" else (abs(beta) <= ftol)
-            if not sat:
-                return LpSolution("infeasible", math.nan, np.full(nvar, math.nan))
+    # Orient rhs nonnegative and classify rows.  An all-zero row is
+    # dropped when 0 satisfies it and makes the problem infeasible if not.
+    codes = np.array([_CODES[r] for r in rels], dtype=np.int64)
+    zero = ~A.any(axis=2)
+    dropping = zero.any(axis=1)
+    infeasible = np.zeros(len(idx), dtype=bool)
+    if dropping.any():
+        sat = np.where(codes == _LE, rhs >= -ftol, np.where(codes == _GE, rhs <= ftol, np.abs(rhs) <= ftol))
+        infeasible = (zero & ~sat).any(axis=1)
+        for i in idx[infeasible]:
+            out[i] = _unsolved("infeasible", nvar)
+    flip = rhs < 0.0
+    A = np.where(flip[:, :, None], -A, A)
+    rhs = np.where(flip, -rhs, rhs)
+    ge = np.where(flip, codes == _LE, codes == _GE)
+    groups: dict[bytes, list[int]] = {b"": list(np.flatnonzero(~infeasible & ~dropping))}
+    for k in np.flatnonzero(~infeasible & dropping):
+        groups.setdefault(zero[k].tobytes(), []).append(k)
+
+    for ks in groups.values():
+        if not ks:
             continue
-        if beta < 0.0:
-            r = -r
-            beta = -beta
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        kept.append((r, rel, beta))
+        ks = np.array(ks)
+        kept = np.flatnonzero(~zero[ks[0]])
+        eq = codes[kept] == _EQ
+        ge_rows = ge[ks[:, None], kept]
+        nrow = len(kept)
+        rows = np.arange(nrow)
+        slack_rows = np.flatnonzero(~eq)
+        art_start = nvar + len(slack_rows)
+        total = art_start + nrow
+        T = np.zeros((len(ks), nrow + 1, total + 1))
+        T[:, :nrow, :nvar] = A[ks[:, None], kept]
+        T[:, :nrow, total] = rhs[ks[:, None], kept]
+        slack_col = np.full(nrow, -1)
+        slack_col[slack_rows] = nvar + np.arange(len(slack_rows))
+        T[:, slack_rows, slack_col[slack_rows]] = np.where(ge_rows[:, slack_rows], -1.0, 1.0)
+        art = eq | ge_rows
+        T[:, rows, art_start + rows] = np.where(art, 1.0, 0.0)
+        basis = np.where(art, art_start + rows, slack_col)
+        # Phase-1 objective: minimize the artificial sum; reduced costs are
+        # the negated sums of the artificial-basic rows, subtracted in row
+        # order (subtracting +0.0 for the other rows changes no bit).
+        art_rows = np.where(art[:, :, None], T[:, :nrow, :], 0.0)
+        for i in np.flatnonzero(art.any(axis=0)):
+            T[:, nrow, :] -= art_rows[:, i, :]
+        T[:, nrow, art_start:total] = 0.0
+        yield (nvar, tuple(eq)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64), nvar)
 
-    nrow = len(kept)
-    n_slack = sum(1 for _, rel, _ in kept if rel != "=")
-    n_art = sum(1 for _, rel, _ in kept if rel != "<=")
-    total = nvar + n_slack + n_art
-    T = np.zeros((nrow + 1, total + 1))
-    basis = np.empty(nrow, dtype=np.int64)
-    art_start = nvar + n_slack
-    s_at, a_at = nvar, art_start
-    art_rows: list[int] = []
-    for i, (r, rel, beta) in enumerate(kept):
-        T[i, :nvar] = r
-        T[i, total] = beta
-        if rel == "<=":
-            T[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif rel == ">=":
-            T[i, s_at] = -1.0
-            s_at += 1
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            a_at += 1
-            art_rows.append(i)
-        else:
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            a_at += 1
-            art_rows.append(i)
 
-    iters = 0
-    if n_art:
-        # Phase 1: minimize the artificial sum; reduced costs are the
-        # negated sums of the artificial-basic rows.
-        for i in art_rows:
-            T[nrow, :] -= T[i, :]
-        T[nrow, art_start:total] = 0.0
-        code, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
-        iters += it
-        if code == _kernel.MAXITER:
-            raise SolverError("phase-1 iteration limit exceeded")
-        if code == _kernel.UNBOUNDED:
-            raise SolverError("phase-1 reported unbounded (cannot happen)")
-        if -T[nrow, total] > ftol * max(1.0, float(np.max(np.abs(T[:nrow, total]))) if nrow else 1.0):
-            return LpSolution("infeasible", math.nan, np.full(nvar, math.nan), iterations=iters)
-        # Drive leftover artificials out of the basis; rows that offer no
-        # pivot are redundant and get dropped.
-        drop_rows: list[int] = []
-        for i in range(nrow):
-            if basis[i] < art_start:
-                continue
-            seg = np.abs(T[i, :art_start])
-            j = int(np.argmax(seg))
-            if seg[j] > cfg.optimality_tol:
-                _kernel.pivot(T, basis, i, j)
-                iters += 1
-            else:
-                drop_rows.append(i)
-        keep_rows = [i for i in range(nrow) if i not in drop_rows]
-        T = np.ascontiguousarray(np.vstack([T[keep_rows, :], T[nrow:, :]])[:, list(range(art_start)) + [total]])
-        basis = basis[keep_rows]
-        nrow = len(keep_rows)
-        total = art_start
+def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
+    """Run phase 1 on the problems with artificial rows; return the
+    feasible problems' tableaus without artificial columns, ready for
+    phase 2."""
+    T, basis = st.T, st.basis
+    nrow = T.shape[1] - 1
+    total = T.shape[2] - 1
+    cols = list(range(art_start)) + [total]
+    if not (basis >= art_start).any():
+        return [_Stack(st.idx, np.ascontiguousarray(T[:, :, cols]), basis, st.iters, st.nvar)]
+    codes, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
+    st.iters += it
+    for k in np.flatnonzero(codes == _kernel.MAXITER):
+        out[st.idx[k]] = SolverError("phase-1 iteration limit exceeded")
+    for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
+        out[st.idx[k]] = SolverError("phase-1 reported unbounded (cannot happen)")
+    limit = cfg.feasibility_tol * np.maximum(1.0, np.abs(T[:, :nrow, total]).max(axis=1))
+    infeasible = (codes == _kernel.OPTIMAL) & (-T[:, nrow, total] > limit)
+    for k in np.flatnonzero(infeasible):
+        out[st.idx[k]] = _unsolved("infeasible", st.nvar, st.iters[k])
+    feasible = (codes == _kernel.OPTIMAL) & ~infeasible
+
+    stuck = feasible & (basis >= art_start).any(axis=1)
+    clean = feasible & ~stuck
+    ready = []
+    if clean.any():
+        ready.append(_Stack(st.idx[clean], np.ascontiguousarray(T[clean][:, :, cols]),
+                            basis[clean], st.iters[clean], st.nvar))
+    if not stuck.any():
+        return ready
+    # Drive leftover artificials out of the basis, row by row; rows that
+    # offer no pivot are redundant and get dropped.
+    idx, T, basis, iters = st.idx[stuck], T[stuck], basis[stuck], st.iters[stuck]
+    drop = np.zeros(basis.shape, dtype=bool)
+    for i in np.flatnonzero((basis >= art_start).any(axis=0)):
+        art = basis[:, i] >= art_start
+        seg = np.abs(T[:, i, :art_start])
+        j = seg.argmax(axis=1)
+        move = art & (seg[np.arange(len(idx)), j] > cfg.optimality_tol)
+        drop[:, i] = art & ~move
+        if move.any():
+            Tm, bm = T[move], basis[move]
+            _kernel.pivot(Tm, bm, np.full(len(Tm), i), j[move])
+            T[move], basis[move] = Tm, bm
+            iters[move] += 1
+    groups: dict[bytes, list[int]] = {}
+    for k in range(len(idx)):
+        groups.setdefault(drop[k].tobytes(), []).append(k)
+    for ks in groups.values():
+        keep_rows = list(np.flatnonzero(~drop[ks[0]]))
+        ready.append(_Stack(idx[ks], np.ascontiguousarray(T[ks][:, keep_rows + [nrow]][:, :, cols]),
+                            basis[ks][:, keep_rows], iters[ks], st.nvar))
+    return ready
+
+
+def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
+    """Run phase 2 and read out every problem's solution."""
+    T, basis, nvar = st.T, st.basis, st.nvar
+    nrow = T.shape[1] - 1
+    total = T.shape[2] - 1
+    ftol, tol = cfg.feasibility_tol, cfg.optimality_tol
+    batch = [problems[i] for i in st.idx]
+    C = np.stack([p.c for p in batch])
+    maximize = np.array([p.sense == "max" for p in batch])
 
     # Phase 2 objective row (minimization form): eliminate basic columns.
-    T[nrow, :] = 0.0
-    T[nrow, :nvar] = (problem.c if problem.sense == "min" else -problem.c) + 0.0
+    b = np.arange(len(batch))
+    T[:, nrow, :] = 0.0
+    T[:, nrow, :nvar] = np.where(maximize[:, None], -C, C) + 0.0
     for i in range(nrow):
-        cb = T[nrow, basis[i]]
-        if cb != 0.0:
-            T[nrow, :] -= cb * T[i, :]
-    T = np.ascontiguousarray(T)
-    code, it = _kernel.run(T, basis, total, cfg.optimality_tol, _MAXITER)
-    iters += it
-    if code == _kernel.MAXITER:
-        raise SolverError("phase-2 iteration limit exceeded")
-    if code == _kernel.UNBOUNDED:
-        return LpSolution("unbounded", math.nan, np.full(nvar, math.nan), iterations=iters)
+        cb = T[b, nrow, basis[:, i]]
+        nz = cb != 0.0
+        if nz.all():
+            T[:, nrow, :] -= cb[:, None] * T[:, i, :]
+        elif nz.any():
+            T[:, nrow, :] -= np.where(nz[:, None], cb[:, None] * T[:, i, :], 0.0)
+    codes, it = _kernel.run(T, basis, total, tol, _MAXITER)
+    st.iters += it
+    for k in np.flatnonzero(codes == _kernel.MAXITER):
+        out[st.idx[k]] = SolverError("phase-2 iteration limit exceeded")
+    for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
+        out[st.idx[k]] = _unsolved("unbounded", nvar, st.iters[k])
+    ok = np.flatnonzero(codes == _kernel.OPTIMAL)
+    if not ok.size:
+        return
+    T, basis, C = T[ok], basis[ok], C[ok]
+    b = np.arange(len(ok))
 
-    x_std = np.zeros(total)
-    x_std[basis] = T[:nrow, total]
+    x_std = np.zeros((len(ok), total))
+    x_std[b[:, None], basis] = T[:, :nrow, total]
     # basic values can round a hair below zero; clamp the noise so callers
     # see bound-feasible solutions
-    if nrow and float(np.min(x_std)) < -1e3 * ftol:
-        raise SolverError("basis produced a significantly negative basic value")
+    negative = x_std.min(axis=1, initial=0.0) < -1e3 * ftol
     np.maximum(x_std, 0.0, out=x_std)
-    x = 0.0 + x_std[:nvar]
-    value = float(np.sum(problem.c * x))
+    X = 0.0 + x_std[:, :nvar]
+    values = np.sum(C * X, axis=1)
 
     # Alternate-optima probe: a nonbasic column with zero reduced cost that
     # admits a positive step (or an optimal ray) spans an optimal face of
     # dimension >= 1.
-    degenerate = False
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    for j in range(total):
-        if in_basis[j] or abs(T[nrow, j]) > cfg.optimality_tol:
-            continue
-        column = T[:nrow, j]
-        mask = column > cfg.optimality_tol
-        if not mask.any():
-            degenerate = True
-            break
-        step = float(np.min(T[:nrow, total][mask] / column[mask]))
-        if step > ftol:
-            degenerate = True
-            break
+    nonbasic = np.ones((len(ok), total), dtype=bool)
+    nonbasic[b[:, None], basis] = False
+    columns = T[:, :nrow, :total]
+    up = columns > tol
+    steps = np.full(columns.shape, np.inf)
+    np.divide(T[:, :nrow, total:], columns, out=steps, where=up)
+    free = ~up.any(axis=1) | (steps.min(axis=1, initial=np.inf) > ftol)
+    degenerate = (nonbasic & (np.abs(T[:, nrow, :total]) <= tol) & free).any(axis=1)
 
-    return LpSolution("optimal", value, x, degenerate_optimal_face=degenerate, iterations=iters)
+    for j, k in enumerate(ok):
+        if negative[j]:
+            out[st.idx[k]] = SolverError("basis produced a significantly negative basic value")
+        else:
+            out[st.idx[k]] = LpSolution("optimal", float(values[j]), X[j],
+                                        degenerate_optimal_face=bool(degenerate[j]),
+                                        iterations=int(st.iters[k]))

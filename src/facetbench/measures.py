@@ -12,18 +12,27 @@
   their LP, the LP cut down to its equality row, and the visit stops once
   the bound exceeds the best gamma by more than a rounding margin; the
   winner is the one solving every facet's LP would pick.
+
+Each layer submits its independent LPs together (``lp.solve_lps``): the
+extreme test and Russell solve every DMU in one batch, and the closest
+measure solves in rounds, each round holding every unfinished DMU's next
+facet in bound order.  Russell and the closest measure take one DMU or a
+sequence of DMUs; for a sequence they return a list that holds, in place
+of a DMU's result, the error its own evaluation would raise, so one
+failing DMU leaves the others' results untouched.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError, SolverError
+from .errors import DataError, FacetBenchError, SolverError
 from .facets import FacetSet, FacetTolerances
-from .lp import LpProblem, SolverConfig, solve_lp
+from .lp import LpProblem, LpSolution, SolverConfig, solve_lp, solve_lps
 
 EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
@@ -63,19 +72,18 @@ class ExtremeSetResult:
         }
 
 
-def extreme_efficiency_test(
-    ds: Dataset, o: int, cfg: SolverConfig | None = None
-) -> tuple[float, bool]:
-    """Minimize the DMU's own intensity inside a dominating convex
-    combination; a unit minimum means nothing else can represent it."""
-    cfg = cfg or SolverConfig()
-    n = ds.n
-    c = np.zeros(n)
+def _extreme_problem(ds: Dataset, o: int, A: np.ndarray) -> LpProblem:
+    c = np.zeros(ds.n)
     c[o] = 1.0
-    A = np.vstack([ds.inputs, -ds.outputs, np.ones((1, n))])
     b = np.concatenate([ds.inputs[:, o], -ds.outputs[:, o], [1.0]])
-    rels = ("<=",) * (ds.m + ds.s) + ("=",)
-    sol = solve_lp(LpProblem("min", c, A, rels, b), cfg)
+    return LpProblem("min", c, A, ("<=",) * (ds.m + ds.s) + ("=",), b)
+
+
+def _extreme_matrix(ds: Dataset) -> np.ndarray:
+    return np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
+
+
+def _extreme_value(ds: Dataset, o: int, sol: LpSolution) -> tuple[float, bool]:
     if sol.status != "optimal":
         raise SolverError(
             f"extreme test LP reported {sol.status} for DMU {ds.names[o]} "
@@ -85,6 +93,14 @@ def extreme_efficiency_test(
     return lam0, lam0 >= 1.0 - EXTREME_TOL
 
 
+def extreme_efficiency_test(
+    ds: Dataset, o: int, cfg: SolverConfig | None = None
+) -> tuple[float, bool]:
+    """Minimize the DMU's own intensity inside a dominating convex
+    combination; a unit minimum means nothing else can represent it."""
+    return _extreme_value(ds, o, solve_lp(_extreme_problem(ds, o, _extreme_matrix(ds)), cfg))
+
+
 def extreme_set(
     ds: Dataset,
     override: list[str] | tuple[str, ...] | None = None,
@@ -92,11 +108,14 @@ def extreme_set(
 ) -> ExtremeSetResult:
     """Run the test on every DMU; an override pins the returned list
     verbatim while the computed set is kept for the discrepancy report."""
-    cfg = cfg or SolverConfig()
+    A = _extreme_matrix(ds)
+    sols = solve_lps([_extreme_problem(ds, o, A) for o in range(ds.n)], cfg)
     lambda0: dict[int, float] = {}
     computed = []
-    for o in range(ds.n):
-        lam0, is_ext = extreme_efficiency_test(ds, o, cfg)
+    for o, sol in enumerate(sols):
+        if isinstance(sol, SolverError):
+            raise sol
+        lam0, is_ext = _extreme_value(ds, o, sol)
         lambda0[o] = lam0
         if is_ext:
             computed.append(o)
@@ -108,47 +127,71 @@ def extreme_set(
     return ExtremeSetResult(pinned, tuple(computed), lambda0, pinned=True)
 
 
+def _dmus(o: int | Sequence[int]) -> tuple[list[int], bool]:
+    """(DMUs to evaluate, whether o named a single DMU)."""
+    single = isinstance(o, (int, np.integer))
+    return ([o] if single else list(o)), single
+
+
+def _one_or_all(single: bool, results: list):
+    """A single DMU's result (raising its error), or the whole list."""
+    if not single:
+        return results
+    if isinstance(results[0], FacetBenchError):
+        raise results[0]
+    return results[0]
+
+
 def russell_farthest(
-    ds: Dataset, o: int, cfg: SolverConfig | None = None
-) -> MeasureResult:
+    ds: Dataset, o: int | Sequence[int], cfg: SolverConfig | None = None
+) -> MeasureResult | list[MeasureResult | SolverError]:
     """Maximize the mean normalized output slack over the full CRS
     technology (weights 1/s); theta = 1/(1 + optimum)."""
     cfg = cfg or SolverConfig()
+    dmus, single = _dmus(o)
     n, m, s = ds.n, ds.m, ds.s
-    y_o = ds.outputs[:, o]
-    c = np.concatenate([np.zeros(n), -1.0 / (s * y_o)])
     A = np.zeros((m + s, n + s))
     A[:m, :n] = ds.inputs
     A[m:, :n] = ds.outputs
     A[m:, n:] = -np.eye(s)
-    b = np.concatenate([ds.inputs[:, o], y_o])
     rels = ("<=",) * m + ("=",) * s
-    sol = solve_lp(LpProblem("min", c, A, rels, b), cfg)
-    if sol.status == "unbounded":
-        raise SolverError(
-            f"Russell LP unbounded for DMU {ds.names[o]}: some output is freely producible"
-        )
-    if sol.status != "optimal":
-        raise SolverError(f"Russell LP reported {sol.status} for DMU {ds.names[o]}")
-    lam = sol.x[:n]
-    slacks = sol.x[n:]
-    gamma = float(np.sum(slacks / y_o)) / s
-    theta = 1.0 / (1.0 + gamma)
-    status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
-    intensities = {j: float(lam[j]) for j in range(n) if lam[j] > cfg.feasibility_tol}
-    return MeasureResult(
-        dmu=o, measure="eff3", status=status, theta=theta,
-        slacks=slacks, intensities=intensities, target=y_o + slacks,
-    )
+    problems = [
+        LpProblem("min", np.concatenate([np.zeros(n), -1.0 / (s * ds.outputs[:, d])]), A, rels,
+                  np.concatenate([ds.inputs[:, d], ds.outputs[:, d]]))
+        for d in dmus
+    ]
+    results: list[MeasureResult | SolverError] = []
+    for d, sol in zip(dmus, solve_lps(problems, cfg)):
+        if isinstance(sol, SolverError):
+            results.append(sol)
+        elif sol.status == "unbounded":
+            results.append(SolverError(
+                f"Russell LP unbounded for DMU {ds.names[d]}: some output is freely producible"
+            ))
+        elif sol.status != "optimal":
+            results.append(SolverError(f"Russell LP reported {sol.status} for DMU {ds.names[d]}"))
+        else:
+            y_o = ds.outputs[:, d]
+            lam = sol.x[:n]
+            slacks = sol.x[n:]
+            gamma = float(np.sum(slacks / y_o)) / s
+            theta = 1.0 / (1.0 + gamma)
+            status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
+            intensities = {j: float(lam[j]) for j in range(n) if lam[j] > cfg.feasibility_tol}
+            results.append(MeasureResult(
+                dmu=d, measure="eff3", status=status, theta=theta,
+                slacks=slacks, intensities=intensities, target=y_o + slacks,
+            ))
+    return _one_or_all(single, results)
 
 
 def closest_on_efpps(
     facets: FacetSet,
     ds: Dataset,
-    o: int,
+    o: int | Sequence[int],
     cfg: SolverConfig | None = None,
     tols: FacetTolerances | None = None,
-) -> MeasureResult:
+) -> MeasureResult | list[MeasureResult | FacetBenchError]:
     """Least mean-normalized slack raising the DMU onto the boundary of
     the facet half-space intersection.
 
@@ -158,49 +201,80 @@ def closest_on_efpps(
     """
     cfg = cfg or SolverConfig()
     tols = tols or FacetTolerances()
+    dmus, single = _dmus(o)
     if not facets.facets:
-        raise DataError("closest measure needs a nonempty facet set")
+        return _one_or_all(single, [DataError("closest measure needs a nonempty facet set") for _ in dmus])
     s = ds.s
-    x_o = ds.inputs[:, o]
-    y_o = ds.outputs[:, o]
-    point_norm = float(np.sqrt(np.sum(y_o * y_o) + np.sum(x_o * x_o)))
-    rhs = np.array([f.value(y_o, x_o) for f in facets.facets])  # u@y_o - v@x_o
-    if np.any(rhs / point_norm > tols.support_tol):
-        return MeasureResult(
-            dmu=o, measure="eff2", status="out-of-envelope", theta=None,
-            slacks=None, intensities={}, target=None,
-        )
+    F = len(facets.facets)
     U = np.vstack([f.u for f in facets.facets])
-    c = 1.0 / (s * y_o)
+    V = np.vstack([f.v for f in facets.facets])
+    X = np.ascontiguousarray(ds.inputs[:, dmus].T)      # one row per DMU
+    Y = np.ascontiguousarray(ds.outputs[:, dmus].T)
+    point_norm = np.sqrt(np.sum(Y * Y, axis=1) + np.sum(X * X, axis=1))
+    # u@y_o - v@x_o for every (DMU, facet), as Facet.value computes it
+    rhs = (np.sum((Y[:, None, :] * U).reshape(-1, s), axis=1)
+           - np.sum((X[:, None, :] * V).reshape(-1, ds.m), axis=1)).reshape(len(dmus), F)
+    outside = np.any(rhs / point_norm[:, None] > tols.support_tol, axis=1)
+    C = 1.0 / (s * Y)
     # Facet k's LP cut down to its equality row u_k @ x = -rhs_k, x >= 0,
     # has the optimum -rhs_k * min_r c_r / u_kr when u_k > 0; any other
     # row is bounded by 0, since gamma >= 0.
     positive = np.all(U > 0, axis=1)
-    bound = np.zeros(len(U))
-    bound[positive] = -rhs[positive] * np.min(c / U[positive], axis=1)
-    best: tuple[float, int, np.ndarray] | None = None
-    for k in sorted(range(len(bound)), key=bound.__getitem__):
-        if best is not None and bound[k] > best[0] * (1 + 1e-9) + 1e-12:
-            break
-        others = [i for i in range(len(U)) if i != k]
-        A = np.vstack([U[k:k + 1], U[others]]) if others else U[k:k + 1]
-        b = np.concatenate([[-rhs[k]], -rhs[others]]) if others else np.array([-rhs[k]])
-        rels = ("=",) + ("<=",) * len(others)
-        sol = solve_lp(LpProblem("min", c, A, rels, b), cfg)
-        if sol.status != "optimal":
+    bound = np.zeros((len(dmus), F))
+    bound[:, positive] = -rhs[:, positive] * np.min(C[:, None, :] / U[positive], axis=2)
+    order = np.argsort(bound, axis=1, kind="stable")
+    # facet k's LP: its own row as the equality, then the others as <=
+    rows = [[k] + [i for i in range(F) if i != k] for k in range(F)]
+    systems = [(U[r], ("=",) + ("<=",) * (F - 1)) for r in rows]
+
+    results: list[MeasureResult | FacetBenchError | None] = [None] * len(dmus)
+    best: list[tuple[float, int, np.ndarray] | None] = [None] * len(dmus)
+    step = [0] * len(dmus)
+    live = []
+    for i in range(len(dmus)):
+        if outside[i]:
+            results[i] = MeasureResult(
+                dmu=dmus[i], measure="eff2", status="out-of-envelope", theta=None,
+                slacks=None, intensities={}, target=None,
+            )
+        else:
+            live.append(i)
+    while live:
+        batch = []
+        for i in live:
+            k = int(order[i, step[i]])
+            if best[i] is not None and bound[i, k] > best[i][0] * (1 + 1e-9) + 1e-12:
+                continue
+            A, rels = systems[k]
+            batch.append((i, k, LpProblem("min", C[i], A, rels, -rhs[i, rows[k]])))
+        sols = solve_lps([p for _, _, p in batch], cfg)
+        live = []
+        for (i, k, _), sol in zip(batch, sols):
+            if isinstance(sol, SolverError):
+                results[i] = sol
+                continue
+            if sol.status == "optimal":
+                gamma = float(np.sum(sol.x / Y[i])) / s
+                if best[i] is None or (gamma, k) < best[i][:2]:
+                    best[i] = (gamma, k, sol.x)
+            step[i] += 1
+            if step[i] < F:
+                live.append(i)
+    for i, d in enumerate(dmus):
+        if results[i] is not None:
             continue
-        gamma = float(np.sum(sol.x / y_o)) / s
-        if best is None or (gamma, k) < best[:2]:
-            best = (gamma, k, sol.x)
-    if best is None:
-        raise SolverError(
-            f"no facet projection feasible for in-envelope DMU {ds.names[o]} "
-            "(raising outputs always reaches the boundary)"
+        if best[i] is None:
+            results[i] = SolverError(
+                f"no facet projection feasible for in-envelope DMU {ds.names[d]} "
+                "(raising outputs always reaches the boundary)"
+            )
+            continue
+        gamma, _, slacks = best[i]
+        y_o = ds.outputs[:, d]
+        theta = 1.0 / (1.0 + gamma)
+        status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
+        results[i] = MeasureResult(
+            dmu=d, measure="eff2", status=status, theta=theta,
+            slacks=slacks, intensities={}, target=y_o + slacks,
         )
-    gamma, _, slacks = best
-    theta = 1.0 / (1.0 + gamma)
-    status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
-    return MeasureResult(
-        dmu=o, measure="eff2", status=status, theta=theta,
-        slacks=slacks, intensities={}, target=y_o + slacks,
-    )
+    return _one_or_all(single, results)

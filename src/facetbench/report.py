@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError
+from .errors import DataError, FacetBenchError
 from .facets import FacetSet, FacetTolerances, envelope_violations, verify_facet_set
 from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, russell_farthest
 from .partition import RobustPartition, partition_export
@@ -140,18 +140,27 @@ def build_report(
     """Assemble the full pipeline report (steps 1-4 plus both comparison
     measures and the warnings ledger)."""
     robust_rows = batch_evaluate(ds, part, cfg)
+    closest_rows = closest_on_efpps(fs, ds, range(ds.n), cfg.solver, tols)
+    russell_rows = russell_farthest(ds, range(ds.n), cfg.solver)
     results = []
+    # Errors surface in DMU order, closest before Russell, as if each DMU
+    # were evaluated in turn; a DataError from the closest measure only
+    # marks its row.
     for o in range(ds.n):
-        try:
-            closest = _measure_payload(closest_on_efpps(fs, ds, o, cfg.solver, tols))
-        except DataError as exc:
-            closest = {"status": "error", "theta": None, "slacks": None, "error": str(exc)}
-        russell = _measure_payload(russell_farthest(ds, o, cfg.solver))
+        closest = closest_rows[o]
+        if isinstance(closest, DataError):
+            closest = {"status": "error", "theta": None, "slacks": None, "error": str(closest)}
+        elif isinstance(closest, FacetBenchError):
+            raise closest
+        else:
+            closest = _measure_payload(closest)
+        if isinstance(russell_rows[o], FacetBenchError):
+            raise russell_rows[o]
         results.append({
             "dmu": ds.names[o],
             "robust": _robust_payload(ds, robust_rows[o]),
             "closest": closest,
-            "russell": russell,
+            "russell": _measure_payload(russell_rows[o]),
         })
     violations = envelope_violations(ds, fs, tols)
     warnings = list(fs.warnings)

@@ -10,6 +10,11 @@ number.
 Negative slack reads as over-production relative to the robust target
 (resource-allocation distortion); positive slack is an ordinary
 shortfall.
+
+Evaluating several DMUs solves one sign-pattern batch per robust group
+(``signpattern.solve_sign_patterns``) for every DMU that has not failed
+in an earlier group, so a DMU's groups, and the first error it meets,
+come in the same order as when it is evaluated alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .dataset import Dataset
 from .errors import DataError, FacetBenchError
 from .lp import SolverConfig
 from .partition import RobustPartition
-from .signpattern import solve_sign_pattern
+from .signpattern import SignPatternResult, solve_sign_pattern, solve_sign_patterns
 
 AGGREGATIONS = ("table4-max", "paper-min")
 
@@ -79,6 +84,22 @@ class RowError:
     error: str
 
 
+def _group_result(members: tuple[int, ...], X_ref, Y_ref, res: SignPatternResult,
+                  group_index: int) -> GroupResult:
+    return GroupResult(
+        group_index=group_index,
+        z=res.z,
+        slacks=res.slacks,
+        s_plus=res.s_plus,
+        s_minus=res.s_minus,
+        intensities={d: float(l) for d, l in zip(members, res.intensities)},
+        gamma=res.gamma,
+        theta=1.0 / (1.0 + res.gamma),
+        target_outputs=Y_ref @ res.intensities,
+        target_inputs=X_ref @ res.intensities,
+    )
+
+
 def evaluate_group(
     ds: Dataset,
     group_members: tuple[int, ...] | list[int],
@@ -94,19 +115,7 @@ def evaluate_group(
     X_ref = ds.inputs[:, list(members)]
     Y_ref = ds.outputs[:, list(members)]
     res = solve_sign_pattern(ds.inputs[:, o], ds.outputs[:, o], X_ref, Y_ref, cfg.solver)
-    theta = 1.0 / (1.0 + res.gamma)
-    return GroupResult(
-        group_index=group_index,
-        z=res.z,
-        slacks=res.slacks,
-        s_plus=res.s_plus,
-        s_minus=res.s_minus,
-        intensities={d: float(l) for d, l in zip(members, res.intensities)},
-        gamma=res.gamma,
-        theta=theta,
-        target_outputs=Y_ref @ res.intensities,
-        target_inputs=X_ref @ res.intensities,
-    )
+    return _group_result(members, X_ref, Y_ref, res, group_index)
 
 
 def _slack_kind(value: float, tol: float) -> str:
@@ -117,19 +126,7 @@ def _slack_kind(value: float, tol: float) -> str:
     return "zero"
 
 
-def robust_efficiency(
-    ds: Dataset,
-    part: RobustPartition,
-    o: int,
-    cfg: RobustConfig | None = None,
-) -> EfficiencyResult:
-    """Evaluate DMU o against every robust group and aggregate."""
-    cfg = cfg or RobustConfig()
-    if not part.groups:
-        raise DataError("empty partition: nothing to project onto")
-    results = tuple(
-        evaluate_group(ds, g.members, o, cfg, group_index=g.index) for g in part.groups
-    )
+def _aggregate(ds: Dataset, o: int, results: tuple[GroupResult, ...], cfg: RobustConfig) -> EfficiencyResult:
     if cfg.aggregation == "table4-max":
         chosen = max(results, key=lambda r: (r.theta, -r.group_index))
     else:
@@ -156,6 +153,46 @@ def robust_efficiency(
     )
 
 
+def _evaluate(
+    ds: Dataset, part: RobustPartition, dmus: list[int], cfg: RobustConfig
+) -> list[EfficiencyResult | FacetBenchError]:
+    """Every DMU's result, or the error its own evaluation would raise."""
+    if not part.groups:
+        return [DataError("empty partition: nothing to project onto") for _ in dmus]
+    groups: dict[int, list[GroupResult]] = {o: [] for o in dmus}
+    errors: dict[int, FacetBenchError] = {}
+    for g in part.groups:
+        live = [o for o in dmus if o not in errors]
+        if not live:
+            break
+        members = tuple(g.members)
+        if not members:
+            errors.update((o, DataError("group must be nonempty")) for o in live)
+            continue
+        X_ref = ds.inputs[:, list(members)]
+        Y_ref = ds.outputs[:, list(members)]
+        sols = solve_sign_patterns(ds.inputs[:, live], ds.outputs[:, live], X_ref, Y_ref, cfg.solver)
+        for o, res in zip(live, sols):
+            if isinstance(res, FacetBenchError):
+                errors[o] = res
+            else:
+                groups[o].append(_group_result(members, X_ref, Y_ref, res, g.index))
+    return [errors[o] if o in errors else _aggregate(ds, o, tuple(groups[o]), cfg) for o in dmus]
+
+
+def robust_efficiency(
+    ds: Dataset,
+    part: RobustPartition,
+    o: int,
+    cfg: RobustConfig | None = None,
+) -> EfficiencyResult:
+    """Evaluate DMU o against every robust group and aggregate."""
+    res = _evaluate(ds, part, [o], cfg or RobustConfig())[0]
+    if isinstance(res, FacetBenchError):
+        raise res
+    return res
+
+
 def batch_evaluate(
     ds: Dataset,
     part: RobustPartition,
@@ -163,11 +200,6 @@ def batch_evaluate(
 ) -> list[EfficiencyResult | RowError]:
     """Robust efficiency for every DMU, dataset order; per-row failures
     become RowError entries instead of aborting the batch."""
-    cfg = cfg or RobustConfig()
-    out: list[EfficiencyResult | RowError] = []
-    for o in range(ds.n):
-        try:
-            out.append(robust_efficiency(ds, part, o, cfg))
-        except FacetBenchError as exc:
-            out.append(RowError(dmu=o, error=str(exc)))
-    return out
+    rows = _evaluate(ds, part, list(range(ds.n)), cfg or RobustConfig())
+    return [RowError(dmu=o, error=str(r)) if isinstance(r, FacetBenchError) else r
+            for o, r in enumerate(rows)]

@@ -15,6 +15,11 @@ lowest pattern index.  Patterns are visited by descending sum(z), then
 ascending p, and the visit stops at the first level below a level with a
 feasible pattern: the key ranks the level first, so no pattern there can
 win, and the winner is the one full enumeration would pick.
+
+``solve_sign_patterns`` evaluates many points against one reference block
+and solves each level's LPs as one batch (``lp.solve_lps``) holding every
+point that has no feasible pattern yet; each point's visit order and stop
+rule are the ones above.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .lp import LpProblem, LpSolution, SolverConfig, solve_lp
+# solve_lp stays bound here for profilers that wrap it by this name.
+from .lp import LpProblem, SolverConfig, solve_lp, solve_lps  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -46,18 +52,106 @@ class SignPatternResult:
         return sum(self.z)
 
 
-def _pattern_lp(x_o, y_o, X_ref, Y_ref, sigma, cfg) -> LpSolution:
+def _pattern_matrix(X_ref: np.ndarray, Y_ref: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Constraint matrix of pattern sigma; variables are lambda (k), then
+    t = |s_r| (s)."""
     m, k = X_ref.shape
     s = Y_ref.shape[0]
-    # variables: lambda (k) then t = |s_r| (s)
-    c = np.concatenate([np.zeros(k), 1.0 / (s * y_o)])
     A = np.zeros((m + s, k + s))
     A[:m, :k] = X_ref
     A[m:, :k] = Y_ref
     A[m:, k:] = -np.diag(sigma)
+    return A
+
+
+def _pattern_problems(x_o: np.ndarray, y_o: np.ndarray, matrices: list[np.ndarray]) -> list[LpProblem]:
+    """The pattern LPs of point (x_o, y_o), one per constraint matrix."""
+    s = y_o.size
+    c = np.concatenate([np.zeros(matrices[0].shape[1] - s), 1.0 / (s * y_o)])
     b = np.concatenate([x_o, y_o])
-    rels = ("<=",) * m + ("=",) * s
-    return solve_lp(LpProblem("min", c, A, rels, b), cfg)
+    rels = ("<=",) * x_o.size + ("=",) * s
+    return [LpProblem("min", c, A, rels, b) for A in matrices]
+
+
+def solve_sign_patterns(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    X_ref: np.ndarray,
+    Y_ref: np.ndarray,
+    cfg: SolverConfig | None = None,
+) -> list[SignPatternResult | SolverError]:
+    """Solve the signed-slack program for every evaluated point (the
+    columns of xs, m x B, and ys, s x B) against one reference block
+    (m x k inputs, s x k outputs).  Each entry is the point's result or
+    the SolverError its own solve would raise."""
+    cfg = cfg or SolverConfig()
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    m, s = xs.shape[0], ys.shape[0]
+    X_ref = np.asarray(X_ref, dtype=float).reshape(m, -1)
+    Y_ref = np.asarray(Y_ref, dtype=float).reshape(s, -1)
+    k = X_ref.shape[1]
+    x_pts, y_pts = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
+    out: list[SignPatternResult | SolverError | None] = [None] * xs.shape[1]
+    for j, y_o in enumerate(y_pts):
+        if k == 0:
+            out[j] = SolverError("empty reference set")
+        elif np.any(y_o <= 0):
+            out[j] = SolverError("evaluated DMU must have strictly positive outputs")
+        elif cfg.priority_weight <= 1.0 / s:
+            out[j] = SolverError(f"priority weight {cfg.priority_weight} must exceed 1/s = {1.0 / s}")
+    live = [j for j in range(len(out)) if out[j] is None]
+
+    for level in range(s, -1, -1):
+        if not live:
+            break
+        patterns = []
+        for p in range(1 << s):
+            if p.bit_count() == level:
+                z = tuple((p >> r) & 1 for r in range(s))
+                sigma = np.array([1.0 if zr else -1.0 for zr in z])
+                patterns.append((p, z, sigma, _pattern_matrix(X_ref, Y_ref, sigma)))
+        matrices = [A for *_, A in patterns]
+        sols = solve_lps([lp for j in live for lp in _pattern_problems(x_pts[j], y_pts[j], matrices)], cfg)
+        unfinished = []
+        for n, j in enumerate(live):
+            best = None
+            for (p, z, sigma, _), sol in zip(patterns, sols[n * len(patterns):]):
+                if out[j] is not None:
+                    continue
+                if isinstance(sol, SolverError):
+                    out[j] = sol
+                elif sol.status == "unbounded":
+                    out[j] = SolverError("signed-slack pattern LP unbounded (inputs cannot be positive)")
+                elif sol.status == "optimal":
+                    gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
+                    if best is None or (gamma, p) < best[:2]:
+                        best = (gamma, p, z, sigma, sol)
+            if out[j] is not None:
+                continue
+            if best is None:
+                unfinished.append(j)
+                continue
+            gamma, p, z, sigma, sol = best
+            t = sol.x[k:]
+            out[j] = SignPatternResult(
+                z=z,
+                slacks=sigma * t,
+                s_plus=np.where(sigma > 0, t, 0.0),
+                s_minus=np.where(sigma < 0, t, 0.0),
+                intensities=sol.x[:k],
+                gamma=gamma,
+                objective=cfg.priority_weight * (s - sum(z)) + gamma,
+                pattern_index=p,
+                degenerate_optimal_face=sol.degenerate_optimal_face,
+            )
+        live = unfinished
+    for j in live:
+        out[j] = SolverError(
+            "all sign patterns infeasible: empty reference technology "
+            "(cannot happen for a nonempty reference set)"
+        )
+    return out
 
 
 def solve_sign_pattern(
@@ -69,57 +163,9 @@ def solve_sign_pattern(
 ) -> SignPatternResult:
     """Solve the signed-slack program for DMU (x_o, y_o) against a
     reference block (m x k inputs, s x k outputs)."""
-    cfg = cfg or SolverConfig()
     x_o = np.asarray(x_o, dtype=float)
     y_o = np.asarray(y_o, dtype=float)
-    X_ref = np.asarray(X_ref, dtype=float).reshape(x_o.size, -1)
-    Y_ref = np.asarray(Y_ref, dtype=float).reshape(y_o.size, -1)
-    s = y_o.size
-    k = X_ref.shape[1]
-    if k == 0:
-        raise SolverError("empty reference set")
-    if np.any(y_o <= 0):
-        raise SolverError("evaluated DMU must have strictly positive outputs")
-    if cfg.priority_weight <= 1.0 / s:
-        raise SolverError(f"priority weight {cfg.priority_weight} must exceed 1/s = {1.0 / s}")
-
-    best_key = None
-    best = None
-    for p in sorted(range(1 << s), key=lambda p: (-p.bit_count(), p)):
-        if best_key is not None and -p.bit_count() > best_key[0]:
-            break
-        z = tuple((p >> r) & 1 for r in range(s))
-        sigma = np.array([1.0 if zr else -1.0 for zr in z])
-        sol = _pattern_lp(x_o, y_o, X_ref, Y_ref, sigma, cfg)
-        if sol.status == "unbounded":
-            raise SolverError("signed-slack pattern LP unbounded (inputs cannot be positive)")
-        if sol.status != "optimal":
-            continue
-        lam = sol.x[:k]
-        t = sol.x[k:]
-        gamma = float(np.sum(t / y_o)) / s
-        key = (-sum(z), gamma, p)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (z, sigma, lam, t, p, sol.degenerate_optimal_face)
-    if best is None:
-        raise SolverError(
-            "all sign patterns infeasible: empty reference technology "
-            "(cannot happen for a nonempty reference set)"
-        )
-    z, sigma, lam, t, p, degen = best
-    slacks = sigma * t
-    s_plus = np.where(sigma > 0, t, 0.0)
-    s_minus = np.where(sigma < 0, t, 0.0)
-    gamma = best_key[1]
-    return SignPatternResult(
-        z=z,
-        slacks=slacks,
-        s_plus=s_plus,
-        s_minus=s_minus,
-        intensities=lam,
-        gamma=gamma,
-        objective=cfg.priority_weight * (s - sum(z)) + gamma,
-        pattern_index=p,
-        degenerate_optimal_face=degen,
-    )
+    res = solve_sign_patterns(x_o.reshape(-1, 1), y_o.reshape(-1, 1), X_ref, Y_ref, cfg)[0]
+    if isinstance(res, SolverError):
+        raise res
+    return res

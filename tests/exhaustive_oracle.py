@@ -10,7 +10,7 @@ intensities can be compared bit for bit.
 import numpy as np
 
 from facetbench.lp import LpProblem, SolverConfig, solve_lp
-from facetbench.signpattern import _pattern_lp
+from facetbench.signpattern import _pattern_matrix, _pattern_problems
 
 
 def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref, cfg=None):
@@ -28,7 +28,7 @@ def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref, cfg=None):
     for p in range(1 << s):
         z = [(p >> r) & 1 for r in range(s)]
         sigma = np.array([1.0 if zr else -1.0 for zr in z])
-        sol = _pattern_lp(x_o, y_o, X_ref, Y_ref, sigma, cfg)
+        sol = solve_lp(_pattern_problems(x_o, y_o, [_pattern_matrix(X_ref, Y_ref, sigma)])[0], cfg)
         if sol.status != "optimal":
             continue
         t = sol.x[k:]
