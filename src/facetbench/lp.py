@@ -161,14 +161,19 @@ class _Stack:
     T: np.ndarray          # (B, rows + 1, cols + 1)
     basis: np.ndarray      # (B, rows)
     iters: np.ndarray      # (B,) pivots so far
+    colscale: np.ndarray   # (B, nvar) x = tableau x / colscale
     nvar: int
+
+    def select(self, sel, T: np.ndarray, basis: np.ndarray) -> _Stack:
+        """Problems sel of this stack, with their new tableaus."""
+        return _Stack(self.idx[sel], T, basis, self.iters[sel], self.colscale[sel], self.nvar)
 
 
 def _concat(stacks: list[_Stack]) -> _Stack:
     if len(stacks) == 1:
         return stacks[0]
     return _Stack(*(np.concatenate([getattr(s, f) for s in stacks])
-                    for f in ("idx", "T", "basis", "iters")), stacks[0].nvar)
+                    for f in ("idx", "T", "basis", "iters", "colscale")), stacks[0].nvar)
 
 
 def _unsolved(status: str, nvar: int, iters: int = 0) -> LpSolution:
@@ -196,6 +201,14 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
     scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
     A = A / scale[:, :, None]
     rhs = b / scale
+    # Then scale each column by the power of two that brings its largest
+    # magnitude into [1, 2): x = x' / colscale, so a variable measured in
+    # a unit 1024 times too small is solved as if its unit were right.
+    # Row maxima stay in [1, 2), since each sits in a column whose own
+    # maximum it is.
+    mx = np.abs(A).max(axis=1, initial=0.0)
+    colscale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
+    A = A / colscale[:, None, :]
 
     # Orient rhs nonnegative and classify rows.  An all-zero row is
     # dropped when 0 satisfies it and makes the problem infeasible if not.
@@ -244,7 +257,8 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
         for i in np.flatnonzero(art.any(axis=0)):
             T[:, nrow, :] -= art_rows[:, i, :]
         T[:, nrow, art_start:total] = 0.0
-        yield (nvar, tuple(eq)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64), nvar)
+        yield (nvar, tuple(eq)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64),
+                                        colscale[ks], nvar)
 
 
 def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
@@ -256,7 +270,7 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
     total = T.shape[2] - 1
     cols = list(range(art_start)) + [total]
     if not (basis >= art_start).any():
-        return [_Stack(st.idx, np.ascontiguousarray(T[:, :, cols]), basis, st.iters, st.nvar)]
+        return [st.select(slice(None), np.ascontiguousarray(T[:, :, cols]), basis)]
     codes, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
     st.iters += it
     for k in np.flatnonzero(codes == _kernel.MAXITER):
@@ -273,32 +287,32 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
     clean = feasible & ~stuck
     ready = []
     if clean.any():
-        ready.append(_Stack(st.idx[clean], np.ascontiguousarray(T[clean][:, :, cols]),
-                            basis[clean], st.iters[clean], st.nvar))
+        ready.append(st.select(clean, np.ascontiguousarray(T[clean][:, :, cols]), basis[clean]))
     if not stuck.any():
         return ready
     # Drive leftover artificials out of the basis, row by row; rows that
     # offer no pivot are redundant and get dropped.
-    idx, T, basis, iters = st.idx[stuck], T[stuck], basis[stuck], st.iters[stuck]
+    st = st.select(stuck, T[stuck], basis[stuck])
+    T, basis = st.T, st.basis
     drop = np.zeros(basis.shape, dtype=bool)
     for i in np.flatnonzero((basis >= art_start).any(axis=0)):
         art = basis[:, i] >= art_start
         seg = np.abs(T[:, i, :art_start])
         j = seg.argmax(axis=1)
-        move = art & (seg[np.arange(len(idx)), j] > cfg.optimality_tol)
+        move = art & (seg[np.arange(len(basis)), j] > cfg.optimality_tol)
         drop[:, i] = art & ~move
         if move.any():
             Tm, bm = T[move], basis[move]
             _kernel.pivot(Tm, bm, np.full(len(Tm), i), j[move])
             T[move], basis[move] = Tm, bm
-            iters[move] += 1
+            st.iters[move] += 1
     groups: dict[bytes, list[int]] = {}
-    for k in range(len(idx)):
+    for k in range(len(basis)):
         groups.setdefault(drop[k].tobytes(), []).append(k)
     for ks in groups.values():
         keep_rows = list(np.flatnonzero(~drop[ks[0]]))
-        ready.append(_Stack(idx[ks], np.ascontiguousarray(T[ks][:, keep_rows + [nrow]][:, :, cols]),
-                            basis[ks][:, keep_rows], iters[ks], st.nvar))
+        ready.append(st.select(ks, np.ascontiguousarray(T[ks][:, keep_rows + [nrow]][:, :, cols]),
+                               basis[ks][:, keep_rows]))
     return ready
 
 
@@ -315,7 +329,13 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     # Phase 2 objective row (minimization form): eliminate basic columns.
     b = np.arange(len(batch))
     T[:, nrow, :] = 0.0
-    T[:, nrow, :nvar] = np.where(maximize[:, None], -C, C) + 0.0
+    # The objective in the solved columns' units, scaled by the power of
+    # two of its largest entry, so reduced costs meet the tolerance at
+    # the same scale whatever the caller's unit.
+    cost = np.where(maximize[:, None], -C, C) / st.colscale
+    mx = np.abs(cost).max(axis=1, initial=0.0)
+    cost /= np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
+    T[:, nrow, :nvar] = cost + 0.0
     for i in range(nrow):
         cb = T[b, nrow, basis[:, i]]
         nz = cb != 0.0
@@ -332,7 +352,7 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     ok = np.flatnonzero(codes == _kernel.OPTIMAL)
     if not ok.size:
         return
-    T, basis, C = T[ok], basis[ok], C[ok]
+    T, basis, C, colscale = T[ok], basis[ok], C[ok], st.colscale[ok]
     b = np.arange(len(ok))
 
     x_std = np.zeros((len(ok), total))
@@ -341,7 +361,7 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     # see bound-feasible solutions
     negative = x_std.min(axis=1, initial=0.0) < -1e3 * ftol
     np.maximum(x_std, 0.0, out=x_std)
-    X = 0.0 + x_std[:, :nvar]
+    X = 0.0 + x_std[:, :nvar] / colscale
     values = np.sum(C * X, axis=1)
 
     # Alternate-optima probe: a nonbasic column with zero reduced cost that

@@ -107,14 +107,17 @@ def test_a_failing_dmu_marks_only_its_own_entry(uni985, uni_facets):
         assert repr(rows[o].theta) == repr(good[o].theta)
 
 
-# LPs, pivots and statuses per layer of `report --profile paper-985`; the
-# layers batch their LPs, and these are the figures of solving them one
-# by one.
+# LPs, pivots and statuses per layer of `report --profile paper-985`.
+# Batching alone reproduced the figures of solving the LPs one by one
+# (pivots 543, 867, 420 and 747).  Column scaling moves some near-zero
+# tableau entries across the tolerances, so a few pivot paths change: the
+# same LPs reach the same statuses and the same report bytes with 2,583
+# pivots instead of 2,577.
 REPORT_985_LAYERS = {
     "extreme": {"lps": 38, "pivots": 543, "optimal": 38},
-    "signpattern": {"lps": 339, "pivots": 867, "optimal": 76, "infeasible": 263},
-    "closest": {"lps": 82, "pivots": 420, "optimal": 82},
-    "russell": {"lps": 38, "pivots": 747, "optimal": 38},
+    "signpattern": {"lps": 339, "pivots": 868, "optimal": 76, "infeasible": 263},
+    "closest": {"lps": 82, "pivots": 417, "optimal": 82},
+    "russell": {"lps": 38, "pivots": 755, "optimal": 38},
 }
 
 
@@ -151,4 +154,4 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
         assert cli.main(["report", "--data", str(data_dir / "universities_985.csv"), "--profile", "paper-985"]) == 0
     assert {k: dict(v) for k, v in counts.items()} == REPORT_985_LAYERS
     assert sum(v["lps"] for v in REPORT_985_LAYERS.values()) == 497
-    assert sum(v["pivots"] for v in REPORT_985_LAYERS.values()) == 2577
+    assert sum(v["pivots"] for v in REPORT_985_LAYERS.values()) == 2583

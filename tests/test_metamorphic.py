@@ -5,7 +5,9 @@ floating point, and every LP row is equilibrated by a power of two, so the
 extreme test, the facets, the partition and every robust theta must come
 out bit-identical.  Coverage at a fixed input vector must not change when
 an input column and the matching input-vector component change unit
-together.
+together.  Russell's theta must not move either: the solver scales each
+LP column by a power of two, so an output slack measured in a unit 1024
+times too small is solved as if its unit were right.
 """
 
 import numpy as np
@@ -72,6 +74,32 @@ def test_power_of_two_unit_change_is_bit_identical(uni985, baseline, column, fac
     # float equality ignores the sign of zero; compare the bytes
     for key in ("lambda0", "thetas"):
         assert _bits(scaled[key]) == _bits(baseline[key]), key
+
+
+# Dividing out:nsa or out:sb by 1024 moves some Russell thetas in the last
+# digit (4 DMUs by up to 8.9e-16, 9 DMUs by up to 1.3e-15), with or without
+# column scaling; ROADMAP item 2 holds the open question.
+RUSSELL_DRIFT = {("out:nsa", "div1024"), ("out:sb", "div1024")}
+
+
+def _russell_cases():
+    for column in COLUMNS:
+        for fid, factor in (("x1024", 2.0**10), ("div1024", 2.0**-10)):
+            marks = ()
+            if (column, fid) in RUSSELL_DRIFT:
+                marks = pytest.mark.xfail(strict=True, reason="last-digit drift, ROADMAP item 2")
+            yield pytest.param(column, factor, id=f"{column}-{fid}", marks=marks)
+
+
+@pytest.mark.parametrize("column,factor", _russell_cases())
+def test_power_of_two_unit_change_keeps_russell_theta(uni985, column, factor):
+    """Russell's slack columns carry the output units, so a unit change
+    scales them; the solver's column scaling must undo it exactly."""
+    scaled = _rescaled(uni985, column, factor)
+    dmus = range(uni985.n)
+    got = [r.theta for r in fb.russell_farthest(scaled, dmus)]
+    base = [r.theta for r in fb.russell_farthest(uni985, dmus)]
+    assert _bits(got) == _bits(base)
 
 
 @pytest.mark.parametrize("factor", [2.0**10, 2.0**-10], ids=["x1024", "div1024"])
