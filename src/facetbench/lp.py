@@ -9,23 +9,28 @@ identical pivot sequences, hence identical solutions.
 Every variable is nonnegative (x >= 0), the only bound the package's
 programs use, so the tableau's structural columns are the problem's own.
 
-Constraint rows are equilibrated by powers of two before solving, which
-changes no binary value exactly representable in the data and keeps the
-stated tolerances meaningful across scales.
+Constraint rows, then columns, are equilibrated by powers of two before
+solving, and the phase-2 objective is scaled by the power of two of its
+largest entry.  This changes no binary value exactly representable in the
+data and keeps the stated tolerances meaningful across scales: a variable
+measured in a unit 1024 times too small is solved as if its unit were
+right.
 
 Problems are solved in batches.  ``solve_lps`` groups independent problems
-by variable count and row relations after orientation, and runs each
-group's phase 1 and phase 2 as one stack of tableaus that the kernel
-advances in lockstep, one pivot of every running problem per pass.  The
-set-up, the phase-1 infeasibility test and the read-out of the solution
-(basic values, the negativity check, the alternate-optima probe) are
-vectorised over the stack: every problem sees the same elementwise
-operations it would see alone, and every reduction (max, min, any,
-argmax, argmin) is exact, so a problem's result does not depend on the
-other problems of its batch by a single bit.  Driving leftover artificials
-out of the basis, which may drop rows, runs problem by problem, and the
-survivors are regrouped by shape for phase 2.  ``solve_lp(p)`` is
-``solve_lps([p])[0]``: there is one LP path.
+by variable count and equality rows (orientation may turn a <= row into a
+>= row; see ``_tableaus``), and runs each group's phase 1 and phase 2 as
+one stack of tableaus that the kernel advances in lockstep, one pivot of
+every running problem per pass.  The set-up, the phase-1 infeasibility
+test and the read-out of the solution (basic values, the negativity
+check, the objective value, the alternate-optima probe) are vectorised
+over the stack.  Every problem sees the same elementwise operations it
+would see alone; max, min, any, argmax and argmin are exact, and a row
+sum along the last axis adds in the same order as the sum of that row
+alone.  So a problem's result does not depend by a single bit on the
+other problems of its batch.  Driving leftover artificials out of the
+basis, which may drop rows, goes row by row over the problems that need
+it, and the survivors are regrouped by shape for phase 2.
+``solve_lp(p)`` is ``solve_lps([p])[0]``: there is one LP path.
 
 The pivot loop itself lives in the NumPy kernel module ``_simplex_py``,
 bound here as ``_kernel``; its ``run`` and ``pivot`` are called through

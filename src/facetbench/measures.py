@@ -72,15 +72,16 @@ class ExtremeSetResult:
         }
 
 
-def _extreme_problem(ds: Dataset, o: int, A: np.ndarray) -> LpProblem:
-    c = np.zeros(ds.n)
-    c[o] = 1.0
-    b = np.concatenate([ds.inputs[:, o], -ds.outputs[:, o], [1.0]])
-    return LpProblem("min", c, A, ("<=",) * (ds.m + ds.s) + ("=",), b)
-
-
-def _extreme_matrix(ds: Dataset) -> np.ndarray:
-    return np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
+def _extreme_problems(ds: Dataset, dmus) -> list[LpProblem]:
+    A = np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
+    rels = ("<=",) * (ds.m + ds.s) + ("=",)
+    problems = []
+    for o in dmus:
+        c = np.zeros(ds.n)
+        c[o] = 1.0
+        b = np.concatenate([ds.inputs[:, o], -ds.outputs[:, o], [1.0]])
+        problems.append(LpProblem("min", c, A, rels, b))
+    return problems
 
 
 def _extreme_value(ds: Dataset, o: int, sol: LpSolution) -> tuple[float, bool]:
@@ -98,7 +99,7 @@ def extreme_efficiency_test(
 ) -> tuple[float, bool]:
     """Minimize the DMU's own intensity inside a dominating convex
     combination; a unit minimum means nothing else can represent it."""
-    return _extreme_value(ds, o, solve_lp(_extreme_problem(ds, o, _extreme_matrix(ds)), cfg))
+    return _extreme_value(ds, o, solve_lp(_extreme_problems(ds, [o])[0], cfg))
 
 
 def extreme_set(
@@ -108,8 +109,7 @@ def extreme_set(
 ) -> ExtremeSetResult:
     """Run the test on every DMU; an override pins the returned list
     verbatim while the computed set is kept for the discrepancy report."""
-    A = _extreme_matrix(ds)
-    sols = solve_lps([_extreme_problem(ds, o, A) for o in range(ds.n)], cfg)
+    sols = solve_lps(_extreme_problems(ds, range(ds.n)), cfg)
     lambda0: dict[int, float] = {}
     computed = []
     for o, sol in enumerate(sols):
@@ -125,6 +125,22 @@ def extreme_set(
         raise DataError(f"override lists a DMU more than once: {list(override)}")
     pinned = tuple(ds.index(name) for name in override)
     return ExtremeSetResult(pinned, tuple(computed), lambda0, pinned=True)
+
+
+def _solve_each(make, items, cfg: SolverConfig | None) -> list[LpSolution | SolverError]:
+    """One batch of the LPs make(item); an item whose LP cannot be built
+    (a non-finite coefficient) gets the SolverError building it raised."""
+    out: list[LpSolution | SolverError | None] = [None] * len(items)
+    problems, built = [], []
+    for i, item in enumerate(items):
+        try:
+            problems.append(make(item))
+            built.append(i)
+        except SolverError as exc:
+            out[i] = exc
+    for i, sol in zip(built, solve_lps(problems, cfg)):
+        out[i] = sol
+    return out
 
 
 def _dmus(o: int | Sequence[int]) -> tuple[list[int], bool]:
@@ -155,13 +171,13 @@ def russell_farthest(
     A[m:, :n] = ds.outputs
     A[m:, n:] = -np.eye(s)
     rels = ("<=",) * m + ("=",) * s
-    problems = [
-        LpProblem("min", np.concatenate([np.zeros(n), -1.0 / (s * ds.outputs[:, d])]), A, rels,
-                  np.concatenate([ds.inputs[:, d], ds.outputs[:, d]]))
-        for d in dmus
-    ]
+
+    def problem(d: int) -> LpProblem:
+        c = np.concatenate([np.zeros(n), -1.0 / (s * ds.outputs[:, d])])
+        return LpProblem("min", c, A, rels, np.concatenate([ds.inputs[:, d], ds.outputs[:, d]]))
+
     results: list[MeasureResult | SolverError] = []
-    for d, sol in zip(dmus, solve_lps(problems, cfg)):
+    for d, sol in zip(dmus, _solve_each(problem, dmus, cfg)):
         if isinstance(sol, SolverError):
             results.append(sol)
         elif sol.status == "unbounded":
@@ -239,17 +255,20 @@ def closest_on_efpps(
             )
         else:
             live.append(i)
+
+    def problem(ik: tuple[int, int]) -> LpProblem:
+        i, k = ik
+        A, rels = systems[k]
+        return LpProblem("min", C[i], A, rels, -rhs[i, rows[k]])
+
     while live:
         batch = []
         for i in live:
             k = int(order[i, step[i]])
-            if best[i] is not None and bound[i, k] > best[i][0] * (1 + 1e-9) + 1e-12:
-                continue
-            A, rels = systems[k]
-            batch.append((i, k, LpProblem("min", C[i], A, rels, -rhs[i, rows[k]])))
-        sols = solve_lps([p for _, _, p in batch], cfg)
+            if best[i] is None or bound[i, k] <= best[i][0] * (1 + 1e-9) + 1e-12:
+                batch.append((i, k))
         live = []
-        for (i, k, _), sol in zip(batch, sols):
+        for (i, k), sol in zip(batch, _solve_each(problem, batch, cfg)):
             if isinstance(sol, SolverError):
                 results[i] = sol
                 continue

@@ -112,9 +112,16 @@ def solve_sign_patterns(
                 sigma = np.array([1.0 if zr else -1.0 for zr in z])
                 patterns.append((p, z, sigma, _pattern_matrix(X_ref, Y_ref, sigma)))
         matrices = [A for *_, A in patterns]
-        sols = solve_lps([lp for j in live for lp in _pattern_problems(x_pts[j], y_pts[j], matrices)], cfg)
+        problems, built = [], []
+        for j in live:
+            try:
+                problems += _pattern_problems(x_pts[j], y_pts[j], matrices)
+                built.append(j)
+            except SolverError as exc:      # a non-finite coefficient
+                out[j] = exc
+        sols = solve_lps(problems, cfg)
         unfinished = []
-        for n, j in enumerate(live):
+        for n, j in enumerate(built):
             best = None
             for (p, z, sigma, _), sol in zip(patterns, sols[n * len(patterns):]):
                 if out[j] is not None:

@@ -90,21 +90,38 @@ def test_layers_batched_equal_one_dmu_at_a_time(uni985, uni_facets):
         [repr(fb.extreme_efficiency_test(uni985, o)[0]) for o in dmus]
 
 
-def test_a_failing_dmu_marks_only_its_own_entry(uni985, uni_facets):
-    dmus = [0, 1, 2]
-    empty = fb.FacetSet(facets=(), extremes=(), scope="extremes")
-    rows = fb.closest_on_efpps(empty, uni985, dmus)
-    assert [type(r).__name__ for r in rows] == ["DataError"] * 3
-    X = uni985.inputs.copy()
-    Y = uni985.outputs.copy()
-    Y[0, 1] = 0.0                      # DMU 1 has a zero output
-    bad = fb.Dataset(uni985.names, X, Y, uni985.input_labels, uni985.output_labels)
+def _with_output(ds, dmu, value):
+    Y = ds.outputs.copy()
+    Y[0, dmu] = value
+    return fb.Dataset(ds.names, ds.inputs.copy(), Y, ds.input_labels, ds.output_labels)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("value,message", [(0.0, "strictly positive outputs"), (1e-320, "non-finite")])
+def test_a_failing_dmu_marks_only_its_own_entry(uni985, uni_facets, value, message):
+    """DMU 1's LPs fail (a zero output) or cannot be built (an output so
+    small that 1/(s*y) overflows); the other DMUs of the batch get what
+    they get alone."""
+    ds = _with_output(uni985, 1, value)
     part = fb.partition_robust(uni_facets)
-    rows = fb.batch_evaluate(bad, part)
-    assert isinstance(rows[1], fb.RowError) and "strictly positive outputs" in rows[1].error
-    good = fb.batch_evaluate(uni985, part)
+    rows = fb.batch_evaluate(ds, part)
+    assert isinstance(rows[1], fb.RowError) and message in rows[1].error
     for o in (0, 2):
-        assert repr(rows[o].theta) == repr(good[o].theta)
+        assert repr(rows[o].theta) == repr(fb.robust_efficiency(ds, part, o).theta)
+    if value == 0.0:
+        return
+    russell = fb.russell_farthest(ds, [0, 1, 2])
+    assert isinstance(russell[1], SolverError) and message in str(russell[1])
+    for o in (0, 2):
+        assert repr(russell[o].theta) == repr(fb.russell_farthest(ds, o).theta)
+    with pytest.raises(SolverError, match=message):
+        fb.russell_farthest(ds, 1)
+
+
+def test_no_facets_is_a_data_error_per_dmu(uni985):
+    empty = fb.FacetSet(facets=(), extremes=(), scope="extremes")
+    rows = fb.closest_on_efpps(empty, uni985, [0, 1, 2])
+    assert [type(r).__name__ for r in rows] == ["DataError"] * 3
 
 
 # LPs, pivots and statuses per layer of `report --profile paper-985`.
