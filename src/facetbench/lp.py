@@ -149,12 +149,15 @@ def solve_lps(
     for (nvar, rels), idx in shapes.items():
         for key, stack in _tableaus(problems, np.array(idx), nvar, rels, cfg.feasibility_tol, out):
             oriented.setdefault(key, []).append(stack)
+    # Stacks are dropped as soon as they are done with, to keep the peak
+    # memory near one group's tableaus.
     ready: dict[tuple, list[_Stack]] = {}
-    for (nvar, eq), stacks in oriented.items():
+    while oriented:
+        (nvar, eq, _), stacks = oriented.popitem()
         for stack in _phase1(_concat(stacks), nvar + eq.count(False), cfg, out):
             ready.setdefault((nvar,) + stack.T.shape[1:], []).append(stack)
-    for stacks in ready.values():
-        _phase2(_concat(stacks), problems, cfg, out)
+    while ready:
+        _phase2(_concat(ready.popitem()[1]), problems, cfg, out)
     return out
 
 
@@ -187,24 +190,27 @@ def _unsolved(status: str, nvar: int, iters: int = 0) -> LpSolution:
 
 def _tableaus(problems, idx, nvar, rels, ftol, out):
     """Equilibrate and orient the problems idx, which share nvar and rels,
-    and yield ((nvar, which kept rows are equalities), phase-1 tableaus).
+    and yield (stack key, phase-1 tableaus).
 
-    Every kept row gets an artificial column, at art_start + row, but only
-    rows that need one (= and oriented >=) carry its unit entry and start
-    with it basic; the others' stay zero.  A zero column stays zero through
-    every pivot, never enters and is cut before phase 2, and artificial
-    indices keep their row order, so the tie-break by basis index is
-    unchanged: the padding lets rows that orientation turned from <= into
-    >= share a stack without changing a bit.
+    A row gets an artificial column when it needs one (= or oriented >=)
+    in any problem of the stack; a problem whose row does not need it
+    keeps that column zero and starts with the row's slack basic.  A zero
+    column stays zero through every pivot, never enters and is cut before
+    phase 2, and artificial indices keep their row order, so the
+    tie-break by basis index is unchanged: the padding lets rows that
+    orientation turned from <= into >= share a stack without changing a
+    bit.  The key is (nvar, which kept rows are equalities, which rows
+    have an artificial column).
     """
     # Equilibrate each row (with its rhs) by the power of two that brings
     # its largest magnitude into [1, 2).  Adding 0.0 turns -0.0 into +0.0,
     # so the tableau's zeros do not depend on how the caller built A.
-    A = np.stack([problems[i].A for i in idx]) + 0.0
+    A = np.stack([problems[i].A for i in idx])
+    A += 0.0
     b = np.stack([problems[i].b for i in idx])
     mx = np.maximum(np.abs(A).max(axis=2, initial=0.0), np.abs(b))
     scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
-    A = A / scale[:, :, None]
+    A /= scale[:, :, None]
     rhs = b / scale
     # Then scale each column by the power of two that brings its largest
     # magnitude into [1, 2): x = x' / colscale, so a variable measured in
@@ -213,7 +219,7 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
     # maximum it is.
     mx = np.abs(A).max(axis=1, initial=0.0)
     colscale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
-    A = A / colscale[:, None, :]
+    A /= colscale[:, None, :]
 
     # Orient rhs nonnegative and classify rows.  An all-zero row is
     # dropped when 0 satisfies it and makes the problem infeasible if not.
@@ -227,8 +233,8 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
         for i in idx[infeasible]:
             out[i] = _unsolved("infeasible", nvar)
     flip = rhs < 0.0
-    A = np.where(flip[:, :, None], -A, A)
-    rhs = np.where(flip, -rhs, rhs)
+    np.negative(A, out=A, where=flip[:, :, None])
+    np.negative(rhs, out=rhs, where=flip)
     ge = np.where(flip, codes == _LE, codes == _GE)
     groups: dict[bytes, list[int]] = {b"": list(np.flatnonzero(~infeasible & ~dropping))}
     for k in np.flatnonzero(~infeasible & dropping):
@@ -239,30 +245,35 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
             continue
         ks = np.array(ks)
         kept = np.flatnonzero(~zero[ks[0]])
+        sub = np.s_[:, :] if len(ks) == len(idx) and len(kept) == len(rels) else np.ix_(ks, kept)
         eq = codes[kept] == _EQ
-        ge_rows = ge[ks[:, None], kept]
+        ge_rows = ge[sub]
         nrow = len(kept)
-        rows = np.arange(nrow)
         slack_rows = np.flatnonzero(~eq)
+        art = eq | ge_rows
+        art_rows = np.flatnonzero(art.any(axis=0))
         art_start = nvar + len(slack_rows)
-        total = art_start + nrow
+        total = art_start + len(art_rows)
         T = np.zeros((len(ks), nrow + 1, total + 1))
-        T[:, :nrow, :nvar] = A[ks[:, None], kept]
-        T[:, :nrow, total] = rhs[ks[:, None], kept]
+        T[:, :nrow, :nvar] = A[sub]
+        T[:, :nrow, total] = rhs[sub]
         slack_col = np.full(nrow, -1)
         slack_col[slack_rows] = nvar + np.arange(len(slack_rows))
         T[:, slack_rows, slack_col[slack_rows]] = np.where(ge_rows[:, slack_rows], -1.0, 1.0)
-        art = eq | ge_rows
-        T[:, rows, art_start + rows] = np.where(art, 1.0, 0.0)
-        basis = np.where(art, art_start + rows, slack_col)
+        art_col = np.full(nrow, -1)
+        art_col[art_rows] = art_start + np.arange(len(art_rows))
+        T[:, art_rows, art_col[art_rows]] = np.where(art[:, art_rows], 1.0, 0.0)
+        basis = np.where(art, art_col, slack_col)
         # Phase-1 objective: minimize the artificial sum; reduced costs are
         # the negated sums of the artificial-basic rows, subtracted in row
         # order (subtracting +0.0 for the other rows changes no bit).
-        art_rows = np.where(art[:, :, None], T[:, :nrow, :], 0.0)
-        for i in np.flatnonzero(art.any(axis=0)):
-            T[:, nrow, :] -= art_rows[:, i, :]
+        for i in art_rows:
+            if art[:, i].all():
+                T[:, nrow, :] -= T[:, i, :]
+            else:
+                T[:, nrow, :] -= np.where(art[:, i, None], T[:, i, :], 0.0)
         T[:, nrow, art_start:total] = 0.0
-        yield (nvar, tuple(eq)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64),
+        yield (nvar, tuple(eq), tuple(art_rows)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64),
                                         colscale[ks], nvar)
 
 
@@ -291,6 +302,8 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
     stuck = feasible & (basis >= art_start).any(axis=1)
     clean = feasible & ~stuck
     ready = []
+    if clean.all():
+        return [st.select(slice(None), np.ascontiguousarray(T[:, :, cols]), basis)]
     if clean.any():
         ready.append(st.select(clean, np.ascontiguousarray(T[clean][:, :, cols]), basis[clean]))
     if not stuck.any():
@@ -357,7 +370,9 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     ok = np.flatnonzero(codes == _kernel.OPTIMAL)
     if not ok.size:
         return
-    T, basis, C, colscale = T[ok], basis[ok], C[ok], st.colscale[ok]
+    colscale = st.colscale
+    if len(ok) < len(T):
+        T, basis, C, colscale = T[ok], basis[ok], C[ok], colscale[ok]
     b = np.arange(len(ok))
 
     x_std = np.zeros((len(ok), total))
@@ -372,14 +387,16 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     # Alternate-optima probe: a nonbasic column with zero reduced cost that
     # admits a positive step (or an optimal ray) spans an optimal face of
     # dimension >= 1.
-    nonbasic = np.ones((len(ok), total), dtype=bool)
-    nonbasic[b[:, None], basis] = False
-    columns = T[:, :nrow, :total]
+    # Only the columns where some problem has such a candidate are probed.
+    candidate = np.abs(T[:, nrow, :total]) <= tol
+    candidate[b[:, None], basis] = False
+    probe = np.flatnonzero(candidate.any(axis=0))
+    columns = T[:, :nrow, probe]
     up = columns > tol
     steps = np.full(columns.shape, np.inf)
     np.divide(T[:, :nrow, total:], columns, out=steps, where=up)
     free = ~up.any(axis=1) | (steps.min(axis=1, initial=np.inf) > ftol)
-    degenerate = (nonbasic & (np.abs(T[:, nrow, :total]) <= tol) & free).any(axis=1)
+    degenerate = (candidate[:, probe] & free).any(axis=1)
 
     for j, k in enumerate(ok):
         if negative[j]:

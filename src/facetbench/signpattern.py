@@ -121,16 +121,17 @@ def solve_sign_patterns(
                 out[j] = exc
         sols = solve_lps(problems, cfg)
         unfinished = []
+        width = len(patterns)
         for n, j in enumerate(built):
             best = None
-            for (p, z, sigma, _), sol in zip(patterns, sols[n * len(patterns):]):
-                if out[j] is not None:
-                    continue
+            for (p, z, sigma, _), sol in zip(patterns, sols[n * width:(n + 1) * width]):
                 if isinstance(sol, SolverError):
                     out[j] = sol
-                elif sol.status == "unbounded":
+                    break
+                if sol.status == "unbounded":
                     out[j] = SolverError("signed-slack pattern LP unbounded (inputs cannot be positive)")
-                elif sol.status == "optimal":
+                    break
+                if sol.status == "optimal":
                     gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
                     if best is None or (gamma, p) < best[:2]:
                         best = (gamma, p, z, sigma, sol)
