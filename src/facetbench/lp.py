@@ -188,6 +188,15 @@ def _unsolved(status: str, nvar: int, iters: int = 0) -> LpSolution:
     return LpSolution(status, math.nan, np.full(nvar, math.nan), iterations=int(iters))
 
 
+def _split(keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group a stack's problems by their (B, rows) mask of kept rows:
+    [(problems, kept rows)]."""
+    groups: dict[bytes, list[int]] = {}
+    for k, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(k)
+    return [(np.array(ks), np.flatnonzero(keep[ks[0]])) for ks in groups.values()]
+
+
 def _tableaus(problems, idx, nvar, rels, ftol, out):
     """Equilibrate and orient the problems idx, which share nvar and rels,
     and yield (stack key, phase-1 tableaus).
@@ -225,32 +234,23 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
     # dropped when 0 satisfies it and makes the problem infeasible if not.
     codes = np.array([_CODES[r] for r in rels], dtype=np.int64)
     zero = ~A.any(axis=2)
-    dropping = zero.any(axis=1)
-    infeasible = np.zeros(len(idx), dtype=bool)
-    if dropping.any():
-        sat = np.where(codes == _LE, rhs >= -ftol, np.where(codes == _GE, rhs <= ftol, np.abs(rhs) <= ftol))
-        infeasible = (zero & ~sat).any(axis=1)
-        for i in idx[infeasible]:
-            out[i] = _unsolved("infeasible", nvar)
+    sat = np.where(codes == _LE, rhs >= -ftol, np.where(codes == _GE, rhs <= ftol, np.abs(rhs) <= ftol))
+    infeasible = (zero & ~sat).any(axis=1)
+    for i in idx[infeasible]:
+        out[i] = _unsolved("infeasible", nvar)
     flip = rhs < 0.0
     np.negative(A, out=A, where=flip[:, :, None])
     np.negative(rhs, out=rhs, where=flip)
     ge = np.where(flip, codes == _LE, codes == _GE)
-    groups: dict[bytes, list[int]] = {b"": list(np.flatnonzero(~infeasible & ~dropping))}
-    for k in np.flatnonzero(~infeasible & dropping):
-        groups.setdefault(zero[k].tobytes(), []).append(k)
 
-    for ks in groups.values():
-        if not ks:
-            continue
-        ks = np.array(ks)
-        kept = np.flatnonzero(~zero[ks[0]])
-        sub = np.s_[:, :] if len(ks) == len(idx) and len(kept) == len(rels) else np.ix_(ks, kept)
+    feasible = np.flatnonzero(~infeasible)
+    for part, kept in _split(~zero[feasible]):
+        ks = feasible[part]
+        sub = np.ix_(ks, kept)
         eq = codes[kept] == _EQ
-        ge_rows = ge[sub]
+        art = eq | ge[sub]
         nrow = len(kept)
         slack_rows = np.flatnonzero(~eq)
-        art = eq | ge_rows
         art_rows = np.flatnonzero(art.any(axis=0))
         art_start = nvar + len(slack_rows)
         total = art_start + len(art_rows)
@@ -259,7 +259,7 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
         T[:, :nrow, total] = rhs[sub]
         slack_col = np.full(nrow, -1)
         slack_col[slack_rows] = nvar + np.arange(len(slack_rows))
-        T[:, slack_rows, slack_col[slack_rows]] = np.where(ge_rows[:, slack_rows], -1.0, 1.0)
+        T[:, slack_rows, slack_col[slack_rows]] = np.where(art[:, slack_rows], -1.0, 1.0)
         art_col = np.full(nrow, -1)
         art_col[art_rows] = art_start + np.arange(len(art_rows))
         T[:, art_rows, art_col[art_rows]] = np.where(art[:, art_rows], 1.0, 0.0)
@@ -268,50 +268,36 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
         # the negated sums of the artificial-basic rows, subtracted in row
         # order (subtracting +0.0 for the other rows changes no bit).
         for i in art_rows:
-            if art[:, i].all():
-                T[:, nrow, :] -= T[:, i, :]
-            else:
-                T[:, nrow, :] -= np.where(art[:, i, None], T[:, i, :], 0.0)
+            T[:, nrow, :] -= np.where(art[:, i, None], T[:, i, :], 0.0)
         T[:, nrow, art_start:total] = 0.0
-        yield (nvar, tuple(eq), tuple(art_rows)), _Stack(idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64),
-                                        colscale[ks], nvar)
+        yield (nvar, tuple(eq), tuple(art_rows)), _Stack(
+            idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64), colscale[ks], nvar)
 
 
 def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
-    """Run phase 1 on the problems with artificial rows; return the
-    feasible problems' tableaus without artificial columns, ready for
-    phase 2."""
+    """Run phase 1 where some problem has artificial rows; return the
+    feasible problems' tableaus without artificial columns, grouped by
+    shape, ready for phase 2."""
     T, basis = st.T, st.basis
     nrow = T.shape[1] - 1
     total = T.shape[2] - 1
-    cols = list(range(art_start)) + [total]
-    if not (basis >= art_start).any():
-        return [st.select(slice(None), np.ascontiguousarray(T[:, :, cols]), basis)]
-    codes, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
-    st.iters += it
-    for k in np.flatnonzero(codes == _kernel.MAXITER):
-        out[st.idx[k]] = SolverError("phase-1 iteration limit exceeded")
-    for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
-        out[st.idx[k]] = SolverError("phase-1 reported unbounded (cannot happen)")
-    limit = cfg.feasibility_tol * np.maximum(1.0, np.abs(T[:, :nrow, total]).max(axis=1))
-    infeasible = (codes == _kernel.OPTIMAL) & (-T[:, nrow, total] > limit)
-    for k in np.flatnonzero(infeasible):
-        out[st.idx[k]] = _unsolved("infeasible", st.nvar, st.iters[k])
-    feasible = (codes == _kernel.OPTIMAL) & ~infeasible
+    if (basis >= art_start).any():
+        codes, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
+        st.iters += it
+        for k in np.flatnonzero(codes == _kernel.MAXITER):
+            out[st.idx[k]] = SolverError("phase-1 iteration limit exceeded")
+        for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
+            out[st.idx[k]] = SolverError("phase-1 reported unbounded (cannot happen)")
+        limit = cfg.feasibility_tol * np.maximum(1.0, np.abs(T[:, :nrow, total]).max(axis=1))
+        infeasible = (codes == _kernel.OPTIMAL) & (-T[:, nrow, total] > limit)
+        for k in np.flatnonzero(infeasible):
+            out[st.idx[k]] = _unsolved("infeasible", st.nvar, st.iters[k])
+        feasible = (codes == _kernel.OPTIMAL) & ~infeasible
+        st = st.select(feasible, T[feasible], basis[feasible])
+        T, basis = st.T, st.basis
 
-    stuck = feasible & (basis >= art_start).any(axis=1)
-    clean = feasible & ~stuck
-    ready = []
-    if clean.all():
-        return [st.select(slice(None), np.ascontiguousarray(T[:, :, cols]), basis)]
-    if clean.any():
-        ready.append(st.select(clean, np.ascontiguousarray(T[clean][:, :, cols]), basis[clean]))
-    if not stuck.any():
-        return ready
     # Drive leftover artificials out of the basis, row by row; rows that
     # offer no pivot are redundant and get dropped.
-    st = st.select(stuck, T[stuck], basis[stuck])
-    T, basis = st.T, st.basis
     drop = np.zeros(basis.shape, dtype=bool)
     for i in np.flatnonzero((basis >= art_start).any(axis=0)):
         art = basis[:, i] >= art_start
@@ -324,14 +310,9 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
             _kernel.pivot(Tm, bm, np.full(len(Tm), i), j[move])
             T[move], basis[move] = Tm, bm
             st.iters[move] += 1
-    groups: dict[bytes, list[int]] = {}
-    for k in range(len(basis)):
-        groups.setdefault(drop[k].tobytes(), []).append(k)
-    for ks in groups.values():
-        keep_rows = list(np.flatnonzero(~drop[ks[0]]))
-        ready.append(st.select(ks, np.ascontiguousarray(T[ks][:, keep_rows + [nrow]][:, :, cols]),
-                               basis[ks][:, keep_rows]))
-    return ready
+    cols = np.r_[:art_start, total]
+    return [st.select(ks, T[np.ix_(ks, np.r_[keep, nrow], cols)], basis[np.ix_(ks, keep)])
+            for ks, keep in _split(~drop)]
 
 
 def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
@@ -355,12 +336,8 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     cost /= np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
     T[:, nrow, :nvar] = cost + 0.0
     for i in range(nrow):
-        cb = T[b, nrow, basis[:, i]]
-        nz = cb != 0.0
-        if nz.all():
-            T[:, nrow, :] -= cb[:, None] * T[:, i, :]
-        elif nz.any():
-            T[:, nrow, :] -= np.where(nz[:, None], cb[:, None] * T[:, i, :], 0.0)
+        cb = T[b, nrow, basis[:, i]][:, None]
+        T[:, nrow, :] -= np.where(cb != 0.0, cb * T[:, i, :], 0.0)
     codes, it = _kernel.run(T, basis, total, tol, _MAXITER)
     st.iters += it
     for k in np.flatnonzero(codes == _kernel.MAXITER):
@@ -370,9 +347,7 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     ok = np.flatnonzero(codes == _kernel.OPTIMAL)
     if not ok.size:
         return
-    colscale = st.colscale
-    if len(ok) < len(T):
-        T, basis, C, colscale = T[ok], basis[ok], C[ok], colscale[ok]
+    T, basis, C, colscale = T[ok], basis[ok], C[ok], st.colscale[ok]
     b = np.arange(len(ok))
 
     x_std = np.zeros((len(ok), total))
