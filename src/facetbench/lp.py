@@ -246,7 +246,7 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
     feasible = np.flatnonzero(~infeasible)
     for part, kept in _split(~zero[feasible]):
         ks = feasible[part]
-        sub = np.ix_(ks, kept)
+        sub = ks[:, None], kept
         eq = codes[kept] == _EQ
         art = eq | ge[sub]
         nrow = len(kept)
@@ -310,8 +310,8 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
             _kernel.pivot(Tm, bm, np.full(len(Tm), i), j[move])
             T[move], basis[move] = Tm, bm
             st.iters[move] += 1
-    cols = np.r_[:art_start, total]
-    return [st.select(ks, T[np.ix_(ks, np.r_[keep, nrow], cols)], basis[np.ix_(ks, keep)])
+    cols = list(range(art_start)) + [total]
+    return [st.select(ks, T[ks[:, None, None], np.append(keep, nrow)[:, None], cols], basis[ks[:, None], keep])
             for ks, keep in _split(~drop)]
 
 
