@@ -124,6 +124,31 @@ def test_no_facets_is_a_data_error_per_dmu(uni985):
     assert [type(r).__name__ for r in rows] == ["DataError"] * 3
 
 
+@pytest.mark.parametrize("russell_fails,raised", [((2, 3), "russell at 2"), ((3,), "closest at 3")])
+def test_report_raises_the_first_error_in_dmu_order(monkeypatch, uni985, uni_extremes, uni_facets,
+                                                     uni_partition, russell_fails, raised):
+    """As when each DMU was evaluated in turn: the first failing DMU's
+    error, its closest measure before its Russell measure."""
+    real_closest, real_russell = report.closest_on_efpps, report.russell_farthest
+
+    def closest(*args):
+        rows = real_closest(*args)
+        rows[3] = SolverError("closest at 3")
+        return rows
+
+    def russell(*args):
+        rows = real_russell(*args)
+        for o in russell_fails:
+            rows[o] = SolverError(f"russell at {o}")
+        return rows
+
+    monkeypatch.setattr(report, "closest_on_efpps", closest)
+    monkeypatch.setattr(report, "russell_farthest", russell)
+    with pytest.raises(SolverError, match=raised):
+        report.build_report(uni985, uni_extremes, uni_facets, uni_partition,
+                            fb.RobustConfig(), fb.FacetTolerances())
+
+
 # LPs, pivots and statuses per layer of `report --profile paper-985`.
 # Batching alone reproduced the figures of solving the LPs one by one
 # (pivots 543, 867, 420 and 747).  Column scaling moves some near-zero
