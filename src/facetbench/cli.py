@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset
-from .errors import DataError, FacetBenchError, SolverError
+from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
 from .facets import FacetTolerances, enumerate_facets
 from .lp import SolverConfig
 from .measures import extreme_set
@@ -34,7 +34,6 @@ from .report import build_report, emit, facet_export
 from .robust import RobustConfig
 from .scenario import (
     check_assumptions,
-    facet_contains,
     facet_optimum,
     global_optimum,
     load_scenario,
@@ -252,13 +251,16 @@ def cmd_scenario(args) -> int:
         "global": {},
     }
     for f in fs.facets:
-        opt = facet_optimum(ds, f, xbar, sc, d1, cfg.solver)
-        diag = uniqueness_diagnostics(ds, f, sc, d1)
-        payload["facet_optima_delta1"].append({
-            "facet": f.id, "value": opt.value,
-            "outputs": [float(v) for v in opt.outputs],
-            "uniqueness": diag.kind,
-        })
+        try:
+            opt = facet_optimum(ds, f, xbar, sc, d1, cfg.solver)
+        except FacetInfeasibleError:
+            entry = {"value": None, "outputs": None, "uniqueness": None}
+        else:
+            entry = {
+                "value": opt.value, "outputs": [float(v) for v in opt.outputs],
+                "uniqueness": uniqueness_diagnostics(ds, f, sc, d1).kind,
+            }
+        payload["facet_optima_delta1"].append({"facet": f.id, **entry})
     for tag, dd in (("delta0", d0), ("delta1", d1)):
         best, owners = global_optimum(ds, fs, xbar, sc, dd, cfg.solver)
         payload["global"][tag] = {
@@ -268,8 +270,7 @@ def cmd_scenario(args) -> int:
     if args.target:
         o = ds.index(args.target)
         yhat = ds.outputs[:, o]
-        xbar_t = xbar
-        rep = check_assumptions(ds, fs, sc, yhat, xbar_t, d0, d1, cfg.solver)
+        rep = check_assumptions(ds, fs, sc, yhat, xbar, d0, d1, cfg.solver)
         payload["target"] = {
             "dmu": args.target,
             "revenue_delta0": revenue(yhat, sc, d0),
@@ -282,13 +283,12 @@ def cmd_scenario(args) -> int:
             },
             "withstand": [],
         }
-        for f in fs.facets:
-            if facet_contains(f, ds, xbar_t, yhat, cfg.solver):
-                wr = withstand_capacity(ds, f, yhat, xbar_t, sc, d0, d1, cfg.solver)
-                payload["target"]["withstand"].append({
-                    "facet": f.id, "wr": wr.wr, "bound": wr.bound,
-                    "within_bound": wr.within_bound,
-                })
+        for entry in rep.recovery_entries:
+            wr = withstand_capacity(ds, fs.by_id(entry["facet"]), yhat, xbar, sc, d0, d1, cfg.solver)
+            payload["target"]["withstand"].append({
+                "facet": entry["facet"], "wr": wr.wr, "bound": wr.bound,
+                "within_bound": wr.within_bound,
+            })
     _emit_payload(payload, args)
     return 0
 

@@ -130,6 +130,9 @@ class Dataset:
         return self.inputs[:, j], self.outputs[:, j]
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def validate_dataset(ds: Dataset) -> list[Violation]:
     """Check every dataset invariant; an empty list means all hold.
 
@@ -159,6 +162,12 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
                 out.append(Violation(
                     "nonpositive-output", dmu=ds.names[j], dimension=ds.output_labels[r],
                     message=f"output value {v!r} must be strictly positive (efficiency ratios divide by it)",
+                ))
+            elif v < _TINY:
+                out.append(Violation(
+                    "subnormal-output", dmu=ds.names[j], dimension=ds.output_labels[r],
+                    message=f"output value {float(v)!r} is below the smallest normal double {_TINY!r}: "
+                            "the measures' weights 1/(s*y) overflow",
                 ))
     if ds.m < 1:
         out.append(Violation("no-inputs", message="at least one input dimension required"))

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
-from .lp import LpProblem, SolverConfig, solve_lp
+# solve_lp stays bound here for profilers that wrap it by this name.
+from .lp import SolverConfig, solve_lp  # noqa: F401
 
 FACET_CHUNK = 1024  # subsets per batched SVD and support test; bounds the chunk's arrays
 
@@ -217,6 +219,41 @@ def _facet_set(
     )
 
 
+def basic_solutions(
+    A: np.ndarray, r: np.ndarray, ftol: float
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Basic feasible solutions of {lam >= 0 : A lam = r}, as (basis
+    columns, lam_B clipped at 0), bases in itertools.combinations order.
+
+    Rows of [A | r] are equilibrated by powers of two, as in solve_lp, so
+    the solutions do not depend on the rows' units and ftol reads in the
+    LP's scale.  The bases span a maximal independent row set, chosen
+    greedily; each solution must still meet the dropped rows, which is
+    the check that r is consistent with them.  A basis is kept when it is
+    nonsingular, lam_B >= -ftol * max(1, max lam_B), and every row's
+    residual is at most ftol.  No solution means r is infeasible.
+    """
+    M = np.column_stack([A, r])
+    mx = np.abs(M).max(axis=1)
+    M = M / np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
+    M, x = M[:, :-1], M[:, -1]
+    rows: list[int] = []
+    for i in range(len(M)):
+        if np.linalg.matrix_rank(M[rows + [i]]) > len(rows):
+            rows.append(i)
+    for basis in itertools.combinations(range(M.shape[1]), len(rows)):
+        basis = list(basis)
+        B = M[np.ix_(rows, basis)]
+        if np.linalg.matrix_rank(B) < len(rows):
+            continue
+        lam = np.linalg.solve(B, x[rows])
+        if lam.min() < -ftol * max(1.0, float(lam.max())):
+            continue
+        if np.abs(M[:, basis] @ lam - x).max() > ftol:
+            continue
+        yield basis, np.maximum(lam, 0.0)
+
+
 def facet_contains(
     facet: Facet,
     ds: Dataset,
@@ -225,18 +262,16 @@ def facet_contains(
     cfg: SolverConfig | None = None,
 ) -> bool:
     """True iff some lambda >= 0 over the spanning members reproduces
-    (xbar, y) exactly: one LP feasibility check."""
+    (xbar, y): some basis of [X_f; Y_f] lambda = (xbar, y) is feasible."""
     cfg = cfg or SolverConfig()
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if xbar.size != ds.m or y.size != ds.s:
         raise DataError(f"point dimensions ({xbar.size}, {y.size}) do not match dataset ({ds.m}, {ds.s})")
     cols = list(facet.members)
-    k = len(cols)
     A = np.vstack([ds.inputs[:, cols], ds.outputs[:, cols]])
-    b = np.concatenate([xbar, y])
-    problem = LpProblem("min", np.zeros(k), A, ("=",) * (ds.m + ds.s), b)
-    return solve_lp(problem, cfg).status == "optimal"
+    r = np.concatenate([xbar, y])
+    return next(basic_solutions(A, r, cfg.feasibility_tol), None) is not None
 
 
 def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:

@@ -12,19 +12,19 @@ Sampling is counter-based: trial i draws from Philox(key=seed) advanced
 to counter i * 2**64, so any subset of trials can be reproduced (or run
 concurrently) without generating the rest of the stream.
 
-The coverage simulation solves no LPs.  With the inputs fixed, a facet's
-feasible set {lambda >= 0 : X_f lambda = xbar} does not depend on prices,
-so its revenue optimum under any prices is the best of its basic feasible
-solutions.  Each facet's vertex table (the output vectors Y_B lambda_B of
-those solutions) is built once per run from every nonsingular basis of a
-maximal independent row set of X_f whose lambda_B = B^-1 xbar is
-nonnegative and meets the dropped rows, and a trial is one max over the
-table's rows.  A facet with an empty table admits no point at xbar.
+No LP is solved here.  With the inputs fixed, a facet's feasible set
+{lambda >= 0 : X_f lambda = xbar} does not depend on prices, so its
+revenue optimum under any prices is the best of its basic feasible
+solutions (facets.basic_solutions).  A facet's vertex table holds the
+output vectors Y_B lambda_B of those solutions, one row per basis in
+itertools.combinations order.  A facet optimum is the first best row of
+its table; the coverage simulation builds each table once per run, and a
+trial is one max over its rows.  A facet with an empty table admits no
+point at xbar.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -34,8 +34,9 @@ import numpy as np
 
 from .dataset import Dataset, parse_float, read_text
 from .errors import DataError, FacetInfeasibleError, SolverError
-from .facets import Facet, FacetSet, facet_contains
-from .lp import LpProblem, SolverConfig, solve_lp
+from .facets import Facet, FacetSet, basic_solutions, facet_contains
+# solve_lp stays bound here for profilers that wrap it by this name.
+from .lp import SolverConfig, solve_lp  # noqa: F401
 
 OWNERSHIP_RTOL = 1e-9
 PARALLEL_TOL = 1e-9
@@ -181,9 +182,7 @@ def load_scenario(path: str | Path) -> PriceScenario:
 class OptimalPoint:
     facet_id: int
     outputs: np.ndarray
-    intensities: dict[int, float]     # dataset index -> lambda over members
     value: float
-    uniqueness: str                   # unique | facet-degenerate | edge-degenerate
 
 
 @dataclass(frozen=True)
@@ -199,69 +198,14 @@ class AssumptionReport:
         return self.assumption1_holds and self.assumption2_holds
 
 
-def _optimum_for_prices(
-    ds: Dataset, facet: Facet, xbar: np.ndarray, prices: np.ndarray, cfg: SolverConfig
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """(lambda, y, value, degenerate flag) of max prices@y on the facet."""
-    cols = list(facet.members)
-    Yf = ds.outputs[:, cols]
-    Xf = ds.inputs[:, cols]
-    c = -(prices @ Yf)
-    sol = solve_lp(LpProblem("min", c, Xf, ("=",) * ds.m, xbar), cfg)
-    if sol.status == "infeasible":
-        raise FacetInfeasibleError(
-            f"facet {facet.id} admits no point with input vector {xbar.tolist()}"
-        )
-    if sol.status != "optimal":
-        raise SolverError(f"facet optimum LP reported {sol.status} on facet {facet.id}")
-    lam = sol.x
-    y = Yf @ lam
-    return lam, y, float(np.sum(prices * y)), sol.degenerate_optimal_face
-
-
 def _vertex_table(ds: Dataset, facet: Facet, xbar: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Output vectors of the basic feasible solutions of {lambda >= 0 :
-    X_f lambda = xbar}, one row per basis (no rows when xbar is infeasible).
-
-    Rows of [X_f | xbar] are equilibrated by powers of two as in solve_lp,
-    so the table does not depend on the inputs' units and the tolerances
-    read in the same scale as the LP's.  When X_f is rank deficient the
-    bases span a maximal independent row set, and each solution must
-    still meet the dropped rows: that is the check that xbar is consistent
-    with them.
-    """
+    X_f lambda = xbar}, one row per basis in itertools.combinations order
+    (no rows when xbar is infeasible)."""
     cols = list(facet.members)
-    Xf = np.column_stack([ds.inputs[:, cols], xbar])
-    mx = np.abs(Xf).max(axis=1)
-    Xf = Xf / np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
-    Xf, x = Xf[:, :-1], Xf[:, -1]
-    rows: list[int] = []
-    for i in range(ds.m):
-        if np.linalg.matrix_rank(Xf[rows + [i]]) > len(rows):
-            rows.append(i)
-    ftol = cfg.feasibility_tol
-    verts = []
-    for basis in itertools.combinations(range(len(cols)), len(rows)):
-        B = Xf[np.ix_(rows, basis)]
-        if np.linalg.matrix_rank(B) < len(rows):
-            continue
-        lam = np.linalg.solve(B, x[rows])
-        if lam.min() < -ftol * max(1.0, float(lam.max())):
-            continue
-        if np.abs(Xf[:, basis] @ lam - x).max() > ftol:
-            continue
-        verts.append(ds.outputs[:, [cols[j] for j in basis]] @ np.maximum(lam, 0.0))
+    Yf = ds.outputs[:, cols]
+    verts = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, cfg.feasibility_tol)]
     return np.array(verts).reshape(-1, ds.s)
-
-
-def _classify_uniqueness(facet: Facet, prices: np.ndarray, degenerate: bool) -> str:
-    if not degenerate:
-        return "unique"
-    pu = prices / np.sqrt(np.sum(prices * prices))
-    uu = facet.u / np.sqrt(np.sum(facet.u * facet.u))
-    if float(np.max(np.abs(pu - uu))) <= PARALLEL_TOL:
-        return "facet-degenerate"
-    return "edge-degenerate"
 
 
 def facet_optimum(
@@ -272,20 +216,21 @@ def facet_optimum(
     delta: float,
     cfg: SolverConfig | None = None,
 ) -> OptimalPoint:
-    """Revenue-maximal point of one facet under fixed inputs."""
+    """Revenue-maximal point of one facet under fixed inputs: the first
+    best row of the facet's vertex table."""
     cfg = cfg or SolverConfig()
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if xbar.size != ds.m:
         raise DataError(f"input vector length {xbar.size} != m = {ds.m}")
     prices = price_at(sc, delta)
-    lam, y, value, degen = _optimum_for_prices(ds, facet, xbar, prices, cfg)
-    return OptimalPoint(
-        facet_id=facet.id,
-        outputs=y,
-        intensities={d: float(l) for d, l in zip(facet.members, lam)},
-        value=value,
-        uniqueness=_classify_uniqueness(facet, prices, degen),
-    )
+    table = _vertex_table(ds, facet, xbar, cfg)
+    if not len(table):
+        raise FacetInfeasibleError(
+            f"facet {facet.id} admits no point with input vector {xbar.tolist()}"
+        )
+    values = [float(np.sum(prices * y)) for y in table]
+    best = values.index(max(values))
+    return OptimalPoint(facet_id=facet.id, outputs=table[best], value=values[best])
 
 
 def global_optimum(

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,55 @@ def test_scenario_command(capsys, data_dir):
     assert payload["target"]["withstand"][0]["wr"] == pytest.approx(553.8)
 
 
+# sha256 of `scenario` stdout on the toy, run from the repository root
+# with relative paths (the payload echoes --data)
+TOY_SCENARIO_DIGESTS = {
+    "readme-target-F": (["--target", "F"], "b879d95f598e88439a1d7a6d230b56cef1f00b0aaa6d880dc8a1387cd93e16f7"),
+    "target-D-delta-0.5": (["--target", "D", "--delta", "0.5"],
+                           "c8761f3ce16b4257702240859d79d981971edd497f06b432c75853f46adc8f9a"),
+    "xbar-2.5": (["--xbar", "2.5"], "a4e79d5109ca30227690dc3ecb0a8ee6736e58a8e3bbd2f0da31ff4316eea1ee"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOY_SCENARIO_DIGESTS))
+def test_toy_scenario_stdout_pinned(capsys, data_dir, monkeypatch, case):
+    extra, digest = TOY_SCENARIO_DIGESTS[case]
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(
+        capsys, "scenario", "--data", "data/toy_isoquant_a.csv", "--prices", "data/prices_toy.json", *extra,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_toy_b_scenario_exit_1_pinned(capsys, data_dir, monkeypatch):
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(
+        capsys, "scenario", "--data", "data/toy_isoquant_b.csv", "--prices", "data/prices_toy.json",
+    )
+    assert (code, out, err) == (1, "", "error: no facet admits the input vector [1.0]\n")
+
+
+def test_scenario_985_lists_facets_without_a_point(capsys, data_dir):
+    # at WHU's inputs some facets admit no point: they are listed with
+    # nulls, and the withstand rows are the facets that contain WHU
+    code, out, err = run(
+        capsys, "scenario", "--data", str(data_dir / "universities_985.csv"), "--profile", "paper-985",
+        "--prices", str(data_dir / "prices_toy.json"), "--target", "WHU",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    optima = payload["facet_optima_delta1"]
+    assert [e["facet"] for e in optima] == list(range(1, 15))
+    empty = [e["facet"] for e in optima if e["value"] is None]
+    assert 3 in empty and len(empty) < 14
+    assert all(e["outputs"] is None and e["uniqueness"] is None for e in optima if e["value"] is None)
+    best = payload["global"]["delta1"]["value"]
+    assert best == max(e["value"] for e in optima if e["value"] is not None)
+    containing = [e["facet"] for e in payload["target"]["assumptions"]["recovery_entries"]]
+    assert [w["facet"] for w in payload["target"]["withstand"]] == containing == [1, 2, 5, 6, 9, 10, 12, 13]
+
+
 def test_coverage_command(capsys, data_dir):
     code, out, _ = run(
         capsys, "coverage", "--data", str(data_dir / "toy_isoquant_a.csv"),
@@ -169,6 +220,7 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
     assert not out_path.exists()
 
 
+UNI_985 = (Path(__file__).resolve().parents[1] / "data" / "universities_985.csv").read_text()
 TOY_TABLE = '{"table": {"0": [5, 5, 12], "0.1": [5, 5.5, 10.81], "1": [5, 10, 0.1]}}'
 NOT_UTF8 = b"dmu,in:a,out:b\nA\xff,1,2\n"
 DIRECTORY = None  # in place of a file's text: make a directory of that name
@@ -197,6 +249,10 @@ INPUT_FAULTS = {
     ),
     "cell-over-csv-field-limit": (
         {"d.csv": "dmu,in:a,out:b,out:c\nA,1,%s,2\nB,1,2,3\n" % ("9" * 140_000)}, ["extremes", "--data", "d.csv"],
+    ),
+    "report-output-subnormal": (
+        {"d.csv": UNI_985.replace("\nRUC,164,69.646,2,", "\nRUC,164,69.646,1e-320,")},
+        ["report", "--data", "d.csv", "--profile", "paper-985"],
     ),
     "scenario-empty-table": ({"p.json": '{"table": {}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-key-not-number": ({"p.json": '{"table": {"a": [1, 2, 3]}}'}, ["scenario", "--prices", "p.json"]),

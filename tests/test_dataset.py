@@ -103,6 +103,13 @@ def test_validate_zero_output_names_cell():
     assert v.dimension == "y1"
 
 
+def test_validate_subnormal_output_names_cell():
+    ds = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, 1e-320]])
+    assert [(v.rule, v.dmu) for v in fb.validate_dataset(ds)] == [("subnormal-output", "B")]
+    smallest_normal = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, np.finfo(float).tiny]])
+    assert fb.validate_dataset(smallest_normal) == []
+
+
 def test_validate_too_few_dmus():
     # s + m - 1 = 3 with only 2 DMUs
     ds = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])

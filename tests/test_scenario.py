@@ -9,7 +9,6 @@ from facetbench.scenario import (
     OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
-    _optimum_for_prices,
     _vertex_table,
     check_assumptions,
     facet_optimum,
@@ -20,6 +19,7 @@ from facetbench.scenario import (
     uniqueness_diagnostics,
     withstand_capacity,
 )
+from scenario_oracle import lp_facet_contains, lp_facet_optimum
 
 XBAR = np.array([1.0])
 
@@ -336,7 +336,7 @@ def lp_incidence(ds, facets, xbar, trials, seed):
         values = np.full(len(facets.facets), -np.inf)
         for col, f in enumerate(facets.facets):
             try:
-                values[col] = _optimum_for_prices(ds, f, xbar, prices, cfg)[2]
+                values[col] = lp_facet_optimum(ds, f, xbar, prices, cfg)[2]
             except fb.FacetInfeasibleError:
                 pass
         best = float(np.max(values))
@@ -346,7 +346,7 @@ def lp_incidence(ds, facets, xbar, trials, seed):
 
 def lp_infeasible(ds, facet, xbar):
     try:
-        _optimum_for_prices(ds, facet, xbar, np.ones(ds.s), fb.SolverConfig())
+        lp_facet_optimum(ds, facet, xbar, np.ones(ds.s), fb.SolverConfig())
     except fb.FacetInfeasibleError:
         return True
     return False
@@ -417,7 +417,7 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
         for i in range(20):
             prices = PriceSampler().draw(3, i, ds.s)
             if want:
-                lp_value = _optimum_for_prices(ds, f, xbar, prices, cfg)[2]
+                lp_value = lp_facet_optimum(ds, f, xbar, prices, cfg)[2]
                 assert float(np.max(table @ prices)) == pytest.approx(lp_value, rel=1e-12)
     rep = simulate_coverage(ds, facets, [(1,), (2,), (3,), (1, 2, 3)], xbar, trials=300, seed=3)
     assert np.array_equal(rep.incidence, lp_incidence(ds, facets, xbar, 300, 3))
@@ -427,3 +427,88 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
 def test_coverage_no_usable_facet(uni985, uni_facets):
     with pytest.raises(fb.FacetInfeasibleError, match="no facet admits"):
         simulate_coverage(uni985, uni_facets, [(1,)], np.array([1.0, 1e9]), trials=5, seed=0)
+
+
+def containment_points(ds, facet, rng):
+    """Every DMU point, 40 combinations of the members (a quarter with one
+    weight zero), 20 points on the facet's hyperplane off the facet by one
+    negative weight, and each DMU point and combination with every output
+    raised by 1e-6."""
+    cols = list(facet.members)
+    W = rng.uniform(0.05, 1.0, (40, len(cols)))
+    W[:10, 0] = 0.0
+    N = rng.uniform(0.05, 1.0, (20, len(cols)))
+    N[np.arange(20), np.arange(20) % len(cols)] = -rng.uniform(0.01, 0.5, 20)
+    X = np.hstack([ds.inputs, ds.inputs[:, cols] @ W.T, ds.inputs[:, cols] @ N.T])
+    Y = np.hstack([ds.outputs, ds.outputs[:, cols] @ W.T, ds.outputs[:, cols] @ N.T])
+    on = ds.n + len(W)
+    return np.hstack([X, X[:, :on]]).T, np.hstack([Y, Y[:, :on] + 1e-6]).T
+
+
+@pytest.mark.parametrize("dataset", ["toy", "985"])
+def test_facet_contains_matches_lp_oracle(toy_a, toy_facets, uni985, uni_facets, dataset):
+    ds, facets = (toy_a, toy_facets) if dataset == "toy" else (uni985, uni_facets)
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for f in facets.facets:
+        for x, y in zip(*containment_points(ds, f, rng)):
+            got = fb.facet_contains(f, ds, x, y)
+            assert got == lp_facet_contains(f, ds, x, y), (f.id, x.tolist(), y.tolist())
+            verdicts.append(got)
+    assert 0.2 < np.mean(verdicts) < 0.5  # both verdicts occur, often
+
+
+def lp_global_optimum(ds, facets, xbar, prices):
+    """(value, owners) by the documented ownership rule over the LP
+    oracle's facet optima."""
+    values = {}
+    for f in facets.facets:
+        try:
+            values[f.id] = lp_facet_optimum(ds, f, xbar, prices)[2]
+        except fb.FacetInfeasibleError:
+            pass
+    best = max(values.values())
+    return best, tuple(k for k, v in values.items() if v >= best - OWNERSHIP_RTOL * max(1.0, abs(best)))
+
+
+def test_facet_and_global_optima_match_lp_oracle_985(uni985, uni_facets, uni_extremes):
+    infeasible = 0
+    for o in uni_extremes.indices:
+        xbar = uni985.inputs[:, o]
+        for i in range(6):
+            prices = PriceSampler().draw(985, i, uni985.s)
+            sc = PriceScenario(uni985.output_labels, bases=prices, slopes=np.zeros(3), domain=(0.0, 0.0))
+            for f in uni_facets.facets:
+                try:
+                    want = lp_facet_optimum(uni985, f, xbar, prices)[2]
+                except fb.FacetInfeasibleError:
+                    infeasible += 1
+                    with pytest.raises(fb.FacetInfeasibleError):
+                        facet_optimum(uni985, f, xbar, sc, 0.0)
+                    continue
+                got = facet_optimum(uni985, f, xbar, sc, 0.0)
+                assert got.value == pytest.approx(want, rel=1e-12)
+                assert got.value == float(np.sum(prices * got.outputs))
+            best, owners = global_optimum(uni985, uni_facets, xbar, sc, 0.0)
+            want_best, want_owners = lp_global_optimum(uni985, uni_facets, xbar, prices)
+            assert owners == want_owners, (uni985.names[o], i)
+            assert best.value == pytest.approx(want_best, rel=1e-12)
+    assert infeasible > 0
+
+
+def test_ties_go_to_the_first_basis_then_the_first_facet(toy_a, toy_facets):
+    # prices (1, 1, 7) value A and B at exactly 855, above C: facet 1's
+    # optimum is the first of its tied bases in combinations order, A
+    f1 = toy_facets.facets[0]
+    sc = PriceScenario(output_names=("a", "b", "c"), bases=np.array([1.0, 1.0, 7.0]), slopes=np.zeros(3),
+                       domain=(0.0, 1.0))
+    table = _vertex_table(toy_a, f1, XBAR, fb.SolverConfig())
+    assert [float(np.sum(np.array([1.0, 1.0, 7.0]) * y)) for y in table] == [855.0, 855.0, 830.0]
+    opt = facet_optimum(toy_a, f1, XBAR, sc, 0.0)
+    assert opt.value == 855.0
+    assert opt.outputs.tolist() == toy_a.outputs[:, toy_a.index("A")].tolist()
+    # prices (1, 1, 1) value C, the one vertex both facets share, at 290:
+    # both own the global optimum, and the point reported is facet 1's
+    even = PriceScenario(output_names=("a", "b", "c"), bases=np.ones(3), slopes=np.zeros(3), domain=(0.0, 1.0))
+    best, owners = global_optimum(toy_a, toy_facets, XBAR, even, 0.0)
+    assert (best.facet_id, best.value, owners) == (1, 290.0, (1, 2))
