@@ -44,12 +44,14 @@ from .scenario import (
     AssumptionReport,
     CoverageReport,
     Diagnosis,
+    FacetTables,
     OptimalPoint,
     PriceSampler,
     PriceScenario,
     WithstandResult,
     check_assumptions,
     facet_optimum,
+    facet_tables,
     global_optimum,
     load_scenario,
     price_at,

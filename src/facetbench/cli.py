@@ -35,13 +35,13 @@ from .robust import RobustConfig
 from .scenario import (
     check_assumptions,
     facet_optimum,
+    facet_tables,
     global_optimum,
     load_scenario,
     price_at,
     revenue,
     simulate_coverage,
     uniqueness_diagnostics,
-    withstand_capacity,
 )
 
 
@@ -250,9 +250,10 @@ def cmd_scenario(args) -> int:
         "facet_optima_delta1": [],
         "global": {},
     }
+    tables = facet_tables(ds, fs, xbar, cfg.solver)
     for f in fs.facets:
         try:
-            opt = facet_optimum(ds, f, xbar, sc, d1, cfg.solver)
+            opt = facet_optimum(tables, f.id, sc, d1)
         except FacetInfeasibleError:
             entry = {"value": None, "outputs": None, "uniqueness": None}
         else:
@@ -262,7 +263,7 @@ def cmd_scenario(args) -> int:
             }
         payload["facet_optima_delta1"].append({"facet": f.id, **entry})
     for tag, dd in (("delta0", d0), ("delta1", d1)):
-        best, owners = global_optimum(ds, fs, xbar, sc, dd, cfg.solver)
+        best, owners = global_optimum(tables, sc, dd)
         payload["global"][tag] = {
             "value": best.value, "outputs": [float(v) for v in best.outputs],
             "owning_facets": list(owners),
@@ -270,7 +271,7 @@ def cmd_scenario(args) -> int:
     if args.target:
         o = ds.index(args.target)
         yhat = ds.outputs[:, o]
-        rep = check_assumptions(ds, fs, sc, yhat, xbar, d0, d1, cfg.solver)
+        rep = check_assumptions(ds, fs, tables, sc, yhat, d0, d1, cfg.solver)
         payload["target"] = {
             "dmu": args.target,
             "revenue_delta0": revenue(yhat, sc, d0),
@@ -281,14 +282,11 @@ def cmd_scenario(args) -> int:
                 "revenue_violations": list(rep.revenue_violations),
                 "recovery_entries": list(rep.recovery_entries),
             },
-            "withstand": [],
+            "withstand": [
+                {"facet": entry["facet"], "wr": wr.wr, "bound": wr.bound, "within_bound": wr.within_bound}
+                for entry, wr in zip(rep.recovery_entries, rep.withstand)
+            ],
         }
-        for entry in rep.recovery_entries:
-            wr = withstand_capacity(ds, fs.by_id(entry["facet"]), yhat, xbar, sc, d0, d1, cfg.solver)
-            payload["target"]["withstand"].append({
-                "facet": entry["facet"], "wr": wr.wr, "bound": wr.bound,
-                "within_bound": wr.within_bound,
-            })
     _emit_payload(payload, args)
     return 0
 

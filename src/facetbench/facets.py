@@ -62,12 +62,6 @@ class FacetSet:
     def __len__(self) -> int:
         return len(self.facets)
 
-    def by_id(self, fid: int) -> Facet:
-        for f in self.facets:
-            if f.id == fid:
-                return f
-        raise DataError(f"no facet with id {fid}")
-
     def ids(self) -> tuple[int, ...]:
         return tuple(f.id for f in self.facets)
 

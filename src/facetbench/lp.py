@@ -58,15 +58,10 @@ _FLIPPED = np.array([_GE, _EQ, _LE])
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical policy shared by every program the engine emits.
-
-    priority_weight is the lexicographic weight W of the signed-slack
-    program.
-    """
+    """Numerical policy shared by every program the engine emits."""
 
     feasibility_tol: float = 1e-9
     optimality_tol: float = 1e-9
-    priority_weight: float = 10_000.0
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:

@@ -33,7 +33,6 @@ def config_echo(cfg: RobustConfig, tols: FacetTolerances, scope: str, extra: dic
     echo = {
         "feasibility_tol": cfg.solver.feasibility_tol,
         "optimality_tol": cfg.solver.optimality_tol,
-        "priority_weight": cfg.solver.priority_weight,
         "aggregation": cfg.aggregation,
         "shrink_warn_fraction": cfg.shrink_warn_fraction,
         "support_scope": scope,

@@ -17,10 +17,10 @@ No LP is solved here.  With the inputs fixed, a facet's feasible set
 revenue optimum under any prices is the best of its basic feasible
 solutions (facets.basic_solutions).  A facet's vertex table holds the
 output vectors Y_B lambda_B of those solutions, one row per basis in
-itertools.combinations order.  A facet optimum is the first best row of
-its table; the coverage simulation builds each table once per run, and a
-trial is one max over its rows.  A facet with an empty table admits no
-point at xbar.
+itertools.combinations order.  facet_tables builds every table once
+per xbar, and each fixed-input question reads them: a facet optimum is
+the first best row of its table, and a coverage trial is one max over its
+rows.  A facet with an empty table admits no point at xbar.
 """
 
 from __future__ import annotations
@@ -179,88 +179,37 @@ def load_scenario(path: str | Path) -> PriceScenario:
 
 
 @dataclass(frozen=True)
-class OptimalPoint:
-    facet_id: int
-    outputs: np.ndarray
-    value: float
+class FacetTables:
+    """Every facet's vertex table at one fixed input vector xbar, keyed by
+    facet id in FacetSet order; an empty table admits no point at xbar."""
+
+    xbar: np.ndarray
+    vertices: dict[int, np.ndarray]
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    assumption1_holds: bool
-    assumption2_holds: bool
-    revenue_violations: tuple[dict, ...]   # per anchor-facet generator: risk raised revenue
-    recovery_entries: tuple[dict, ...]     # per containing facet: bound check
-    global_post_risk_optimum: float = float("nan")
-    global_recovery_holds: bool = True     # global optimum <= pre-risk revenue
-
-    def ok(self) -> bool:
-        return self.assumption1_holds and self.assumption2_holds
-
-
-def _vertex_table(ds: Dataset, facet: Facet, xbar: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Output vectors of the basic feasible solutions of {lambda >= 0 :
-    X_f lambda = xbar}, one row per basis in itertools.combinations order
-    (no rows when xbar is infeasible)."""
-    cols = list(facet.members)
-    Yf = ds.outputs[:, cols]
-    verts = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, cfg.feasibility_tol)]
-    return np.array(verts).reshape(-1, ds.s)
-
-
-def facet_optimum(
-    ds: Dataset,
-    facet: Facet,
-    xbar: np.ndarray,
-    sc: PriceScenario,
-    delta: float,
-    cfg: SolverConfig | None = None,
-) -> OptimalPoint:
-    """Revenue-maximal point of one facet under fixed inputs: the first
-    best row of the facet's vertex table."""
+def facet_tables(
+    ds: Dataset, facets: FacetSet, xbar: np.ndarray, cfg: SolverConfig | None = None
+) -> FacetTables:
+    """Build each facet's vertex table at xbar; every fixed-input question
+    reads these, since a table does not depend on prices."""
     cfg = cfg or SolverConfig()
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if xbar.size != ds.m:
         raise DataError(f"input vector length {xbar.size} != m = {ds.m}")
-    prices = price_at(sc, delta)
-    table = _vertex_table(ds, facet, xbar, cfg)
-    if not len(table):
-        raise FacetInfeasibleError(
-            f"facet {facet.id} admits no point with input vector {xbar.tolist()}"
-        )
-    values = [float(np.sum(prices * y)) for y in table]
-    best = values.index(max(values))
-    return OptimalPoint(facet_id=facet.id, outputs=table[best], value=values[best])
-
-
-def global_optimum(
-    ds: Dataset,
-    facets: FacetSet,
-    xbar: np.ndarray,
-    sc: PriceScenario,
-    delta: float,
-    cfg: SolverConfig | None = None,
-) -> tuple[OptimalPoint, tuple[int, ...]]:
-    """Best revenue over the whole facet configuration plus every facet
-    attaining it within tolerance (the ownership set)."""
-    cfg = cfg or SolverConfig()
-    points: list[OptimalPoint] = []
+    vertices = {}
     for f in facets.facets:
-        try:
-            points.append(facet_optimum(ds, f, xbar, sc, delta, cfg))
-        except FacetInfeasibleError:
-            continue
-    if not points:
-        raise FacetInfeasibleError(
-            f"no facet admits the input vector {np.asarray(xbar, dtype=float).tolist()}"
-        )
-    best_value = max(p.value for p in points)
-    owners = tuple(
-        p.facet_id for p in points
-        if p.value >= best_value - OWNERSHIP_RTOL * max(1.0, abs(best_value))
-    )
-    best = next(p for p in points if p.value == best_value)
-    return best, owners
+        cols = list(f.members)
+        Yf = ds.outputs[:, cols]
+        rows = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, cfg.feasibility_tol)]
+        vertices[f.id] = np.array(rows).reshape(-1, ds.s)
+    return FacetTables(xbar=xbar, vertices=vertices)
+
+
+@dataclass(frozen=True)
+class OptimalPoint:
+    facet_id: int
+    outputs: np.ndarray
+    value: float
 
 
 @dataclass(frozen=True)
@@ -271,24 +220,59 @@ class WithstandResult:
     facet_optimum_value: float
 
 
-def withstand_capacity(
-    ds: Dataset,
-    facet: Facet,
-    yhat: np.ndarray,
-    xbar: np.ndarray,
-    sc: PriceScenario,
-    delta0: float,
-    delta1: float,
-    cfg: SolverConfig | None = None,
-) -> WithstandResult:
-    """Revenue recoverable by within-facet substitution after the shock,
-    against the pre/post revenue gap that bounds it."""
-    cfg = cfg or SolverConfig()
-    yhat = np.asarray(yhat, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    if not facet_contains(facet, ds, xbar, yhat, cfg):
-        raise DataError(f"target point is not on facet {facet.id}")
-    opt1 = facet_optimum(ds, facet, xbar, sc, delta1, cfg)
+@dataclass(frozen=True)
+class AssumptionReport:
+    assumption1_holds: bool
+    assumption2_holds: bool
+    revenue_violations: tuple[dict, ...]   # per anchor-facet generator: risk raised revenue
+    recovery_entries: tuple[dict, ...]     # per containing facet: bound check
+    withstand: tuple[WithstandResult, ...]   # per containing facet, as recovery_entries
+    global_post_risk_optimum: float = float("nan")
+    global_recovery_holds: bool = True     # global optimum <= pre-risk revenue
+
+    def ok(self) -> bool:
+        return self.assumption1_holds and self.assumption2_holds
+
+
+def facet_optimum(tables: FacetTables, facet_id: int, sc: PriceScenario, delta: float) -> OptimalPoint:
+    """Revenue-maximal point of one facet under the tables' fixed inputs:
+    the first best row of the facet's vertex table."""
+    if facet_id not in tables.vertices:
+        raise DataError(f"no vertex table for facet {facet_id}")
+    prices = price_at(sc, delta)
+    table = tables.vertices[facet_id]
+    if not len(table):
+        raise FacetInfeasibleError(
+            f"facet {facet_id} admits no point with input vector {tables.xbar.tolist()}"
+        )
+    values = [float(np.sum(prices * y)) for y in table]
+    best = values.index(max(values))
+    return OptimalPoint(facet_id=facet_id, outputs=table[best], value=values[best])
+
+
+def global_optimum(
+    tables: FacetTables, sc: PriceScenario, delta: float
+) -> tuple[OptimalPoint, tuple[int, ...]]:
+    """Best revenue over the whole facet configuration plus every facet
+    attaining it within tolerance (the ownership set)."""
+    points: list[OptimalPoint] = []
+    for fid in tables.vertices:
+        try:
+            points.append(facet_optimum(tables, fid, sc, delta))
+        except FacetInfeasibleError:
+            continue
+    if not points:
+        raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
+    best_value = max(p.value for p in points)
+    owners = tuple(
+        p.facet_id for p in points
+        if p.value >= best_value - OWNERSHIP_RTOL * max(1.0, abs(best_value))
+    )
+    best = next(p for p in points if p.value == best_value)
+    return best, owners
+
+
+def _withstand(opt1: OptimalPoint, yhat: np.ndarray, sc: PriceScenario, delta0: float, delta1: float) -> WithstandResult:
     r_hat0 = revenue(yhat, sc, delta0)
     r_hat1 = revenue(yhat, sc, delta1)
     wr = opt1.value - r_hat1
@@ -300,12 +284,31 @@ def withstand_capacity(
     )
 
 
+def withstand_capacity(
+    ds: Dataset,
+    facet: Facet,
+    tables: FacetTables,
+    yhat: np.ndarray,
+    sc: PriceScenario,
+    delta0: float,
+    delta1: float,
+    cfg: SolverConfig | None = None,
+) -> WithstandResult:
+    """Revenue recoverable by within-facet substitution after the shock,
+    against the pre/post revenue gap that bounds it."""
+    cfg = cfg or SolverConfig()
+    yhat = np.asarray(yhat, dtype=float)
+    if not facet_contains(facet, ds, tables.xbar, yhat, cfg):
+        raise DataError(f"target point is not on facet {facet.id}")
+    return _withstand(facet_optimum(tables, facet.id, sc, delta1), yhat, sc, delta0, delta1)
+
+
 def check_assumptions(
     ds: Dataset,
     facets: FacetSet,
+    tables: FacetTables,
     sc: PriceScenario,
     yhat: np.ndarray,
-    xbar: np.ndarray,
     delta0: float,
     delta1: float,
     cfg: SolverConfig | None = None,
@@ -316,15 +319,15 @@ def check_assumptions(
     Both assumptions are anchored to the facet(s) containing yhat:
     revenue monotonicity is linear in outputs, so holding at the anchor
     facet's generators implies it on the whole facet cone; recovery
-    boundedness is checked directly per containing facet.  The report
-    also carries the global post-risk optimum so the derived claim
-    (global recovery never beats the pre-risk revenue) is visible even
-    for scenarios where other facets gain value under risk.
+    boundedness is checked directly per containing facet, and each
+    containing facet's withstand capacity comes from the same optimum.
+    The report also carries the global post-risk optimum so the derived
+    claim (global recovery never beats the pre-risk revenue) is visible
+    even for scenarios where other facets gain value under risk.
     """
     cfg = cfg or SolverConfig()
     yhat = np.asarray(yhat, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    containing = [f for f in facets.facets if facet_contains(f, ds, xbar, yhat, cfg)]
+    containing = [f for f in facets.facets if facet_contains(f, ds, tables.xbar, yhat, cfg)]
     if not containing:
         raise DataError("target point lies on no facet; assumptions are anchored to a facet point")
     violations = []
@@ -343,18 +346,21 @@ def check_assumptions(
                 )
     r_hat0 = revenue(yhat, sc, delta0)
     entries = []
+    withstand = []
     for f in containing:
-        opt1 = facet_optimum(ds, f, xbar, sc, delta1, cfg)
+        opt1 = facet_optimum(tables, f.id, sc, delta1)
         holds = opt1.value <= r_hat0 + 1e-9 * max(1.0, abs(r_hat0))
         entries.append(
             {"facet": f.id, "post_risk_optimum": opt1.value, "pre_risk_revenue": r_hat0, "holds": holds}
         )
-    best, _ = global_optimum(ds, facets, xbar, sc, delta1, cfg)
+        withstand.append(_withstand(opt1, yhat, sc, delta0, delta1))
+    best, _ = global_optimum(tables, sc, delta1)
     return AssumptionReport(
         assumption1_holds=not violations,
         assumption2_holds=all(e["holds"] for e in entries),
         revenue_violations=tuple(violations),
         recovery_entries=tuple(entries),
+        withstand=tuple(withstand),
         global_post_risk_optimum=best.value,
         global_recovery_holds=best.value <= r_hat0 + 1e-9 * max(1.0, abs(r_hat0)),
     )
@@ -489,7 +495,6 @@ def simulate_coverage(
         raise DataError("seed must be in [0, 2**128) (the Philox key range)")
     if not strategies:
         raise DataError("at least one strategy (set of facet ids) required")
-    xbar = np.asarray(xbar, dtype=float).reshape(-1)
     fids = facets.ids()
     col_of = {fid: i for i, fid in enumerate(fids)}
     strategy_sets = []
@@ -500,10 +505,10 @@ def simulate_coverage(
             raise DataError(f"strategy names unknown facet ids {unknown}")
         strategy_sets.append(kset)
 
-    tables = [(col_of[f.id], _vertex_table(ds, f, xbar, cfg)) for f in facets.facets]
-    usable = [(col, V) for col, V in tables if len(V)]
+    tables = facet_tables(ds, facets, xbar, cfg)
+    usable = [(col_of[fid], V) for fid, V in tables.vertices.items() if len(V)]
     if not usable:
-        raise FacetInfeasibleError(f"no facet admits the input vector {xbar.tolist()}")
+        raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
 
     incidence = np.zeros((trials, len(fids)), dtype=bool)
     for start in range(0, trials, COVERAGE_CHUNK):
@@ -549,7 +554,7 @@ def simulate_coverage(
     return CoverageReport(
         trials=trials,
         seed=seed,
-        xbar=tuple(float(v) for v in xbar),
+        xbar=tuple(float(v) for v in tables.xbar),
         sampler=sampler.describe(),
         facet_ids=fids,
         facet_counts=facet_counts,

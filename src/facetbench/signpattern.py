@@ -43,7 +43,6 @@ class SignPatternResult:
     s_minus: np.ndarray
     intensities: np.ndarray     # lambda over the reference columns
     gamma: float                # (1/s) sum (s_r_plus + s_r_minus) / y_ro
-    objective: float            # W * sum(1 - z) + gamma, for reporting
     pattern_index: int
     degenerate_optimal_face: bool
 
@@ -98,8 +97,6 @@ def solve_sign_patterns(
             out[j] = SolverError("empty reference set")
         elif np.any(y_o <= 0):
             out[j] = SolverError("evaluated DMU must have strictly positive outputs")
-        elif cfg.priority_weight <= 1.0 / s:
-            out[j] = SolverError(f"priority weight {cfg.priority_weight} must exceed 1/s = {1.0 / s}")
     live = [j for j in range(len(out)) if out[j] is None]
 
     for level in range(s, -1, -1):
@@ -149,7 +146,6 @@ def solve_sign_patterns(
                 s_minus=np.where(sigma < 0, t, 0.0),
                 intensities=sol.x[:k],
                 gamma=gamma,
-                objective=cfg.priority_weight * (s - sum(z)) + gamma,
                 pattern_index=p,
                 degenerate_optimal_face=sol.degenerate_optimal_face,
             )

@@ -4,8 +4,9 @@ mixed-integer formulation solved by HiGHS branch-and-bound (scipy).
 Variables, in order: lambda (k), s_plus (s), s_minus (s), s (s, free
 within [-M, M]), z (s, binary).  Objective W * sum(1 - z) + mean
 normalized |slack| encoded as W*s - W*sum(z) + sum((s_plus + s_minus) /
-(s * y_o)).  W is ``SolverConfig.priority_weight``; M is ``BIG_M_SCALE``
-times the largest output value of the active data.  Deliberately a different
+(s * y_o)).  W is the oracle's ``W`` (the package applies the priority
+literally and has no weight); M is ``BIG_M_SCALE`` times the largest
+output value of the active data.  Deliberately a different
 formulation, search method, and LP engine from the package's sign-pattern
 enumeration.
 
@@ -19,8 +20,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
-from facetbench.lp import SolverConfig
-
+W = 10_000.0     # priority weight: one more nonnegative slack outweighs any gamma
 BIG_M_SCALE = 10.0
 GAP_TOL = 1e-9   # proven |primal - dual bound|, so also the bound on gamma's error
 SIGN_TOL = 1e-9  # largest slack allowed on the wrong side of its z_r
@@ -28,8 +28,6 @@ SIGN_TOL = 1e-9  # largest slack allowed on the wrong side of its z_r
 
 def solve_bigm(x_o, y_o, X_ref, Y_ref):
     """Returns (z, gamma, theta) of the certified Big-M optimum."""
-    cfg = SolverConfig()
-    W = cfg.priority_weight
     x_o = np.asarray(x_o, float)
     y_o = np.asarray(y_o, float)
     X_ref = np.asarray(X_ref, float)

@@ -19,6 +19,7 @@ from facetbench.robust import RobustConfig, batch_evaluate
 from facetbench.scenario import (
     check_assumptions,
     facet_optimum,
+    facet_tables,
     global_optimum,
     revenue,
     simulate_coverage,
@@ -45,10 +46,11 @@ def test_c01_toy_revenue_suite(data_dir):
 
     r_f0 = revenue(yF, sc, 0.0)
     r_f1 = revenue(yF, sc, 1.0)
-    r_c1 = facet_optimum(ds, fs.facets[0], XBAR, sc, 1.0).value
-    r_d1 = facet_optimum(ds, fs.facets[1], XBAR, sc, 1.0).value
-    best1, _ = global_optimum(ds, fs, XBAR, sc, 1.0)
-    wr = withstand_capacity(ds, fs.facets[0], yF, XBAR, sc, 0.0, 1.0)
+    tables = facet_tables(ds, fs, XBAR)
+    r_c1 = facet_optimum(tables, fs.facets[0].id, sc, 1.0).value
+    r_d1 = facet_optimum(tables, fs.facets[1].id, sc, 1.0).value
+    best1, _ = global_optimum(tables, sc, 1.0)
+    wr = withstand_capacity(ds, fs.facets[0], tables, yF, sc, 0.0, 1.0)
     elapsed = time.perf_counter() - t0
 
     assert r_f0 == pytest.approx(1854.0, abs=1e-9)
@@ -215,16 +217,17 @@ def test_c10_invariant_suite(uni985, uni_facets, uni_partition, robust_rows, toy
             assert res[f.id]["min_normal_component"] > 1e-9
 
     # theorem-5 form: per-facet optimum never beats the global optimum
+    tables = facet_tables(toy_a, toy_facets, XBAR)
     for delta in (0.0, 0.25, 0.5, 0.75, 1.0):
-        best, _ = global_optimum(toy_a, toy_facets, XBAR, toy_scenario, delta)
+        best, _ = global_optimum(tables, toy_scenario, delta)
         for f in toy_facets.facets:
-            assert facet_optimum(toy_a, f, XBAR, toy_scenario, delta).value <= best.value + 1e-9
+            assert facet_optimum(tables, f.id, toy_scenario, delta).value <= best.value + 1e-9
 
     # withstand capacity within [0, bound] whenever the assumptions pass
     yF = toy_a.outputs[:, toy_a.index("F")]
-    rep = check_assumptions(toy_a, toy_facets, toy_scenario, yF, XBAR, 0.0, 1.0)
+    rep = check_assumptions(toy_a, toy_facets, tables, toy_scenario, yF, 0.0, 1.0)
     assert rep.ok()
-    wr = withstand_capacity(toy_a, toy_facets.facets[0], yF, XBAR, toy_scenario, 0.0, 1.0)
+    wr = withstand_capacity(toy_a, toy_facets.facets[0], tables, yF, toy_scenario, 0.0, 1.0)
     assert 0.0 <= wr.wr <= wr.bound + 1e-9
     # and the theorem-3 consequence on the same evaluation
     assert rep.global_post_risk_optimum <= revenue(yF, toy_scenario, 0.0) + 1e-9

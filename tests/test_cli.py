@@ -161,6 +161,55 @@ def test_toy_scenario_stdout_pinned(capsys, data_dir, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+SCENARIO_985 = ["scenario", "--data", "data/universities_985.csv", "--profile", "paper-985",
+                "--prices", "data/prices_toy.json"]
+
+# sha256 of `scenario --profile paper-985` stdout, run like the toy cases
+SCENARIO_985_DIGESTS = {
+    "target-WHU": (["--target", "WHU"], "afebc00b85e1c161dd4a30dca954c5adfef3f34402d49bea1779f415944cbe78"),
+    "xbar-2000-100": (["--xbar", "2000,100"], "93b5e00c701b34a6aedc0d1f809534d687a71c72ded68b7ef5b7862a2a892635"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_985_DIGESTS))
+def test_985_scenario_stdout_pinned(capsys, data_dir, monkeypatch, case):
+    extra, digest = SCENARIO_985_DIGESTS[case]
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(capsys, *SCENARIO_985, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(capsys, *SCENARIO_985, "--target", "PKU")
+    assert (code, out) == (1, "")
+    assert err == "error: target point lies on no facet; assumptions are anchored to a facet point\n"
+
+
+def test_985_scenario_builds_each_vertex_table_once(capsys, data_dir, monkeypatch):
+    # a vertex table depends on xbar alone: one per facet, and one
+    # containment test per facet, whatever the scenario asks of them
+    import facetbench.scenario as scenario
+
+    calls = {"basic_solutions": 0, "facet_contains": 0}
+
+    def counted(name):
+        inner = getattr(scenario, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scenario, name, counted(name))
+    monkeypatch.chdir(data_dir.parent)
+    code, _, err = run(capsys, *SCENARIO_985, "--target", "WHU")
+    assert (code, err) == (0, "")
+    assert calls == {"basic_solutions": 14, "facet_contains": 14}
+
+
 def test_toy_b_scenario_exit_1_pinned(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, err = run(

@@ -9,9 +9,9 @@ from facetbench.scenario import (
     OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
-    _vertex_table,
     check_assumptions,
     facet_optimum,
+    facet_tables,
     global_optimum,
     price_at,
     revenue,
@@ -22,6 +22,11 @@ from facetbench.scenario import (
 from scenario_oracle import lp_facet_contains, lp_facet_optimum
 
 XBAR = np.array([1.0])
+
+
+@pytest.fixture
+def toy_tables(toy_a, toy_facets):
+    return facet_tables(toy_a, toy_facets, XBAR)
 
 
 def vertex_enum_value(ds, facet, prices, xbar=1.0):
@@ -80,80 +85,80 @@ def test_revenue_linearity(toy_a, toy_scenario):
     assert revenue(bumped, toy_scenario, 1.0) > revenue(y, toy_scenario, 1.0)
 
 
-def test_facet_optima(toy_a, toy_facets, toy_scenario):
+def test_facet_optima(toy_tables, toy_facets, toy_scenario):
     f1, f2 = toy_facets.facets
-    o1 = facet_optimum(toy_a, f1, XBAR, toy_scenario, 1.0)
+    o1 = facet_optimum(toy_tables, f1.id, toy_scenario, 1.0)
     assert o1.value == pytest.approx(1509.0, abs=1e-9)
     assert o1.outputs == pytest.approx([100.0, 100.0, 90.0], abs=1e-9)
-    o2 = facet_optimum(toy_a, f2, XBAR, toy_scenario, 1.0)
+    o2 = facet_optimum(toy_tables, f2.id, toy_scenario, 1.0)
     assert o2.value == pytest.approx(1825.1, abs=1e-9)
-    o1_pre = facet_optimum(toy_a, f1, XBAR, toy_scenario, 0.0)
+    o1_pre = facet_optimum(toy_tables, f1.id, toy_scenario, 0.0)
     assert o1_pre.value == pytest.approx(2080.0, abs=1e-9)
     assert o1_pre.outputs == pytest.approx([100.0, 100.0, 90.0], abs=1e-9)
 
 
-def test_facet_optima_match_vertex_oracle(toy_a, toy_facets, toy_scenario):
+def test_facet_optima_match_vertex_oracle(toy_a, toy_facets, toy_tables, toy_scenario):
     for delta in (0.0, 0.25, 0.5, 1.0):
         p = price_at(toy_scenario, delta)
         for f in toy_facets.facets:
-            lp_val = facet_optimum(toy_a, f, XBAR, toy_scenario, delta).value
+            lp_val = facet_optimum(toy_tables, f.id, toy_scenario, delta).value
             assert lp_val == pytest.approx(vertex_enum_value(toy_a, f, p), rel=1e-12)
 
 
-def test_global_optimum(toy_a, toy_facets, toy_scenario):
-    best, owners = global_optimum(toy_a, toy_facets, XBAR, toy_scenario, 1.0)
+def test_global_optimum(toy_tables, toy_scenario):
+    best, owners = global_optimum(toy_tables, toy_scenario, 1.0)
     assert best.value == pytest.approx(1825.1, abs=1e-9)
     assert owners == (2,)
-    best0, owners0 = global_optimum(toy_a, toy_facets, XBAR, toy_scenario, 0.0)
+    best0, owners0 = global_optimum(toy_tables, toy_scenario, 0.0)
     assert best0.value == pytest.approx(2080.0, abs=1e-9)
     assert owners0 == (1, 2)  # C is the shared vertex
 
 
-def test_theorem5_facet_below_global(toy_a, toy_facets, toy_scenario):
+def test_theorem5_facet_below_global(toy_facets, toy_tables, toy_scenario):
     for delta in (0.0, 0.3, 0.7, 1.0):
-        best, _ = global_optimum(toy_a, toy_facets, XBAR, toy_scenario, delta)
+        best, _ = global_optimum(toy_tables, toy_scenario, delta)
         for f in toy_facets.facets:
-            val = facet_optimum(toy_a, f, XBAR, toy_scenario, delta).value
+            val = facet_optimum(toy_tables, f.id, toy_scenario, delta).value
             assert val <= best.value + 1e-9
 
 
-def test_withstand_capacity(toy_a, toy_facets, toy_scenario):
+def test_withstand_capacity(toy_a, toy_facets, toy_tables, toy_scenario):
     f1 = toy_facets.facets[0]
     yF = toy_a.outputs[:, toy_a.index("F")]
-    res = withstand_capacity(toy_a, f1, yF, XBAR, toy_scenario, 0.0, 1.0)
+    res = withstand_capacity(toy_a, f1, toy_tables, yF, toy_scenario, 0.0, 1.0)
     assert res.wr == pytest.approx(553.8, abs=1e-9)
     assert res.bound == pytest.approx(898.8, abs=1e-9)
     assert res.within_bound
 
 
-def test_withstand_zero_at_post_risk_optimum(toy_a, toy_facets, toy_scenario):
+def test_withstand_zero_at_post_risk_optimum(toy_a, toy_facets, toy_tables, toy_scenario):
     f1 = toy_facets.facets[0]
     yC = toy_a.outputs[:, toy_a.index("C")]  # facet-1 post-risk optimum
-    res = withstand_capacity(toy_a, f1, yC, XBAR, toy_scenario, 0.0, 1.0)
+    res = withstand_capacity(toy_a, f1, toy_tables, yC, toy_scenario, 0.0, 1.0)
     assert res.wr == pytest.approx(0.0, abs=1e-9)
 
 
-def test_withstand_requires_on_facet_point(toy_a, toy_facets, toy_scenario):
+def test_withstand_requires_on_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
     f1 = toy_facets.facets[0]
     yD = toy_a.outputs[:, toy_a.index("D")]
     with pytest.raises(fb.DataError, match="not on facet"):
-        withstand_capacity(toy_a, f1, yD, XBAR, toy_scenario, 0.0, 1.0)
+        withstand_capacity(toy_a, f1, toy_tables, yD, toy_scenario, 0.0, 1.0)
 
 
-def test_residual_losses(toy_a, toy_facets, toy_scenario):
+def test_residual_losses(toy_a, toy_facets, toy_tables, toy_scenario):
     yF = toy_a.outputs[:, toy_a.index("F")]
     r0 = revenue(yF, toy_scenario, 0.0)
-    best1, _ = global_optimum(toy_a, toy_facets, XBAR, toy_scenario, 1.0)
-    f1_opt = facet_optimum(toy_a, toy_facets.facets[0], XBAR, toy_scenario, 1.0)
+    best1, _ = global_optimum(toy_tables, toy_scenario, 1.0)
+    f1_opt = facet_optimum(toy_tables, toy_facets.facets[0].id, toy_scenario, 1.0)
     assert r0 - revenue(yF, toy_scenario, 1.0) == pytest.approx(898.8, abs=1e-9)
     assert r0 - f1_opt.value == pytest.approx(345.0, abs=1e-9)
     assert r0 - best1.value == pytest.approx(28.9, abs=1e-9)
     assert best1.value - f1_opt.value == pytest.approx(316.1, abs=1e-9)
 
 
-def test_assumptions_toy(toy_a, toy_facets, toy_scenario):
+def test_assumptions_toy(toy_a, toy_facets, toy_tables, toy_scenario):
     yF = toy_a.outputs[:, toy_a.index("F")]
-    rep = check_assumptions(toy_a, toy_facets, toy_scenario, yF, XBAR, 0.0, 1.0)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yF, 0.0, 1.0)
     assert rep.assumption1_holds and rep.assumption2_holds
     assert rep.recovery_entries[0]["post_risk_optimum"] == pytest.approx(1509.0, abs=1e-9)
     # theorem-3 form: global recovery bounded by the pre-risk revenue
@@ -161,7 +166,25 @@ def test_assumptions_toy(toy_a, toy_facets, toy_scenario):
     assert rep.global_post_risk_optimum <= revenue(yF, toy_scenario, 0.0) + 1e-9
 
 
-def test_assumptions_violated_by_rising_prices(toy_a, toy_facets):
+def test_assumptions_carry_each_containing_facets_withstand(toy_a, toy_facets, toy_tables, toy_scenario):
+    # C is the vertex both facets share: one withstand row per facet, the
+    # same bits as the one-facet entry point gives
+    yC = toy_a.outputs[:, toy_a.index("C")]
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yC, 0.0, 1.0)
+    assert [e["facet"] for e in rep.recovery_entries] == list(toy_facets.ids()) == [1, 2]
+    assert rep.withstand == tuple(
+        withstand_capacity(toy_a, f, toy_tables, yC, toy_scenario, 0.0, 1.0) for f in toy_facets.facets
+    )
+
+
+def test_facet_tables_check_their_inputs(toy_a, toy_facets, toy_tables, toy_scenario):
+    with pytest.raises(fb.DataError, match="input vector length 2 != m = 1"):
+        facet_tables(toy_a, toy_facets, np.array([1.0, 1.0]))
+    with pytest.raises(fb.DataError, match="no vertex table for facet 9"):
+        facet_optimum(toy_tables, 9, toy_scenario, 1.0)
+
+
+def test_assumptions_violated_by_rising_prices(toy_a, toy_facets, toy_tables):
     rising = PriceScenario(
         output_names=("a", "b", "c"),
         bases=np.array([5.0, 5.0, 12.0]),
@@ -169,26 +192,26 @@ def test_assumptions_violated_by_rising_prices(toy_a, toy_facets):
         domain=(0.0, 1.0),
     )
     yF = toy_a.outputs[:, toy_a.index("F")]
-    rep = check_assumptions(toy_a, toy_facets, rising, yF, XBAR, 0.0, 1.0)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, rising, yF, 0.0, 1.0)
     assert not rep.assumption1_holds
     # every anchor-facet generator gains revenue
     assert {v["dmu"] for v in rep.revenue_violations} == {"A", "B", "C"}
 
 
-def test_assumptions_identity_delta(toy_a, toy_facets, toy_scenario):
+def test_assumptions_identity_delta(toy_a, toy_facets, toy_tables, toy_scenario):
     # with delta0 = delta1 both checks collapse to equalities when the
     # anchor point is the facet optimum itself
-    opt = facet_optimum(toy_a, toy_facets.facets[0], XBAR, toy_scenario, 0.5)
-    rep = check_assumptions(toy_a, toy_facets, toy_scenario, opt.outputs, XBAR, 0.5, 0.5)
+    opt = facet_optimum(toy_tables, toy_facets.facets[0].id, toy_scenario, 0.5)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, opt.outputs, 0.5, 0.5)
     assert rep.assumption1_holds and rep.assumption2_holds
     entry = next(e for e in rep.recovery_entries if e["facet"] == 1)
     assert entry["post_risk_optimum"] == pytest.approx(entry["pre_risk_revenue"], rel=1e-12)
 
 
-def test_assumptions_require_facet_point(toy_a, toy_facets, toy_scenario):
+def test_assumptions_require_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
     yD_off = np.array([1.0, 1.0, 1.0])
     with pytest.raises(fb.DataError, match="no facet"):
-        check_assumptions(toy_a, toy_facets, toy_scenario, yD_off, XBAR, 0.0, 1.0)
+        check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yD_off, 0.0, 1.0)
 
 
 def test_uniqueness_unique_vertex(toy_a, toy_facets, toy_scenario):
@@ -288,18 +311,19 @@ def test_facet_optimum_infeasible_input_direction(uni985, uni_facets):
     sc = PriceScenario(
         output_names=("a", "b", "c"), bases=np.ones(3), slopes=np.zeros(3), domain=(0.0, 1.0)
     )
-    bad_xbar = np.array([1.0, 1e9])
+    tables = facet_tables(uni985, uni_facets, np.array([1.0, 1e9]))
     with pytest.raises(fb.FacetInfeasibleError):
-        facet_optimum(uni985, uni_facets.facets[0], bad_xbar, sc, 0.0)
+        facet_optimum(tables, uni_facets.facets[0].id, sc, 0.0)
     with pytest.raises(fb.FacetInfeasibleError):
-        global_optimum(uni985, uni_facets, bad_xbar, sc, 0.0)
+        global_optimum(tables, sc, 0.0)
 
 
 def test_single_facet_global_equals_facet_optimum(toy_a, toy_facets, toy_scenario):
     from facetbench.facets import FacetSet
     single = FacetSet(facets=toy_facets.facets[:1], extremes=toy_facets.extremes, scope="extremes")
-    best, owners = global_optimum(toy_a, single, XBAR, toy_scenario, 1.0)
-    alone = facet_optimum(toy_a, single.facets[0], XBAR, toy_scenario, 1.0)
+    tables = facet_tables(toy_a, single, XBAR)
+    best, owners = global_optimum(tables, toy_scenario, 1.0)
+    alone = facet_optimum(tables, single.facets[0].id, toy_scenario, 1.0)
     assert best.value == alone.value
     assert owners == (1,)
 
@@ -369,8 +393,9 @@ def test_empty_vertex_table_iff_lp_infeasible_985(uni985, uni_facets):
     outcomes = set()
     for o in range(uni985.n):
         xbar = uni985.inputs[:, o]
+        tables = facet_tables(uni985, uni_facets, xbar)
         for f in uni_facets.facets:
-            empty = len(_vertex_table(uni985, f, xbar, fb.SolverConfig())) == 0
+            empty = len(tables.vertices[f.id]) == 0
             assert empty == lp_infeasible(uni985, f, xbar), (uni985.names[o], f.id)
             outcomes.add(empty)
     assert outcomes == {True, False}  # both cases occur
@@ -410,8 +435,9 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
     ds, facets = rank_deficient_case(unit)
     xbar = unit * np.array(xbar)
     cfg = fb.SolverConfig()
+    tables = facet_tables(ds, facets, xbar, cfg)
     for f, want in zip(facets.facets, usable):
-        table = _vertex_table(ds, f, xbar, cfg)
+        table = tables.vertices[f.id]
         assert (len(table) > 0) == want
         assert lp_infeasible(ds, f, xbar) == (not want)
         for i in range(20):
@@ -475,6 +501,7 @@ def test_facet_and_global_optima_match_lp_oracle_985(uni985, uni_facets, uni_ext
     infeasible = 0
     for o in uni_extremes.indices:
         xbar = uni985.inputs[:, o]
+        tables = facet_tables(uni985, uni_facets, xbar)
         for i in range(6):
             prices = PriceSampler().draw(985, i, uni985.s)
             sc = PriceScenario(uni985.output_labels, bases=prices, slopes=np.zeros(3), domain=(0.0, 0.0))
@@ -484,31 +511,31 @@ def test_facet_and_global_optima_match_lp_oracle_985(uni985, uni_facets, uni_ext
                 except fb.FacetInfeasibleError:
                     infeasible += 1
                     with pytest.raises(fb.FacetInfeasibleError):
-                        facet_optimum(uni985, f, xbar, sc, 0.0)
+                        facet_optimum(tables, f.id, sc, 0.0)
                     continue
-                got = facet_optimum(uni985, f, xbar, sc, 0.0)
+                got = facet_optimum(tables, f.id, sc, 0.0)
                 assert got.value == pytest.approx(want, rel=1e-12)
                 assert got.value == float(np.sum(prices * got.outputs))
-            best, owners = global_optimum(uni985, uni_facets, xbar, sc, 0.0)
+            best, owners = global_optimum(tables, sc, 0.0)
             want_best, want_owners = lp_global_optimum(uni985, uni_facets, xbar, prices)
             assert owners == want_owners, (uni985.names[o], i)
             assert best.value == pytest.approx(want_best, rel=1e-12)
     assert infeasible > 0
 
 
-def test_ties_go_to_the_first_basis_then_the_first_facet(toy_a, toy_facets):
+def test_ties_go_to_the_first_basis_then_the_first_facet(toy_a, toy_facets, toy_tables):
     # prices (1, 1, 7) value A and B at exactly 855, above C: facet 1's
     # optimum is the first of its tied bases in combinations order, A
     f1 = toy_facets.facets[0]
     sc = PriceScenario(output_names=("a", "b", "c"), bases=np.array([1.0, 1.0, 7.0]), slopes=np.zeros(3),
                        domain=(0.0, 1.0))
-    table = _vertex_table(toy_a, f1, XBAR, fb.SolverConfig())
+    table = toy_tables.vertices[f1.id]
     assert [float(np.sum(np.array([1.0, 1.0, 7.0]) * y)) for y in table] == [855.0, 855.0, 830.0]
-    opt = facet_optimum(toy_a, f1, XBAR, sc, 0.0)
+    opt = facet_optimum(toy_tables, f1.id, sc, 0.0)
     assert opt.value == 855.0
     assert opt.outputs.tolist() == toy_a.outputs[:, toy_a.index("A")].tolist()
     # prices (1, 1, 1) value C, the one vertex both facets share, at 290:
     # both own the global optimum, and the point reported is facet 1's
     even = PriceScenario(output_names=("a", "b", "c"), bases=np.ones(3), slopes=np.zeros(3), domain=(0.0, 1.0))
-    best, owners = global_optimum(toy_a, toy_facets, XBAR, even, 0.0)
+    best, owners = global_optimum(toy_tables, even, 0.0)
     assert (best.facet_id, best.value, owners) == (1, 290.0, (1, 2))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.lp import SolverConfig
+from facetbench.facets import basic_solutions
+from facetbench.lp import SolverConfig, solve_lps
+from facetbench.signpattern import _pattern_matrix, _pattern_problems
 
 from bigm_oracle import solve_bigm
 
@@ -114,16 +116,6 @@ def test_agrees_with_bigm_oracle_random():
         assert 1.0 / (1.0 + mine.gamma) == pytest.approx(theta_ref, abs=1e-7), detail
 
 
-def test_priority_weight_validated(uni985):
-    cfg = SolverConfig(priority_weight=0.1)
-    o, w = uni985.index("PKU"), uni985.index("WHU")
-    with pytest.raises(fb.SolverError, match="priority weight"):
-        fb.solve_sign_pattern(
-            uni985.inputs[:, o], uni985.outputs[:, o],
-            uni985.inputs[:, [w]], uni985.outputs[:, [w]], cfg,
-        )
-
-
 def test_zero_pattern_always_feasible(uni985):
     # lambda = 0 with fully negative slacks is feasible for any instance,
     # so the solve can never report an empty technology
@@ -134,3 +126,29 @@ def test_zero_pattern_always_feasible(uni985):
     )
     assert res is not None
     assert 0.0 < 1.0 / (1.0 + res.gamma) <= 1.0
+
+
+@pytest.mark.parametrize("scope, systems", [("extremes", 608), ("all", 304)])
+def test_phase1_agrees_with_basis_enumeration_985(uni985, uni_extremes, scope, systems):
+    # every pattern LP of every DMU and robust group: phase 1 calls the
+    # system feasible exactly when its equality form, input slacks added,
+    # has a basic feasible solution
+    ds, cfg = uni985, SolverConfig()
+    part = fb.partition_robust(fb.enumerate_facets(ds, uni_extremes.indices, scope))
+    m, s = ds.m, ds.s
+    sigmas = [np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)]) for p in range(1 << s)]
+    checked = feasible = 0
+    for g in part.groups:
+        X_ref, Y_ref = ds.inputs[:, list(g.members)], ds.outputs[:, list(g.members)]
+        matrices = [_pattern_matrix(X_ref, Y_ref, sigma) for sigma in sigmas]
+        equality = [np.hstack([A, np.vstack([np.eye(m), np.zeros((s, m))])]) for A in matrices]
+        for o in range(ds.n):
+            b = np.concatenate([ds.inputs[:, o], ds.outputs[:, o]])
+            sols = solve_lps(_pattern_problems(ds.inputs[:, o], ds.outputs[:, o], matrices), cfg)
+            for p, (A, sol) in enumerate(zip(equality, sols)):
+                has_basis = next(basic_solutions(A, b, cfg.feasibility_tol), None) is not None
+                assert (sol.status != "infeasible") == has_basis, (scope, g.index, ds.names[o], p)
+                checked += 1
+                feasible += has_basis
+    assert checked == systems
+    assert 0 < feasible < checked
