@@ -20,7 +20,7 @@ from .facets import (
     facet_normal,
     verify_facet_set,
 )
-from .lp import LpProblem, LpSolution, SolverConfig, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 from .measures import (
     ExtremeSetResult,
     MeasureResult,
@@ -34,7 +34,6 @@ from .report import RunReport, build_report, emit
 from .robust import (
     EfficiencyResult,
     GroupResult,
-    RobustConfig,
     RowError,
     batch_evaluate,
     evaluate_group,

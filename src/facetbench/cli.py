@@ -26,12 +26,10 @@ import numpy as np
 from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset
 from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
 from .facets import FacetTolerances, enumerate_facets
-from .lp import SolverConfig
 from .measures import extreme_set
 from .partition import partition_export, partition_robust
 from .profiles import get_profile
 from .report import build_report, emit, facet_export
-from .robust import RobustConfig
 from .scenario import (
     check_assumptions,
     facet_optimum,
@@ -138,11 +136,10 @@ def _emit_payload(payload: dict, args) -> None:
 def _pipeline(args):
     ds = load_dataset(args.data)
     override, scope, aggregation = _settings(args)
-    cfg = RobustConfig(solver=SolverConfig(), aggregation=aggregation)
     tols = FacetTolerances()
-    ext = extreme_set(ds, override, cfg.solver)
+    ext = extreme_set(ds, override)
     fs = enumerate_facets(ds, ext.indices, scope, tols)
-    return ds, ext, fs, cfg, tols, scope
+    return ds, ext, fs, aggregation, tols, scope
 
 
 def cmd_validate(args) -> int:
@@ -163,7 +160,7 @@ def cmd_validate(args) -> int:
 def cmd_extremes(args) -> int:
     ds = load_dataset(args.data)
     override, _, _ = _settings(args)
-    ext = extreme_set(ds, override, SolverConfig())
+    ext = extreme_set(ds, override)
     payload = {
         "data": args.data,
         "effective": [ds.names[d] for d in ext.indices],
@@ -177,7 +174,7 @@ def cmd_extremes(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     payload = {
         "data": args.data,
         "support_scope": scope,
@@ -191,7 +188,7 @@ def cmd_facets(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     part = partition_robust(fs)
     payload = {"data": args.data, "partition": partition_export(ds, part)}
     _emit_payload(payload, args)
@@ -199,9 +196,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     part = partition_robust(fs)
-    report = build_report(ds, ext, fs, part, cfg, tols, data_path=args.data, profile=args.profile)
+    report = build_report(ds, ext, fs, part, aggregation, tols, data_path=args.data, profile=args.profile)
     wanted = args.measure
     if wanted != "all":
         keep = {"robust": ["robust"], "closest": ["closest"], "russell": ["russell"]}[wanted]
@@ -218,9 +215,9 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     part = partition_robust(fs)
-    report = build_report(ds, ext, fs, part, cfg, tols, data_path=args.data, profile=args.profile)
+    report = build_report(ds, ext, fs, part, aggregation, tols, data_path=args.data, profile=args.profile)
     text = emit(report, args.format, args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -230,7 +227,7 @@ def cmd_report(args) -> int:
 def cmd_scenario(args) -> int:
     d0 = _parse_delta("--delta0", args.delta0)
     d1 = _parse_delta("--delta", args.delta) if args.delta is not None else _parse_delta("--delta1", args.delta1)
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     sc = load_scenario(args.prices)
     if sc.s != ds.s:
         raise DataError(f"scenario has {sc.s} outputs, dataset has {ds.s}")
@@ -250,7 +247,7 @@ def cmd_scenario(args) -> int:
         "facet_optima_delta1": [],
         "global": {},
     }
-    tables = facet_tables(ds, fs, xbar, cfg.solver)
+    tables = facet_tables(ds, fs, xbar)
     for f in fs.facets:
         try:
             opt = facet_optimum(tables, f.id, sc, d1)
@@ -271,7 +268,7 @@ def cmd_scenario(args) -> int:
     if args.target:
         o = ds.index(args.target)
         yhat = ds.outputs[:, o]
-        rep = check_assumptions(ds, fs, tables, sc, yhat, d0, d1, cfg.solver)
+        rep = check_assumptions(ds, fs, tables, sc, yhat, d0, d1)
         payload["target"] = {
             "dmu": args.target,
             "revenue_delta0": revenue(yhat, sc, d0),
@@ -294,7 +291,7 @@ def cmd_scenario(args) -> int:
 def cmd_coverage(args) -> int:
     trials = _parse_count("--trials", args.trials)
     seed = _parse_count("--seed", args.seed)
-    ds, ext, fs, cfg, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
     xbar = _parse_xbar(args.xbar, ds.m)
     if args.strategies:
         strategies = _parse_strategies(args.strategies)

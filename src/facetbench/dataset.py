@@ -125,10 +125,6 @@ class Dataset:
         except ValueError:
             raise DataError(f"unknown DMU name: {name!r}") from None
 
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(inputs, outputs) of DMU j."""
-        return self.inputs[:, j], self.outputs[:, j]
-
 
 _TINY = float(np.finfo(float).tiny)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import SolverConfig, solve_lp  # noqa: F401
+from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 
 FACET_CHUNK = 1024  # subsets per batched SVD and support test; bounds the chunk's arrays
 
@@ -253,11 +253,9 @@ def facet_contains(
     ds: Dataset,
     xbar: np.ndarray,
     y: np.ndarray,
-    cfg: SolverConfig | None = None,
 ) -> bool:
     """True iff some lambda >= 0 over the spanning members reproduces
     (xbar, y): some basis of [X_f; Y_f] lambda = (xbar, y) is feasible."""
-    cfg = cfg or SolverConfig()
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if xbar.size != ds.m or y.size != ds.s:
@@ -265,7 +263,7 @@ def facet_contains(
     cols = list(facet.members)
     A = np.vstack([ds.inputs[:, cols], ds.outputs[:, cols]])
     r = np.concatenate([xbar, y])
-    return next(basic_solutions(A, r, cfg.feasibility_tol), None) is not None
+    return next(basic_solutions(A, r, FEASIBILITY_TOL), None) is not None
 
 
 def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
@@ -275,7 +273,7 @@ def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
     return _residuals(ds, u, v, range(ds.n))
 
 
-def verify_facet_set(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> dict:
+def verify_facet_set(ds: Dataset, fs: FacetSet) -> dict:
     """Residual summary for reporting and invariant tests.
 
     Returns per-facet max |u@y_j - v@x_j| over members (span residual),

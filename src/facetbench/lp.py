@@ -3,8 +3,8 @@
 Small dense problems only: a two-phase tableau simplex with Bland's rule
 (lowest eligible entering column; leaving row by minimum ratio with exact
 ties broken by lowest basis index).  The rule is anti-cycling and makes
-every solve reproducible bit for bit: identical problem and config produce
-identical pivot sequences, hence identical solutions.
+every solve reproducible bit for bit: identical problems produce identical
+pivot sequences, hence identical solutions.
 
 Every variable is nonnegative (x >= 0), the only bound the package's
 programs use, so the tableau's structural columns are the problem's own.
@@ -55,17 +55,9 @@ _CODES = {"<=": 0, "=": 1, ">=": 2}
 _LE, _EQ, _GE, _DROPPED = 0, 1, 2, -1
 _FLIPPED = np.array([_GE, _EQ, _LE])
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical policy shared by every program the engine emits."""
-
-    feasibility_tol: float = 1e-9
-    optimality_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise SolverError("tolerances must be positive")
+# The numerical policy shared by every program the package emits.
+FEASIBILITY_TOL = 1e-9
+OPTIMALITY_TOL = 1e-9
 
 
 @dataclass
@@ -117,24 +109,21 @@ class LpSolution:
     iterations: int = 0
 
 
-def solve_lp(problem: LpProblem, cfg: SolverConfig | None = None) -> LpSolution:
-    """Solve a dense LP; deterministic given (problem, config)."""
-    sol = solve_lps([problem], cfg)[0]
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve a dense LP; deterministic given the problem."""
+    sol = solve_lps([problem])[0]
     if isinstance(sol, SolverError):
         raise sol
     return sol
 
 
-def solve_lps(
-    problems: Iterable[LpProblem], cfg: SolverConfig | None = None
-) -> list[LpSolution | SolverError]:
+def solve_lps(problems: Iterable[LpProblem]) -> list[LpSolution | SolverError]:
     """Solve independent dense LPs together, in input order.
 
     Each entry is the problem's solution, or the SolverError that solving
     it alone would raise; one failing problem leaves the others' results
     untouched.
     """
-    cfg = cfg or SolverConfig()
     problems = list(problems)
     out: list[LpSolution | SolverError | None] = [None] * len(problems)
     shapes: dict[tuple, list[int]] = {}
@@ -142,17 +131,17 @@ def solve_lps(
         shapes.setdefault((p.c.size, p.relations), []).append(i)
     oriented: dict[tuple, list[_Stack]] = {}
     for (nvar, rels), idx in shapes.items():
-        for key, stack in _tableaus(problems, np.array(idx), nvar, rels, cfg.feasibility_tol, out):
+        for key, stack in _tableaus(problems, np.array(idx), nvar, rels, out):
             oriented.setdefault(key, []).append(stack)
     # Stacks are dropped as soon as they are done with, to keep the peak
     # memory near one group's tableaus.
     ready: dict[tuple, list[_Stack]] = {}
     while oriented:
         (nvar, eq, _), stacks = oriented.popitem()
-        for stack in _phase1(_concat(stacks), nvar + eq.count(False), cfg, out):
+        for stack in _phase1(_concat(stacks), nvar + eq.count(False), out):
             ready.setdefault((nvar,) + stack.T.shape[1:], []).append(stack)
     while ready:
-        _phase2(_concat(ready.popitem()[1]), problems, cfg, out)
+        _phase2(_concat(ready.popitem()[1]), problems, out)
     return out
 
 
@@ -192,7 +181,7 @@ def _split(keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.array(ks), np.flatnonzero(keep[ks[0]])) for ks in groups.values()]
 
 
-def _tableaus(problems, idx, nvar, rels, ftol, out):
+def _tableaus(problems, idx, nvar, rels, out):
     """Equilibrate and orient the problems idx, which share nvar and rels,
     and yield (stack key, phase-1 tableaus).
 
@@ -229,7 +218,8 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
     # dropped when 0 satisfies it and makes the problem infeasible if not.
     codes = np.array([_CODES[r] for r in rels], dtype=np.int64)
     zero = ~A.any(axis=2)
-    sat = np.where(codes == _LE, rhs >= -ftol, np.where(codes == _GE, rhs <= ftol, np.abs(rhs) <= ftol))
+    sat = np.where(codes == _LE, rhs >= -FEASIBILITY_TOL,
+                   np.where(codes == _GE, rhs <= FEASIBILITY_TOL, np.abs(rhs) <= FEASIBILITY_TOL))
     infeasible = (zero & ~sat).any(axis=1)
     for i in idx[infeasible]:
         out[i] = _unsolved("infeasible", nvar)
@@ -269,7 +259,7 @@ def _tableaus(problems, idx, nvar, rels, ftol, out):
             idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64), colscale[ks], nvar)
 
 
-def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
+def _phase1(st: _Stack, art_start: int, out) -> list[_Stack]:
     """Run phase 1 where some problem has artificial rows; return the
     feasible problems' tableaus without artificial columns, grouped by
     shape, ready for phase 2."""
@@ -277,13 +267,13 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
     nrow = T.shape[1] - 1
     total = T.shape[2] - 1
     if (basis >= art_start).any():
-        codes, it = _kernel.run(T, basis, art_start, cfg.optimality_tol, _MAXITER)
+        codes, it = _kernel.run(T, basis, art_start, OPTIMALITY_TOL, _MAXITER)
         st.iters += it
         for k in np.flatnonzero(codes == _kernel.MAXITER):
             out[st.idx[k]] = SolverError("phase-1 iteration limit exceeded")
         for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
             out[st.idx[k]] = SolverError("phase-1 reported unbounded (cannot happen)")
-        limit = cfg.feasibility_tol * np.maximum(1.0, np.abs(T[:, :nrow, total]).max(axis=1))
+        limit = FEASIBILITY_TOL * np.maximum(1.0, np.abs(T[:, :nrow, total]).max(axis=1))
         infeasible = (codes == _kernel.OPTIMAL) & (-T[:, nrow, total] > limit)
         for k in np.flatnonzero(infeasible):
             out[st.idx[k]] = _unsolved("infeasible", st.nvar, st.iters[k])
@@ -298,7 +288,7 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
         art = basis[:, i] >= art_start
         seg = np.abs(T[:, i, :art_start])
         j = seg.argmax(axis=1)
-        move = art & (seg[np.arange(len(basis)), j] > cfg.optimality_tol)
+        move = art & (seg[np.arange(len(basis)), j] > OPTIMALITY_TOL)
         drop[:, i] = art & ~move
         if move.any():
             Tm, bm = T[move], basis[move]
@@ -310,12 +300,11 @@ def _phase1(st: _Stack, art_start: int, cfg: SolverConfig, out) -> list[_Stack]:
             for ks, keep in _split(~drop)]
 
 
-def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
+def _phase2(st: _Stack, problems, out) -> None:
     """Run phase 2 and read out every problem's solution."""
     T, basis, nvar = st.T, st.basis, st.nvar
     nrow = T.shape[1] - 1
     total = T.shape[2] - 1
-    ftol, tol = cfg.feasibility_tol, cfg.optimality_tol
     batch = [problems[i] for i in st.idx]
     C = np.stack([p.c for p in batch])
     maximize = np.array([p.sense == "max" for p in batch])
@@ -333,7 +322,7 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     for i in range(nrow):
         cb = T[b, nrow, basis[:, i]][:, None]
         T[:, nrow, :] -= np.where(cb != 0.0, cb * T[:, i, :], 0.0)
-    codes, it = _kernel.run(T, basis, total, tol, _MAXITER)
+    codes, it = _kernel.run(T, basis, total, OPTIMALITY_TOL, _MAXITER)
     st.iters += it
     for k in np.flatnonzero(codes == _kernel.MAXITER):
         out[st.idx[k]] = SolverError("phase-2 iteration limit exceeded")
@@ -349,7 +338,7 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     x_std[b[:, None], basis] = T[:, :nrow, total]
     # basic values can round a hair below zero; clamp the noise so callers
     # see bound-feasible solutions
-    negative = x_std.min(axis=1, initial=0.0) < -1e3 * ftol
+    negative = x_std.min(axis=1, initial=0.0) < -1e3 * FEASIBILITY_TOL
     np.maximum(x_std, 0.0, out=x_std)
     X = 0.0 + x_std[:, :nvar] / colscale
     values = np.sum(C * X, axis=1)
@@ -358,14 +347,14 @@ def _phase2(st: _Stack, problems, cfg: SolverConfig, out) -> None:
     # admits a positive step (or an optimal ray) spans an optimal face of
     # dimension >= 1.
     # Only the columns where some problem has such a candidate are probed.
-    candidate = np.abs(T[:, nrow, :total]) <= tol
+    candidate = np.abs(T[:, nrow, :total]) <= OPTIMALITY_TOL
     candidate[b[:, None], basis] = False
     probe = np.flatnonzero(candidate.any(axis=0))
     columns = T[:, :nrow, probe]
-    up = columns > tol
+    up = columns > OPTIMALITY_TOL
     steps = np.full(columns.shape, np.inf)
     np.divide(T[:, :nrow, total:], columns, out=steps, where=up)
-    free = ~up.any(axis=1) | (steps.min(axis=1, initial=np.inf) > ftol)
+    free = ~up.any(axis=1) | (steps.min(axis=1, initial=np.inf) > FEASIBILITY_TOL)
     degenerate = (candidate[:, probe] & free).any(axis=1)
 
     for j, k in enumerate(ok):

@@ -32,7 +32,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import FacetSet, FacetTolerances
-from .lp import LpProblem, LpSolution, SolverConfig, solve_lp, solve_lps
+from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, solve_lp, solve_lps
 
 EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
@@ -47,9 +47,6 @@ class MeasureResult:
     slacks: np.ndarray | None
     intensities: dict[int, float]
     target: np.ndarray | None
-
-    def scored(self) -> bool:
-        return self.theta is not None
 
 
 @dataclass(frozen=True)
@@ -94,22 +91,19 @@ def _extreme_value(ds: Dataset, o: int, sol: LpSolution) -> tuple[float, bool]:
     return lam0, lam0 >= 1.0 - EXTREME_TOL
 
 
-def extreme_efficiency_test(
-    ds: Dataset, o: int, cfg: SolverConfig | None = None
-) -> tuple[float, bool]:
+def extreme_efficiency_test(ds: Dataset, o: int) -> tuple[float, bool]:
     """Minimize the DMU's own intensity inside a dominating convex
     combination; a unit minimum means nothing else can represent it."""
-    return _extreme_value(ds, o, solve_lp(_extreme_problems(ds, [o])[0], cfg))
+    return _extreme_value(ds, o, solve_lp(_extreme_problems(ds, [o])[0]))
 
 
 def extreme_set(
     ds: Dataset,
     override: list[str] | tuple[str, ...] | None = None,
-    cfg: SolverConfig | None = None,
 ) -> ExtremeSetResult:
     """Run the test on every DMU; an override pins the returned list
     verbatim while the computed set is kept for the discrepancy report."""
-    sols = solve_lps(_extreme_problems(ds, range(ds.n)), cfg)
+    sols = solve_lps(_extreme_problems(ds, range(ds.n)))
     lambda0: dict[int, float] = {}
     computed = []
     for o, sol in enumerate(sols):
@@ -127,7 +121,7 @@ def extreme_set(
     return ExtremeSetResult(pinned, tuple(computed), lambda0, pinned=True)
 
 
-def _solve_each(make, items, cfg: SolverConfig | None) -> list[LpSolution | SolverError]:
+def _solve_each(make, items) -> list[LpSolution | SolverError]:
     """One batch of the LPs make(item); an item whose LP cannot be built
     (a non-finite coefficient) gets the SolverError building it raised."""
     out: list[LpSolution | SolverError | None] = [None] * len(items)
@@ -138,7 +132,7 @@ def _solve_each(make, items, cfg: SolverConfig | None) -> list[LpSolution | Solv
             built.append(i)
         except SolverError as exc:
             out[i] = exc
-    for i, sol in zip(built, solve_lps(problems, cfg)):
+    for i, sol in zip(built, solve_lps(problems)):
         out[i] = sol
     return out
 
@@ -159,11 +153,10 @@ def _one_or_all(single: bool, results: list):
 
 
 def russell_farthest(
-    ds: Dataset, o: int | Sequence[int], cfg: SolverConfig | None = None
+    ds: Dataset, o: int | Sequence[int]
 ) -> MeasureResult | list[MeasureResult | SolverError]:
     """Maximize the mean normalized output slack over the full CRS
     technology (weights 1/s); theta = 1/(1 + optimum)."""
-    cfg = cfg or SolverConfig()
     dmus, single = _dmus(o)
     n, m, s = ds.n, ds.m, ds.s
     A = np.zeros((m + s, n + s))
@@ -177,7 +170,7 @@ def russell_farthest(
         return LpProblem("min", c, A, rels, np.concatenate([ds.inputs[:, d], ds.outputs[:, d]]))
 
     results: list[MeasureResult | SolverError] = []
-    for d, sol in zip(dmus, _solve_each(problem, dmus, cfg)):
+    for d, sol in zip(dmus, _solve_each(problem, dmus)):
         if isinstance(sol, SolverError):
             results.append(sol)
         elif sol.status == "unbounded":
@@ -193,7 +186,7 @@ def russell_farthest(
             gamma = float(np.sum(slacks / y_o)) / s
             theta = 1.0 / (1.0 + gamma)
             status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
-            intensities = {j: float(lam[j]) for j in range(n) if lam[j] > cfg.feasibility_tol}
+            intensities = {j: float(lam[j]) for j in range(n) if lam[j] > FEASIBILITY_TOL}
             results.append(MeasureResult(
                 dmu=d, measure="eff3", status=status, theta=theta,
                 slacks=slacks, intensities=intensities, target=y_o + slacks,
@@ -205,7 +198,6 @@ def closest_on_efpps(
     facets: FacetSet,
     ds: Dataset,
     o: int | Sequence[int],
-    cfg: SolverConfig | None = None,
     tols: FacetTolerances | None = None,
 ) -> MeasureResult | list[MeasureResult | FacetBenchError]:
     """Least mean-normalized slack raising the DMU onto the boundary of
@@ -215,7 +207,6 @@ def closest_on_efpps(
     technology; no nonnegative slack can reach the boundary through the
     violated constraint, so the result is flagged instead of scored.
     """
-    cfg = cfg or SolverConfig()
     tols = tols or FacetTolerances()
     dmus, single = _dmus(o)
     if not facets.facets:
@@ -268,7 +259,7 @@ def closest_on_efpps(
             if best[i] is None or bound[i, k] <= best[i][0] * (1 + 1e-9) + 1e-12:
                 batch.append((i, k))
         live = []
-        for (i, k), sol in zip(batch, _solve_each(problem, batch, cfg)):
+        for (i, k), sol in zip(batch, _solve_each(problem, batch)):
             if isinstance(sol, SolverError):
                 results[i] = sol
                 continue

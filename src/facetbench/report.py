@@ -20,21 +20,24 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError
 from .facets import FacetSet, FacetTolerances, envelope_violations, verify_facet_set
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
 from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, russell_farthest
 from .partition import RobustPartition, partition_export
-from .robust import EfficiencyResult, RobustConfig, RowError, batch_evaluate
+from .robust import SHRINK_WARN_FRACTION, EfficiencyResult, RowError, batch_evaluate
 
 
 def _floats(arr) -> list[float]:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def config_echo(cfg: RobustConfig, tols: FacetTolerances, scope: str, extra: dict | None = None) -> dict:
+def config_echo(aggregation: str, tols: FacetTolerances, scope: str, extra: dict | None = None) -> dict:
+    """The run's settings; the fixed tolerances and the shrink fraction are
+    echoed too, so a report says which numerical policy produced it."""
     echo = {
-        "feasibility_tol": cfg.solver.feasibility_tol,
-        "optimality_tol": cfg.solver.optimality_tol,
-        "aggregation": cfg.aggregation,
-        "shrink_warn_fraction": cfg.shrink_warn_fraction,
+        "feasibility_tol": FEASIBILITY_TOL,
+        "optimality_tol": OPTIMALITY_TOL,
+        "aggregation": aggregation,
+        "shrink_warn_fraction": SHRINK_WARN_FRACTION,
         "support_scope": scope,
         "rank_tol": tols.rank_tol,
         "support_tol": tols.support_tol,
@@ -131,16 +134,16 @@ def build_report(
     extremes: ExtremeSetResult,
     fs: FacetSet,
     part: RobustPartition,
-    cfg: RobustConfig,
+    aggregation: str,
     tols: FacetTolerances,
     data_path: str = "",
     profile: str | None = None,
 ) -> RunReport:
     """Assemble the full pipeline report (steps 1-4 plus both comparison
     measures and the warnings ledger)."""
-    robust_rows = batch_evaluate(ds, part, cfg)
-    closest_rows = closest_on_efpps(fs, ds, range(ds.n), cfg.solver, tols)
-    russell_rows = russell_farthest(ds, range(ds.n), cfg.solver)
+    robust_rows = batch_evaluate(ds, part, aggregation)
+    closest_rows = closest_on_efpps(fs, ds, range(ds.n), tols)
+    russell_rows = russell_farthest(ds, range(ds.n))
     results = []
     # Errors surface in DMU order, closest before Russell, as if each DMU
     # were evaluated in turn; a DataError from the closest measure only
@@ -179,7 +182,7 @@ def build_report(
         else:
             warnings.extend(f"{row['dmu']}: {w}" for w in rr.warnings)
     payload = {
-        "config": config_echo(cfg, tols, fs.scope, {"profile": profile, "data": data_path}),
+        "config": config_echo(aggregation, tols, fs.scope, {"profile": profile, "data": data_path}),
         "dataset": {
             "n": ds.n, "m": ds.m, "s": ds.s,
             "names": list(ds.names),

@@ -19,28 +19,19 @@ come in the same order as when it is evaluated alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError
-from .lp import SolverConfig
 from .partition import RobustPartition
 from .signpattern import SignPatternResult, solve_sign_pattern, solve_sign_patterns
 
 AGGREGATIONS = ("table4-max", "paper-min")
-
-
-@dataclass(frozen=True)
-class RobustConfig:
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    aggregation: str = "table4-max"
-    shrink_warn_fraction: float = 0.1
-
-    def __post_init__(self):
-        if self.aggregation not in AGGREGATIONS:
-            raise DataError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
+# A chosen target whose output norm is below this fraction of the DMU's
+# own gets a warning: the distance term shrank it toward the origin.
+SHRINK_WARN_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -104,17 +95,15 @@ def evaluate_group(
     ds: Dataset,
     group_members: tuple[int, ...] | list[int],
     o: int,
-    cfg: RobustConfig | None = None,
     group_index: int = 0,
 ) -> GroupResult:
     """Signed-slack projection of DMU o onto one group's technology."""
-    cfg = cfg or RobustConfig()
     members = tuple(group_members)
     if not members:
         raise DataError("group must be nonempty")
     X_ref = ds.inputs[:, list(members)]
     Y_ref = ds.outputs[:, list(members)]
-    res = solve_sign_pattern(ds.inputs[:, o], ds.outputs[:, o], X_ref, Y_ref, cfg.solver)
+    res = solve_sign_pattern(ds.inputs[:, o], ds.outputs[:, o], X_ref, Y_ref)
     return _group_result(members, X_ref, Y_ref, res, group_index)
 
 
@@ -126,8 +115,8 @@ def _slack_kind(value: float, tol: float) -> str:
     return "zero"
 
 
-def _aggregate(ds: Dataset, o: int, results: tuple[GroupResult, ...], cfg: RobustConfig) -> EfficiencyResult:
-    if cfg.aggregation == "table4-max":
+def _aggregate(ds: Dataset, o: int, results: tuple[GroupResult, ...], aggregation: str) -> EfficiencyResult:
+    if aggregation == "table4-max":
         chosen = max(results, key=lambda r: (r.theta, -r.group_index))
     else:
         chosen = min(results, key=lambda r: (r.theta, r.group_index))
@@ -136,17 +125,17 @@ def _aggregate(ds: Dataset, o: int, results: tuple[GroupResult, ...], cfg: Robus
     y_o = ds.outputs[:, o]
     target_norm = float(np.sqrt(np.sum(chosen.target_outputs**2)))
     own_norm = float(np.sqrt(np.sum(y_o**2)))
-    if target_norm < cfg.shrink_warn_fraction * own_norm:
+    if target_norm < SHRINK_WARN_FRACTION * own_norm:
         warnings.append(
             f"projection target output norm {target_norm:.6g} is below "
-            f"{cfg.shrink_warn_fraction:.0%} of {ds.names[o]}'s own {own_norm:.6g} "
+            f"{SHRINK_WARN_FRACTION:.0%} of {ds.names[o]}'s own {own_norm:.6g} "
             "(intensity shrink: the distance term drove the target toward the origin)"
         )
     return EfficiencyResult(
         dmu=o,
         theta=chosen.theta,
         chosen_group=chosen.group_index,
-        aggregation=cfg.aggregation,
+        aggregation=aggregation,
         groups=results,
         slack_kinds=kinds,
         warnings=tuple(warnings),
@@ -154,9 +143,11 @@ def _aggregate(ds: Dataset, o: int, results: tuple[GroupResult, ...], cfg: Robus
 
 
 def _evaluate(
-    ds: Dataset, part: RobustPartition, dmus: list[int], cfg: RobustConfig
+    ds: Dataset, part: RobustPartition, dmus: list[int], aggregation: str
 ) -> list[EfficiencyResult | FacetBenchError]:
     """Every DMU's result, or the error its own evaluation would raise."""
+    if aggregation not in AGGREGATIONS:
+        raise DataError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     if not part.groups:
         return [DataError("empty partition: nothing to project onto") for _ in dmus]
     groups: dict[int, list[GroupResult]] = {o: [] for o in dmus}
@@ -171,23 +162,23 @@ def _evaluate(
             continue
         X_ref = ds.inputs[:, list(members)]
         Y_ref = ds.outputs[:, list(members)]
-        sols = solve_sign_patterns(ds.inputs[:, live], ds.outputs[:, live], X_ref, Y_ref, cfg.solver)
+        sols = solve_sign_patterns(ds.inputs[:, live], ds.outputs[:, live], X_ref, Y_ref)
         for o, res in zip(live, sols):
             if isinstance(res, FacetBenchError):
                 errors[o] = res
             else:
                 groups[o].append(_group_result(members, X_ref, Y_ref, res, g.index))
-    return [errors[o] if o in errors else _aggregate(ds, o, tuple(groups[o]), cfg) for o in dmus]
+    return [errors[o] if o in errors else _aggregate(ds, o, tuple(groups[o]), aggregation) for o in dmus]
 
 
 def robust_efficiency(
     ds: Dataset,
     part: RobustPartition,
     o: int,
-    cfg: RobustConfig | None = None,
+    aggregation: str = "table4-max",
 ) -> EfficiencyResult:
     """Evaluate DMU o against every robust group and aggregate."""
-    res = _evaluate(ds, part, [o], cfg or RobustConfig())[0]
+    res = _evaluate(ds, part, [o], aggregation)[0]
     if isinstance(res, FacetBenchError):
         raise res
     return res
@@ -196,10 +187,10 @@ def robust_efficiency(
 def batch_evaluate(
     ds: Dataset,
     part: RobustPartition,
-    cfg: RobustConfig | None = None,
+    aggregation: str = "table4-max",
 ) -> list[EfficiencyResult | RowError]:
     """Robust efficiency for every DMU, dataset order; per-row failures
     become RowError entries instead of aborting the batch."""
-    rows = _evaluate(ds, part, list(range(ds.n)), cfg or RobustConfig())
+    rows = _evaluate(ds, part, list(range(ds.n)), aggregation)
     return [RowError(dmu=o, error=str(r)) if isinstance(r, FacetBenchError) else r
             for o, r in enumerate(rows)]

@@ -36,7 +36,7 @@ from .dataset import Dataset, parse_float, read_text
 from .errors import DataError, FacetInfeasibleError, SolverError
 from .facets import Facet, FacetSet, basic_solutions, facet_contains
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import SolverConfig, solve_lp  # noqa: F401
+from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 
 OWNERSHIP_RTOL = 1e-9
 PARALLEL_TOL = 1e-9
@@ -187,12 +187,9 @@ class FacetTables:
     vertices: dict[int, np.ndarray]
 
 
-def facet_tables(
-    ds: Dataset, facets: FacetSet, xbar: np.ndarray, cfg: SolverConfig | None = None
-) -> FacetTables:
+def facet_tables(ds: Dataset, facets: FacetSet, xbar: np.ndarray) -> FacetTables:
     """Build each facet's vertex table at xbar; every fixed-input question
     reads these, since a table does not depend on prices."""
-    cfg = cfg or SolverConfig()
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if xbar.size != ds.m:
         raise DataError(f"input vector length {xbar.size} != m = {ds.m}")
@@ -200,7 +197,7 @@ def facet_tables(
     for f in facets.facets:
         cols = list(f.members)
         Yf = ds.outputs[:, cols]
-        rows = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, cfg.feasibility_tol)]
+        rows = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, FEASIBILITY_TOL)]
         vertices[f.id] = np.array(rows).reshape(-1, ds.s)
     return FacetTables(xbar=xbar, vertices=vertices)
 
@@ -217,7 +214,6 @@ class WithstandResult:
     wr: float
     bound: float
     within_bound: bool
-    facet_optimum_value: float
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,6 @@ def _withstand(opt1: OptimalPoint, yhat: np.ndarray, sc: PriceScenario, delta0: 
     return WithstandResult(
         wr=wr, bound=bound,
         within_bound=wr <= bound + 1e-9 * max(1.0, abs(bound)),
-        facet_optimum_value=opt1.value,
     )
 
 
@@ -292,13 +287,11 @@ def withstand_capacity(
     sc: PriceScenario,
     delta0: float,
     delta1: float,
-    cfg: SolverConfig | None = None,
 ) -> WithstandResult:
     """Revenue recoverable by within-facet substitution after the shock,
     against the pre/post revenue gap that bounds it."""
-    cfg = cfg or SolverConfig()
     yhat = np.asarray(yhat, dtype=float)
-    if not facet_contains(facet, ds, tables.xbar, yhat, cfg):
+    if not facet_contains(facet, ds, tables.xbar, yhat):
         raise DataError(f"target point is not on facet {facet.id}")
     return _withstand(facet_optimum(tables, facet.id, sc, delta1), yhat, sc, delta0, delta1)
 
@@ -311,7 +304,6 @@ def check_assumptions(
     yhat: np.ndarray,
     delta0: float,
     delta1: float,
-    cfg: SolverConfig | None = None,
 ) -> AssumptionReport:
     """Verify the two revenue assumptions for a two-stage (delta0,
     delta1) analysis anchored at the point yhat.
@@ -325,9 +317,8 @@ def check_assumptions(
     claim (global recovery never beats the pre-risk revenue) is visible
     even for scenarios where other facets gain value under risk.
     """
-    cfg = cfg or SolverConfig()
     yhat = np.asarray(yhat, dtype=float)
-    containing = [f for f in facets.facets if facet_contains(f, ds, tables.xbar, yhat, cfg)]
+    containing = [f for f in facets.facets if facet_contains(f, ds, tables.xbar, yhat)]
     if not containing:
         raise DataError("target point lies on no facet; assumptions are anchored to a facet point")
     violations = []
@@ -477,7 +468,6 @@ def simulate_coverage(
     trials: int,
     seed: int,
     sampler: PriceSampler | None = None,
-    cfg: SolverConfig | None = None,
 ) -> CoverageReport:
     """Sample price vectors and record which facets own each global
     optimum.  Counts are exact per-sample set sizes; sampled frequencies
@@ -485,7 +475,6 @@ def simulate_coverage(
     containment inequalities of the strategy lattice are verified sample
     by sample, never via the frequencies.
     """
-    cfg = cfg or SolverConfig()
     sampler = sampler or PriceSampler()
     if not facets.facets:
         raise DataError("coverage simulation needs a nonempty facet set")
@@ -505,7 +494,7 @@ def simulate_coverage(
             raise DataError(f"strategy names unknown facet ids {unknown}")
         strategy_sets.append(kset)
 
-    tables = facet_tables(ds, facets, xbar, cfg)
+    tables = facet_tables(ds, facets, xbar)
     usable = [(col_of[fid], V) for fid, V in tables.vertices.items() if len(V)]
     if not usable:
         raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SolverError
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import LpProblem, SolverConfig, solve_lp, solve_lps  # noqa: F401
+from .lp import LpProblem, solve_lp, solve_lps  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,11 @@ def solve_sign_patterns(
     ys: np.ndarray,
     X_ref: np.ndarray,
     Y_ref: np.ndarray,
-    cfg: SolverConfig | None = None,
 ) -> list[SignPatternResult | SolverError]:
     """Solve the signed-slack program for every evaluated point (the
     columns of xs, m x B, and ys, s x B) against one reference block
     (m x k inputs, s x k outputs).  Each entry is the point's result or
     the SolverError its own solve would raise."""
-    cfg = cfg or SolverConfig()
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     m, s = xs.shape[0], ys.shape[0]
@@ -116,7 +114,7 @@ def solve_sign_patterns(
                 built.append(j)
             except SolverError as exc:      # a non-finite coefficient
                 out[j] = exc
-        sols = solve_lps(problems, cfg)
+        sols = solve_lps(problems)
         unfinished = []
         width = len(patterns)
         for n, j in enumerate(built):
@@ -163,13 +161,12 @@ def solve_sign_pattern(
     y_o: np.ndarray,
     X_ref: np.ndarray,
     Y_ref: np.ndarray,
-    cfg: SolverConfig | None = None,
 ) -> SignPatternResult:
     """Solve the signed-slack program for DMU (x_o, y_o) against a
     reference block (m x k inputs, s x k outputs)."""
     x_o = np.asarray(x_o, dtype=float)
     y_o = np.asarray(y_o, dtype=float)
-    res = solve_sign_patterns(x_o.reshape(-1, 1), y_o.reshape(-1, 1), X_ref, Y_ref, cfg)[0]
+    res = solve_sign_patterns(x_o.reshape(-1, 1), y_o.reshape(-1, 1), X_ref, Y_ref)[0]
     if isinstance(res, SolverError):
         raise res
     return res

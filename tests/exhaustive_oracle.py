@@ -9,14 +9,13 @@ intensities can be compared bit for bit.
 
 import numpy as np
 
-from facetbench.lp import LpProblem, SolverConfig, solve_lp
+from facetbench.lp import LpProblem, solve_lp
 from facetbench.signpattern import _pattern_matrix, _pattern_problems
 
 
-def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref, cfg=None):
+def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref):
     """Least key (-sum(z), gamma, p) over all 2**s pattern LPs, as
     (p, gamma, signed slacks, lambda, degenerate flag)."""
-    cfg = cfg or SolverConfig()
     x_o = np.asarray(x_o, dtype=float)
     y_o = np.asarray(y_o, dtype=float)
     X_ref = np.asarray(X_ref, dtype=float).reshape(x_o.size, -1)
@@ -28,7 +27,7 @@ def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref, cfg=None):
     for p in range(1 << s):
         z = [(p >> r) & 1 for r in range(s)]
         sigma = np.array([1.0 if zr else -1.0 for zr in z])
-        sol = solve_lp(_pattern_problems(x_o, y_o, [_pattern_matrix(X_ref, Y_ref, sigma)])[0], cfg)
+        sol = solve_lp(_pattern_problems(x_o, y_o, [_pattern_matrix(X_ref, Y_ref, sigma)])[0])
         if sol.status != "optimal":
             continue
         t = sol.x[k:]
@@ -40,9 +39,8 @@ def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref, cfg=None):
     return best
 
 
-def facet_lp(facets, ds, o, k, cfg=None):
+def facet_lp(facets, ds, o, k):
     """Facet k's closest LP for DMU o: (status, gamma, slacks)."""
-    cfg = cfg or SolverConfig()
     s = ds.s
     x_o = ds.inputs[:, o]
     y_o = ds.outputs[:, o]
@@ -52,18 +50,18 @@ def facet_lp(facets, ds, o, k, cfg=None):
     A = np.vstack([U[k:k + 1], U[others]]) if others else U[k:k + 1]
     b = np.concatenate([[-rhs[k]], -rhs[others]]) if others else np.array([-rhs[k]])
     rels = ("=",) + ("<=",) * len(others)
-    sol = solve_lp(LpProblem("min", 1.0 / (s * y_o), A, rels, b), cfg)
+    sol = solve_lp(LpProblem("min", 1.0 / (s * y_o), A, rels, b))
     if sol.status != "optimal":
         return sol.status, None, None
     return sol.status, float(np.sum(sol.x / y_o)) / s, sol.x
 
 
-def exhaustive_closest(facets, ds, o, cfg=None):
+def exhaustive_closest(facets, ds, o):
     """Least gamma over every facet's LP, first facet on ties, as
     (facet index, gamma, slacks); None when no LP is optimal."""
     best = None
     for k in range(len(facets.facets)):
-        status, gamma, x = facet_lp(facets, ds, o, k, cfg)
+        status, gamma, x = facet_lp(facets, ds, o, k)
         if status != "optimal":
             continue
         if best is None or gamma < best[1]:

@@ -15,7 +15,7 @@ import facetbench as fb
 from facetbench.facets import FacetTolerances
 from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
-from facetbench.robust import RobustConfig, batch_evaluate
+from facetbench.robust import batch_evaluate
 from facetbench.scenario import (
     check_assumptions,
     facet_optimum,
@@ -115,7 +115,7 @@ def test_c05_985_partition(uni985, uni_partition):
 
 @pytest.fixture(scope="module")
 def robust_rows(uni985, uni_partition):
-    return batch_evaluate(uni985, uni_partition, RobustConfig(aggregation="table4-max"))
+    return batch_evaluate(uni985, uni_partition, "table4-max")
 
 
 def test_c06_robust_efficiency_table(uni985, robust_rows):

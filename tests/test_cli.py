@@ -180,6 +180,27 @@ def test_985_scenario_stdout_pinned(capsys, data_dir, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+REPORT_985 = ["report", "--data", "data/universities_985.csv", "--profile", "paper-985"]
+
+# sha256 of `report --profile paper-985` stdout, run like the toy cases;
+# unlike the benchmark's digest, the JSON ones cover the config echo
+REPORT_985_DIGESTS = {
+    "json": ([], "37472cd8a480df35a1d8805f1c13843c81a5dc06333a54cd8795520e33980728"),
+    "json-paper-min": (["--aggregation", "paper-min"],
+                       "e01849733a7ab112837a02f51ef17f265564864c4e6827d11bf83c5228283d59"),
+    "csv": (["--format", "csv"], "f435e9f74629fca7753036f41cdca96c6d5c35c92681ddf34e4de4090466b127"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_985_DIGESTS))
+def test_985_report_stdout_pinned(capsys, data_dir, monkeypatch, case):
+    extra, digest = REPORT_985_DIGESTS[case]
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(capsys, *REPORT_985, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, err = run(capsys, *SCENARIO_985, "--target", "PKU")

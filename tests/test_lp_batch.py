@@ -146,7 +146,7 @@ def test_report_raises_the_first_error_in_dmu_order(monkeypatch, uni985, uni_ext
     monkeypatch.setattr(report, "russell_farthest", russell)
     with pytest.raises(SolverError, match=raised):
         report.build_report(uni985, uni_extremes, uni_facets, uni_partition,
-                            fb.RobustConfig(), fb.FacetTolerances())
+                            "table4-max", fb.FacetTolerances())
 
 
 # LPs, pivots and statuses per layer of `report --profile paper-985`.
@@ -168,8 +168,8 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
     counts: dict = {}
     real = lp.solve_lps
 
-    def counting(problems, cfg=None):
-        sols = real(problems, cfg)
+    def counting(problems):
+        sols = real(problems)
         c = counts.setdefault(layer[0], Counter())
         for sol in sols:
             c["lps"] += 1

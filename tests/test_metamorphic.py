@@ -15,7 +15,7 @@ import pytest
 
 import facetbench as fb
 from facetbench.profiles import PAPER_985_EXTREMES
-from facetbench.robust import RobustConfig, batch_evaluate
+from facetbench.robust import batch_evaluate
 
 COLUMNS = ("in:researchers", "in:size", "out:nsa", "out:sb", "out:hp")
 
@@ -35,7 +35,7 @@ def _pipeline(ds):
     ext = fb.extreme_set(ds, override=PAPER_985_EXTREMES)
     fs = fb.enumerate_facets(ds, ext.indices, "extremes")
     part = fb.partition_robust(fs)
-    rows = batch_evaluate(ds, part, RobustConfig(aggregation="table4-max"))
+    rows = batch_evaluate(ds, part, "table4-max")
     thetas = [(r.theta, tuple(g.theta for g in r.groups)) for r in rows]
     return {
         "lambda0": ext.lambda0,
@@ -139,7 +139,7 @@ def test_dmu_reordering_keeps_every_result(uni985):
         ext = fb.extreme_set(ds, override=PAPER_985_EXTREMES)
         fs = fb.enumerate_facets(ds, ext.indices, "extremes")
         part = fb.partition_robust(fs)
-        robust = batch_evaluate(ds, part, RobustConfig(aggregation="table4-max"))
+        robust = batch_evaluate(ds, part, "table4-max")
         return {
             "facets": [(f.id, sorted(ds.names[j] for j in f.members), f.u.tobytes(), f.v.tobytes())
                        for f in fs.facets],

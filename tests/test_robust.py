@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.robust import RobustConfig, batch_evaluate, evaluate_group, robust_efficiency
+from facetbench.robust import batch_evaluate, evaluate_group, robust_efficiency
 
 
 
@@ -60,10 +60,10 @@ def test_whu_self_evaluation(uni985, uni_partition):
 
 def test_aggregation_modes_pku(uni985, uni_partition):
     o = uni985.index("PKU")
-    res_max = robust_efficiency(uni985, uni_partition, o, RobustConfig(aggregation="table4-max"))
+    res_max = robust_efficiency(uni985, uni_partition, o, "table4-max")
     assert res_max.theta == pytest.approx(0.725, abs=5e-4)
     assert res_max.slacks == pytest.approx([0.0, -24.2421, -3107.3474], abs=1e-2)
-    res_min = robust_efficiency(uni985, uni_partition, o, RobustConfig(aggregation="paper-min"))
+    res_min = robust_efficiency(uni985, uni_partition, o, "paper-min")
     assert res_min.theta == pytest.approx(0.6308, abs=5e-4)
     assert res_min.chosen_group != res_max.chosen_group
 
@@ -133,6 +133,14 @@ def test_empty_partition_rejected(uni985):
     empty = RobustPartition(membership={}, maxcount=0, s_star=(), groups=())
     with pytest.raises(fb.DataError, match="empty partition"):
         robust_efficiency(uni985, empty, 0)
+
+
+def test_unknown_aggregation_rejected(uni985, uni_partition):
+    # raised for the whole call, not turned into a per-row RowError
+    with pytest.raises(fb.DataError, match="aggregation must be one of"):
+        batch_evaluate(uni985, uni_partition, "bogus")
+    with pytest.raises(fb.DataError, match="aggregation must be one of"):
+        robust_efficiency(uni985, uni_partition, uni985.index("PKU"), "bogus")
 
 
 def test_monotone_distance_term(uni985, uni_partition):

@@ -353,14 +353,13 @@ def test_load_scenario_rejects_malformed_files(tmp_path, payload):
 def lp_incidence(ds, facets, xbar, trials, seed):
     """Per-trial coverage oracle on the LP path: one facet-optimum LP per
     facet and trial, then the documented ownership test."""
-    cfg = fb.SolverConfig()
     rows = []
     for i in range(trials):
         prices = PriceSampler().draw(seed, i, ds.s)
         values = np.full(len(facets.facets), -np.inf)
         for col, f in enumerate(facets.facets):
             try:
-                values[col] = lp_facet_optimum(ds, f, xbar, prices, cfg)[2]
+                values[col] = lp_facet_optimum(ds, f, xbar, prices)[2]
             except fb.FacetInfeasibleError:
                 pass
         best = float(np.max(values))
@@ -370,7 +369,7 @@ def lp_incidence(ds, facets, xbar, trials, seed):
 
 def lp_infeasible(ds, facet, xbar):
     try:
-        lp_facet_optimum(ds, facet, xbar, np.ones(ds.s), fb.SolverConfig())
+        lp_facet_optimum(ds, facet, xbar, np.ones(ds.s))
     except fb.FacetInfeasibleError:
         return True
     return False
@@ -434,8 +433,7 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
     # change of input unit moves neither path's feasibility verdicts
     ds, facets = rank_deficient_case(unit)
     xbar = unit * np.array(xbar)
-    cfg = fb.SolverConfig()
-    tables = facet_tables(ds, facets, xbar, cfg)
+    tables = facet_tables(ds, facets, xbar)
     for f, want in zip(facets.facets, usable):
         table = tables.vertices[f.id]
         assert (len(table) > 0) == want
@@ -443,7 +441,7 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
         for i in range(20):
             prices = PriceSampler().draw(3, i, ds.s)
             if want:
-                lp_value = lp_facet_optimum(ds, f, xbar, prices, cfg)[2]
+                lp_value = lp_facet_optimum(ds, f, xbar, prices)[2]
                 assert float(np.max(table @ prices)) == pytest.approx(lp_value, rel=1e-12)
     rep = simulate_coverage(ds, facets, [(1,), (2,), (3,), (1, 2, 3)], xbar, trials=300, seed=3)
     assert np.array_equal(rep.incidence, lp_incidence(ds, facets, xbar, 300, 3))

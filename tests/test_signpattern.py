@@ -5,7 +5,7 @@ import pytest
 
 import facetbench as fb
 from facetbench.facets import basic_solutions
-from facetbench.lp import SolverConfig, solve_lps
+from facetbench.lp import FEASIBILITY_TOL, solve_lps
 from facetbench.signpattern import _pattern_matrix, _pattern_problems
 
 from bigm_oracle import solve_bigm
@@ -133,7 +133,7 @@ def test_phase1_agrees_with_basis_enumeration_985(uni985, uni_extremes, scope, s
     # every pattern LP of every DMU and robust group: phase 1 calls the
     # system feasible exactly when its equality form, input slacks added,
     # has a basic feasible solution
-    ds, cfg = uni985, SolverConfig()
+    ds = uni985
     part = fb.partition_robust(fb.enumerate_facets(ds, uni_extremes.indices, scope))
     m, s = ds.m, ds.s
     sigmas = [np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)]) for p in range(1 << s)]
@@ -144,9 +144,9 @@ def test_phase1_agrees_with_basis_enumeration_985(uni985, uni_extremes, scope, s
         equality = [np.hstack([A, np.vstack([np.eye(m), np.zeros((s, m))])]) for A in matrices]
         for o in range(ds.n):
             b = np.concatenate([ds.inputs[:, o], ds.outputs[:, o]])
-            sols = solve_lps(_pattern_problems(ds.inputs[:, o], ds.outputs[:, o], matrices), cfg)
+            sols = solve_lps(_pattern_problems(ds.inputs[:, o], ds.outputs[:, o], matrices))
             for p, (A, sol) in enumerate(zip(equality, sols)):
-                has_basis = next(basic_solutions(A, b, cfg.feasibility_tol), None) is not None
+                has_basis = next(basic_solutions(A, b, FEASIBILITY_TOL), None) is not None
                 assert (sol.status != "infeasible") == has_basis, (scope, g.index, ds.names[o], p)
                 checked += 1
                 feasible += has_basis
