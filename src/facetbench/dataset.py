@@ -126,7 +126,20 @@ class Dataset:
             raise DataError(f"unknown DMU name: {name!r}") from None
 
 
-_TINY = float(np.finfo(float).tiny)
+# An LP solves output r's normalized slack t_r/y_r in units of P_r, the
+# power of two that its row and column equilibration divide by (the
+# largest power of two <= max(1, max_j y_rj)), with the weight
+# P_r/(s*y_r).  That weight overflows at 2**1024; the objective term is the
+# weight times the solved slack t_r/P_r, so the rule gives each factor half
+# the exponent range: P_r/(s*y_r) <= 2**RANGE_BITS.
+RANGE_BITS = 512
+
+
+def output_floors(outputs: np.ndarray) -> np.ndarray:
+    """The smallest output value of each row of ``outputs`` (s x n) that the
+    dynamic-range rule accepts: ``P_r / (s * 2**RANGE_BITS)``."""
+    top = outputs.max(axis=1, initial=1.0, where=np.isfinite(outputs))
+    return np.ldexp(1.0, np.frexp(top)[1] - 1 - RANGE_BITS) / outputs.shape[0]
 
 
 def validate_dataset(ds: Dataset) -> list[Violation]:
@@ -151,6 +164,7 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
                     "nonpositive-input", dmu=ds.names[j], dimension=ds.input_labels[i],
                     message=f"input value {v!r} must be strictly positive",
                 ))
+    floors = output_floors(ds.outputs)
     for r in range(ds.s):
         for j in range(ds.n):
             v = ds.outputs[r, j]
@@ -159,11 +173,11 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
                     "nonpositive-output", dmu=ds.names[j], dimension=ds.output_labels[r],
                     message=f"output value {v!r} must be strictly positive (efficiency ratios divide by it)",
                 ))
-            elif v < _TINY:
+            elif v < floors[r]:
                 out.append(Violation(
-                    "subnormal-output", dmu=ds.names[j], dimension=ds.output_labels[r],
-                    message=f"output value {float(v)!r} is below the smallest normal double {_TINY!r}: "
-                            "the measures' weights 1/(s*y) overflow",
+                    "output-range", dmu=ds.names[j], dimension=ds.output_labels[r],
+                    message=f"output value {float(v)!r} is below {float(floors[r])!r}, 2**-{RANGE_BITS}/s "
+                            "of its column's scale: the measures' weights 1/(s*y) would overflow",
                 ))
     if ds.m < 1:
         out.append(Violation("no-inputs", message="at least one input dimension required"))

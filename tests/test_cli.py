@@ -2,11 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from facetbench.cli import main
+from facetbench.dataset import output_floors
 
 
 def run(capsys, *argv):
@@ -201,6 +206,17 @@ def test_985_report_stdout_pinned(capsys, data_dir, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_985_report_in_a_fresh_interpreter(data_dir):
+    # the path of the console script and the benchmark: `python -m` in a
+    # new process, where the package namespace starts empty
+    root = data_dir.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "facetbench.cli", *REPORT_985], cwd=root, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_985_DIGESTS["json"][1]
+
+
 def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, err = run(capsys, *SCENARIO_985, "--target", "PKU")
@@ -324,6 +340,15 @@ INPUT_FAULTS = {
         {"d.csv": UNI_985.replace("\nRUC,164,69.646,2,", "\nRUC,164,69.646,1e-320,")},
         ["report", "--data", "d.csv", "--profile", "paper-985"],
     ),
+    # normal doubles that used to overflow the weight 1/(s*y) silently
+    "report-output-range-1e-307": (
+        {"d.csv": UNI_985.replace("\nRUC,164,69.646,2,", "\nRUC,164,69.646,1e-307,")},
+        ["report", "--data", "d.csv", "--profile", "paper-985"],
+    ),
+    "report-output-range-3e-308": (
+        {"d.csv": UNI_985.replace("\nRUC,164,69.646,2,", "\nRUC,164,69.646,3e-308,")},
+        ["report", "--data", "d.csv", "--profile", "paper-985"],
+    ),
     "scenario-empty-table": ({"p.json": '{"table": {}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-key-not-number": ({"p.json": '{"table": {"a": [1, 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-price-not-number": ({"p.json": '{"table": {"0": ["x", 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
@@ -363,6 +388,31 @@ def test_input_faults_exit_1(capsys, data_dir, tmp_path, monkeypatch, case):
     code, _, err = run(capsys, *argv)
     assert code == 1, err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("dmu", ["RUC", "PKU"])
+@pytest.mark.parametrize("output", ["nsa", "sb", "hp"])
+def test_985_report_at_the_output_floor(capsys, tmp_path, dmu, output):
+    """The smallest value the output-range rule accepts runs clean (a
+    RuntimeWarning is an error here) and scores the DMU's Russell measure;
+    one ulp less is a data error."""
+    rows = list(csv.reader(io.StringIO(UNI_985)))
+    j = next(i for i, row in enumerate(rows) if row[0] == dmu)
+    outs = [k for k, label in enumerate(rows[0]) if label.startswith("out:")]
+    r = outs.index(rows[0].index(f"out:{output}"))
+    Y = np.array([[float(row[k]) for row in rows[1:]] for k in outs])
+    Y[r, j - 1] = np.nan                       # the floor of the other values
+    floor = float(output_floors(Y)[r])
+    path = tmp_path / "d.csv"
+    for value, expected in ((floor, 0), (float(np.nextafter(floor, 0.0)), 1)):
+        rows[j][outs[r]] = repr(value)
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, out, err = run(capsys, "report", "--data", str(path), "--profile", "paper-985")
+        assert code == expected, err
+        if expected == 0:
+            result = next(row for row in json.loads(out)["results"] if row["dmu"] == dmu)
+            assert result["russell"]["status"] == "scored"
 
 
 TOY = object()  # in place of an argument: the toy dataset's path

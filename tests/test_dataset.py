@@ -3,7 +3,7 @@ import pytest
 
 import facetbench as fb
 from facetbench.cli import _read_extremes_file
-from facetbench.dataset import parse_dataset, parse_float, save_dataset
+from facetbench.dataset import RANGE_BITS, output_floors, parse_dataset, parse_float, save_dataset
 from facetbench.scenario import load_scenario
 
 
@@ -103,11 +103,34 @@ def test_validate_zero_output_names_cell():
     assert v.dimension == "y1"
 
 
-def test_validate_subnormal_output_names_cell():
+def test_validate_output_range_names_cell():
     ds = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, 1e-320]])
-    assert [(v.rule, v.dmu) for v in fb.validate_dataset(ds)] == [("subnormal-output", "B")]
-    smallest_normal = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, np.finfo(float).tiny]])
-    assert fb.validate_dataset(smallest_normal) == []
+    assert [(v.rule, v.dmu) for v in fb.validate_dataset(ds)] == [("output-range", "B")]
+    # s = 1 and the column's power of two is 2, so the floor is 2**-511
+    floor = np.ldexp(1.0, -511)
+    at_floor = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, floor]])
+    assert fb.validate_dataset(at_floor) == []
+    below = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, np.nextafter(floor, 0.0)]])
+    assert [(v.rule, v.dmu) for v in fb.validate_dataset(below)] == [("output-range", "B")]
+
+
+def test_output_floor_follows_column_scale_and_output_count():
+    # the column's power of two is floored at 1 (the slack's own coefficient)
+    Y = np.array([[0.25, 0.5], [3.0, 5.0], [1000.0, 1024.0]])
+    assert output_floors(Y).tolist() == [np.ldexp(1.0, e - RANGE_BITS) / 3 for e in (0, 2, 10)]
+    # a non-finite value is a nonpositive-output violation and moves no floor
+    assert output_floors(np.array([[np.inf, np.nan, 3.0]])).tolist() == [np.ldexp(2.0, -RANGE_BITS)]
+
+
+@pytest.mark.parametrize("factor", [2.0**10, 2.0**-10], ids=["x1024", "div1024"])
+@pytest.mark.parametrize("column", range(5))
+def test_985_power_of_two_rescalings_are_valid(uni985, column, factor):
+    X, Y = uni985.inputs.copy(), uni985.outputs.copy()
+    if column < uni985.m:
+        X[column] *= factor
+    else:
+        Y[column - uni985.m] *= factor
+    assert fb.validate_dataset(fb.Dataset(uni985.names, X, Y)) == []
 
 
 def test_validate_too_few_dmus():

@@ -1,0 +1,110 @@
+"""The lazy package namespace, each check in a fresh interpreter.
+
+`import facetbench` binds no submodule: a public name or a submodule
+attribute imports its home module on first access.  These checks run in
+subprocesses, since the test process itself has long imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+# home module -> the public names `facetbench` exported when every module
+# was imported eagerly
+PUBLIC = {
+    "dataset": ["Dataset", "Violation", "load_dataset", "parse_dataset", "save_dataset", "validate_dataset"],
+    "errors": ["DataError", "FacetBenchError", "FacetInfeasibleError", "SolverError"],
+    "facets": ["Facet", "FacetSet", "FacetTolerances", "enumerate_facets", "envelope_violations",
+               "facet_contains", "facet_normal", "verify_facet_set"],
+    "lp": ["LpProblem", "LpSolution", "solve_lp"],
+    "measures": ["ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_efficiency_test",
+                 "extreme_set", "russell_farthest"],
+    "partition": ["RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"],
+    "report": ["RunReport", "build_report", "emit"],
+    "robust": ["EfficiencyResult", "GroupResult", "RowError", "batch_evaluate", "evaluate_group",
+               "robust_efficiency"],
+    "scenario": ["AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint",
+                 "PriceSampler", "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum",
+                 "facet_tables", "global_optimum", "load_scenario", "price_at", "revenue",
+                 "simulate_coverage", "uniqueness_diagnostics", "withstand_capacity"],
+    "signpattern": ["SignPatternResult", "solve_sign_pattern"],
+}
+
+
+def fresh(code: str):
+    """Run code in a new interpreter from the repository root, with the
+    source tree first on the path; return what it prints, parsed as JSON."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = "json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'facetbench'))"
+
+
+def test_load_dataset_loads_only_its_modules():
+    loaded = fresh("import json, sys, facetbench\n"
+                   "facetbench.load_dataset('data/universities_985.csv')\n"
+                   f"print({LOADED})")
+    assert loaded == ["facetbench", "facetbench.dataset", "facetbench.errors"]
+
+
+def test_coverage_import_skips_the_measures():
+    loaded = fresh(f"import json, sys\nfrom facetbench import simulate_coverage\nprint({LOADED})")
+    assert "facetbench.scenario" in loaded
+    for module in ("measures", "partition", "report", "robust", "signpattern"):
+        assert f"facetbench.{module}" not in loaded
+
+
+def test_every_public_name_is_its_home_object():
+    out = fresh(
+        "import importlib, json, facetbench\n"
+        f"public = {PUBLIC!r}\n"
+        "same = {name: getattr(facetbench, name) is getattr(importlib.import_module('facetbench.' + home), name)\n"
+        "        for home, names in public.items() for name in names}\n"
+        "try:\n"
+        "    facetbench.no_such_name\n"
+        "    missing = 'bound'\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "try:\n"
+        "    from facetbench import no_such_name\n"
+        "except ImportError as exc:\n"
+        "    missing += ' / ' + type(exc).__name__\n"
+        "ns = {}\n"
+        "exec('from facetbench import *', ns)\n"
+        "star = {name: ns[name] is getattr(facetbench, name) for name in ns if name != '__builtins__'}\n"
+        "print(json.dumps({'same': same, 'missing': missing, 'star': star, 'all': sorted(facetbench.__all__),\n"
+        "                  'dir': sorted(set(dir(facetbench)) & set(same)), 'version': facetbench.__version__}))"
+    )
+    names = sorted(name for names in PUBLIC.values() for name in names)
+    assert len(names) == 61
+    assert sorted(out["same"]) == names
+    assert all(out["same"].values())
+    assert out["missing"] == "module 'facetbench' has no attribute 'no_such_name' / ImportError"
+    assert sorted(out["star"]) == names and all(out["star"].values())
+    assert out["all"] == names
+    assert out["dir"] == names
+    assert out["version"] == "0.1.0"
+
+
+SUBMODULES = sorted(p.stem for p in (SRC / "facetbench").glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_is_an_attribute(module):
+    # the first touch of the package: nothing else has imported the module
+    out = fresh("import json, sys, facetbench\n"
+                f"before = 'facetbench.{module}' in sys.modules\n"
+                f"mod = facetbench.{module}\n"
+                f"print(json.dumps([before, mod is sys.modules['facetbench.{module}'], mod.__name__]))")
+    assert out == [False, True, f"facetbench.{module}"]

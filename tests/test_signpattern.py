@@ -9,6 +9,7 @@ from facetbench.lp import FEASIBILITY_TOL, solve_lps
 from facetbench.signpattern import _pattern_matrix, _pattern_problems
 
 from bigm_oracle import solve_bigm
+from test_pruning import random_reference
 
 
 def one_d_grid_oracle(x_o, y_o, x_ref, y_ref, sigma, steps=200_001):
@@ -128,27 +129,52 @@ def test_zero_pattern_always_feasible(uni985):
     assert 0.0 < 1.0 / (1.0 + res.gamma) <= 1.0
 
 
+def phase1_against_basis_enumeration(x_o, y_o, matrices, detail):
+    """Assert that phase 1 calls each pattern system feasible exactly when
+    its equality form, input slacks added, has a basic feasible solution;
+    return how many of the systems are feasible."""
+    m, s = x_o.size, y_o.size
+    b = np.concatenate([x_o, y_o])
+    sols = solve_lps(_pattern_problems(x_o, y_o, matrices))
+    feasible = 0
+    for p, (A, sol) in enumerate(zip(matrices, sols)):
+        equality = np.hstack([A, np.vstack([np.eye(m), np.zeros((s, m))])])
+        has_basis = next(basic_solutions(equality, b, FEASIBILITY_TOL), None) is not None
+        assert (sol.status != "infeasible") == has_basis, (detail, p)
+        feasible += has_basis
+    return feasible
+
+
+def pattern_matrices(X_ref, Y_ref):
+    s = Y_ref.shape[0]
+    return [_pattern_matrix(X_ref, Y_ref, np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)]))
+            for p in range(1 << s)]
+
+
 @pytest.mark.parametrize("scope, systems", [("extremes", 608), ("all", 304)])
 def test_phase1_agrees_with_basis_enumeration_985(uni985, uni_extremes, scope, systems):
-    # every pattern LP of every DMU and robust group: phase 1 calls the
-    # system feasible exactly when its equality form, input slacks added,
-    # has a basic feasible solution
+    # every pattern LP of every DMU and robust group
     ds = uni985
     part = fb.partition_robust(fb.enumerate_facets(ds, uni_extremes.indices, scope))
-    m, s = ds.m, ds.s
-    sigmas = [np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)]) for p in range(1 << s)]
     checked = feasible = 0
     for g in part.groups:
-        X_ref, Y_ref = ds.inputs[:, list(g.members)], ds.outputs[:, list(g.members)]
-        matrices = [_pattern_matrix(X_ref, Y_ref, sigma) for sigma in sigmas]
-        equality = [np.hstack([A, np.vstack([np.eye(m), np.zeros((s, m))])]) for A in matrices]
+        matrices = pattern_matrices(ds.inputs[:, list(g.members)], ds.outputs[:, list(g.members)])
         for o in range(ds.n):
-            b = np.concatenate([ds.inputs[:, o], ds.outputs[:, o]])
-            sols = solve_lps(_pattern_problems(ds.inputs[:, o], ds.outputs[:, o], matrices))
-            for p, (A, sol) in enumerate(zip(equality, sols)):
-                has_basis = next(basic_solutions(A, b, FEASIBILITY_TOL), None) is not None
-                assert (sol.status != "infeasible") == has_basis, (scope, g.index, ds.names[o], p)
-                checked += 1
-                feasible += has_basis
+            feasible += phase1_against_basis_enumeration(
+                ds.inputs[:, o], ds.outputs[:, o], matrices, (scope, g.index, ds.names[o]))
+            checked += len(matrices)
     assert checked == systems
     assert 0 < feasible < checked
+
+
+def test_phase1_agrees_with_basis_enumeration_seeded():
+    # the seeded instances of the bound-ordered pruning tests; all 150 give
+    # 1,732 systems (463 feasible) and agree too, in about 15 s
+    rng = np.random.default_rng(2007)
+    checked = feasible = 0
+    for i in range(30):
+        x_o, y_o, X_ref, Y_ref = random_reference(rng, integer=i % 3 == 0)
+        matrices = pattern_matrices(X_ref, Y_ref)
+        feasible += phase1_against_basis_enumeration(x_o, y_o, matrices, f"instance {i}")
+        checked += len(matrices)
+    assert (checked, feasible) == (364, 104)
