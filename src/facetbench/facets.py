@@ -6,10 +6,19 @@ one-dimensional null direction, signed as (u, -v), is strictly positive
 and supports every DMU in scope: u@y_j - v@x_j <= 0.  Enumeration is
 exhaustive over all C(|extremes|, s+m-1) subsets, which is exact and
 cheap at DEA scale; datasets with hundreds of extreme units would need the
-dedicated identification literature instead.  The subsets are processed
-in chunks of FACET_CHUNK, with one stacked SVD and one array support test
-per chunk: about 7 us per subset for s+m = 5 (10,626 subsets in 0.07 s with
-single-threaded BLAS on a 2-vCPU x86 host, NumPy 2.4).
+dedicated identification literature instead.
+
+The subsets are processed in chunks of FACET_CHUNK, in two stages.  First
+a Householder QR of every subset's transposed rows, written as array
+operations over the chunk, gives a null direction, and a subset is ruled
+out when neither sign of it could be positive and supporting, with a
+margin of 64*eps/rank_tol on each test: for a subset that passes the
+rank test, the QR and SVD directions differ by about eps/rank_tol.  Then
+the few subsets left, about as many as there are facets, get one stacked
+SVD and one array support test, which alone decide what is kept.  That
+is 2-3 us per subset for s+m = 5 (10,626 subsets in 0.02-0.03 s, against
+0.1 s with an SVD for every subset; single-threaded BLAS on a 2-vCPU x86
+host, NumPy 2.4).
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .errors import DataError
 # solve_lp stays bound here for profilers that wrap it by this name.
 from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 
-FACET_CHUNK = 1024  # subsets per batched SVD and support test; bounds the chunk's arrays
+FACET_CHUNK = 1024  # subsets per batched QR and SVD stage; bounds the chunk's arrays
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,61 @@ def _row_norms(ds: Dataset) -> np.ndarray:
     return np.sqrt(np.sum(stacked * stacked, axis=0))
 
 
+def _null_directions(blocks: np.ndarray) -> np.ndarray:
+    """(d+1, k) unit null directions of k blocks of d rows, given as a
+    (d, d+1, k) array indexed (row, coordinate, block).
+
+    Householder QR of each transposed block, as array operations over the
+    whole stack with the blocks along the last, contiguous axis: the last
+    column of Q is orthogonal to every row.  Its sign is arbitrary, and a
+    rank-deficient block gets one unit vector of its wider null space;
+    callers allow for both.
+    """
+    a = np.array(blocks)  # a[j] is column j of every transposed block
+    d = len(a)
+    reflectors = []
+    for j in range(d):
+        x = a[j, j:]
+        v = x.copy()
+        v[0] += np.copysign(np.sqrt((x * x).sum(axis=0)), x[0])
+        vn = np.sqrt((v * v).sum(axis=0))
+        v /= np.where(vn > 0.0, vn, 1.0)  # a zero column leaves v = 0: H = I
+        tail = a[j + 1:, j:]
+        tail -= 2.0 * v * (v * tail).sum(axis=1)[:, None]
+        reflectors.append(v)
+    q = np.zeros(a.shape[1:])
+    q[-1] = 1.0
+    for j in reversed(range(d)):
+        v = reflectors[j]
+        q[j:] -= 2.0 * v * (v * q[j:]).sum(axis=0)
+    return q
+
+
+def _may_be_facets(
+    blocks: np.ndarray, probe: np.ndarray, s: int, tols: FacetTolerances, margin: float
+) -> np.ndarray:
+    """Mask of the k subsets, given as their (y, x) rows in a (d, d+1, k)
+    array, that `_normals` and the support test could keep.
+
+    A subset is ruled out when neither sign of its QR null direction
+    w = (q_out, -q_in) could pass: some component is at most
+    positivity_tol - margin, or some support residual w@(y_j, -x_j)/|r_j|
+    exceeds support_tol + margin (probe holds the support rows
+    (y_j, x_j)/|r_j| as columns).  A NaN rules nothing out.
+    """
+    q = _null_directions(blocks)
+    res = probe[0][:, None] * q[0]  # summed per coordinate: no matrix product
+    for i in range(1, len(q)):
+        res += probe[i][:, None] * q[i]
+    w_min = np.minimum(q[:s].min(axis=0), -q[s:].max(axis=0))
+    w_max = np.maximum(q[:s].max(axis=0), -q[s:].min(axis=0))
+    low = tols.positivity_tol - margin
+    high = tols.support_tol + margin
+    fails_plus = (w_min <= low) | (res.max(axis=0) > high)
+    fails_minus = (-w_max <= low) | (-res.min(axis=0) > high)
+    return ~(fails_plus & fails_minus)
+
+
 def enumerate_facets(
     ds: Dataset,
     extremes: list[int] | tuple[int, ...],
@@ -147,6 +211,11 @@ def enumerate_facets(
         raise DataError(f"need at least s+m-1 = {d} extreme DMUs, got {len(extremes)}")
     support = extremes if scope == "extremes" else tuple(range(ds.n))
     ext = np.array(extremes, dtype=np.intp)
+    rows = np.vstack([ds.outputs, ds.inputs]).T
+    probe = rows[list(support)].T / _row_norms(ds)[list(support)]  # unit support rows, as columns
+    # A subset that _normals keeps has condition number below 1/rank_tol,
+    # so its QR and SVD null directions differ by about eps/rank_tol.
+    margin = 64.0 * np.finfo(float).eps / tols.rank_tol if tols.rank_tol > 0.0 else np.inf
 
     found: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
     examined = 0
@@ -157,6 +226,8 @@ def enumerate_facets(
             break
         examined += len(pos)
         subsets = ext[pos]
+        blocks = rows[subsets.T].transpose(0, 2, 1)
+        subsets = subsets[_may_be_facets(blocks, probe, ds.s, tols, margin)]
         ok, u, v = _normals(ds, subsets, tols)
         keep = np.flatnonzero(ok)
         supported = ~(_residuals(ds, u[keep], v[keep], support) > tols.support_tol).any(axis=1)

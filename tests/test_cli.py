@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from facetbench.cli import main
-from facetbench.dataset import output_floors
+from facetbench.dataset import output_floors, save_dataset
+from test_facets import curved_dataset
 
 
 def run(capsys, *argv):
@@ -215,6 +216,24 @@ def test_985_report_in_a_fresh_interpreter(data_dir):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_985_DIGESTS["json"][1]
+
+
+# sha256 of `facets` and `partition` stdout on the benchmark's geometry:
+# m=2, s=3, 24 extreme units and 16 dominated ones (C(24, 4) = 10,626
+# subsets, 78 facets), written to the working directory as curved.csv
+CURVED_24_DIGESTS = {
+    "facets": "f54786bdfb0b2ef548affc29c4bd74ceb4a3884f8e56bd8c2410094d509d9bf1",
+    "partition": "16b3e020ded6295e8a76988ae18ac0cdbaaf27cff5a802d2a2ae964abd85ebfe",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CURVED_24_DIGESTS))
+def test_24_extremes_stdout_pinned(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    save_dataset(curved_dataset(2026, 24, n_dominated=16), "curved.csv")
+    code, out, err = run(capsys, command, "--data", "curved.csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVED_24_DIGESTS[command]
 
 
 def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):

@@ -8,7 +8,9 @@ import facetbench as fb
 from facetbench import facets as facets_module
 
 from facet_oracle import oracle_enumerate_facets, oracle_facet_normal, oracle_facet_set, oracle_residual
+from facetbench.profiles import PAPER_985_EXTREMES
 from table4 import TABLE3
+from test_metamorphic import COLUMNS, _rescaled
 
 
 def null_space_oracle(rows):
@@ -198,6 +200,20 @@ def curved_dataset(seed, n_curved, n_dominated=0, extra=()):
     return fb.Dataset(tuple(f"U{j}" for j in range(X.shape[1])), X, Y)
 
 
+@pytest.fixture
+def normals_calls(monkeypatch):
+    """Count the subsets that reach facets._normals."""
+    seen = [0]
+    inner = facets_module._normals
+
+    def counted(ds, subsets, tols):
+        seen[0] += len(subsets)
+        return inner(ds, subsets, tols)
+
+    monkeypatch.setattr(facets_module, "_normals", counted)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def curved16():
     """C(16, 4) = 1820 subsets, more than one chunk of FACET_CHUNK = 1024,
@@ -222,11 +238,13 @@ def test_985_matches_oracle(uni985, uni_extremes, scope):
     assert_same_facet_set(got, ref)
 
 
-def test_985_every_normal_matches_oracle(uni985, uni_extremes):
-    # support_tol = inf: the scope does not matter
+def test_985_every_normal_matches_oracle(uni985, uni_extremes, normals_calls):
+    # support_tol = inf: the scope does not matter, and with
+    # positivity_tol = -2 no null direction is ruled out before the SVD
     ref = oracle_enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE)
     assert len(ref) == 330
     assert_same_facet_set(fb.enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE), ref)
+    assert normals_calls[0] == 330
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 910, 1820, 1821, None],
@@ -389,3 +407,104 @@ def test_residuals_match_per_dmu_oracle(uni985, uni_extremes, scope):
         sup = max(oracle_residual(uni985, f, j) for j in support)
         assert repr(summary[f.id]["span_residual"]) == repr(span)
         assert repr(summary[f.id]["max_support_residual"]) == repr(sup)
+
+
+# ---------------------------------------------------------------------------
+# The QR prefilter: only subsets whose null direction could pass reach
+# _normals, and the facet set stays the oracle's, byte for byte.
+
+# the prefilter's margin at the default rank_tol, about 1.4e-5
+QR_MARGIN = 64.0 * np.finfo(float).eps / fb.FacetTolerances().rank_tol
+
+
+def test_985_only_facets_reach_the_svd(uni985, uni_extremes, normals_calls):
+    fs = fb.enumerate_facets(uni985, uni_extremes.indices, "extremes")
+    assert (len(fs), fs.subsets_examined, normals_calls[0]) == (14, 330, 14)
+
+
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_985_unpinned_matches_oracle(uni985, scope):
+    ext = fb.extreme_set(uni985).indices
+    ref = oracle_enumerate_facets(uni985, ext, scope)
+    assert ref.subsets_examined == 2380 and len(ref) == 17
+    assert_same_facet_set(fb.enumerate_facets(uni985, ext, scope), ref)
+
+
+# Past 2^+-12 a unit change moves the 985 facet set (nsa and sb at 2^-16,
+# hp at 2^16 and 2^20, among others): the prefilter must reproduce the
+# moved set too.
+@pytest.mark.parametrize("k", [16, -16, 20, -20])
+@pytest.mark.parametrize("column", COLUMNS)
+def test_985_rescaled_columns_match_oracle(uni985, column, k):
+    ds = _rescaled(uni985, column, 2.0**k)
+    ext = fb.extreme_set(ds, override=PAPER_985_EXTREMES).indices
+    for scope in ("extremes", "all"):
+        assert_same_facet_set(fb.enumerate_facets(ds, ext, scope), oracle_enumerate_facets(ds, ext, scope))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-6, 1e-12, 0.0])
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_rank_tolerance_matches_oracle(uni985, scope, rank_tol, normals_calls):
+    ext = fb.extreme_set(uni985).indices
+    tols = fb.FacetTolerances(rank_tol=rank_tol)
+    ref = oracle_enumerate_facets(uni985, ext, scope, tols)
+    assert_same_facet_set(fb.enumerate_facets(uni985, ext, scope, tols), ref)
+    if rank_tol == 0.0:  # no condition bound, so no margin: nothing is ruled out
+        assert normals_calls[0] == ref.subsets_examined == 2380
+
+
+@pytest.mark.parametrize("scope", ["extremes", "all"])
+def test_24_extremes_match_oracle(scope, normals_calls):
+    # the benchmark's shape: C(24, 4) = 10,626 subsets in 11 chunks
+    ds = curved_dataset(2026, 24, n_dominated=16)
+    ref = oracle_enumerate_facets(ds, range(24), scope)
+    got = fb.enumerate_facets(ds, range(24), scope)
+    assert len(ref) == 78 and ref.subsets_examined == 10626
+    assert_same_facet_set(got, ref)
+    assert normals_calls[0] < 2 * len(ref)
+
+
+@pytest.mark.parametrize("offset,reaches,kept", [
+    (-0.5, 1, 1),   # within tolerance: a facet
+    (0.5, 1, 0),    # outside, but within the margin: the SVD path decides
+    (2.0, 0, 0),    # outside by more than the margin: ruled out first
+], ids=["inside", "within-margin", "beyond-margin"])
+def test_support_margin_boundary(normals_calls, offset, reaches, kept):
+    """A and B span the hyperplane with unit normal n = (1, 1, -3)/sqrt(11)
+    in (y1, y2, x); C = p + rho*|p|*n with p = (1.5, 1.5, 1) on it, so C's
+    scaled residual is rho to within rho^3 (n is orthogonal to p)."""
+    tols = fb.FacetTolerances()
+    rho = tols.support_tol + offset * (tols.support_tol if offset < 0 else QR_MARGIN)
+    step = rho / math.sqrt(2.0)  # rho * |p| / sqrt(11)
+    ds = fb.Dataset(
+        ("A", "B", "C"),
+        np.array([[1.0, 1.0, 1.0 - 3.0 * step]]),
+        np.array([[2.0, 1.0, 1.5 + step], [1.0, 2.0, 1.5 + step]]),
+    )
+    u, v = fb.facet_normal(ds, (0, 1))
+    y, x = ds.outputs[:, 2], ds.inputs[:, 2]
+    assert (u @ y - v @ x) / np.linalg.norm([*y, *x]) == pytest.approx(rho, abs=1e-12)
+    normals_calls[0] = 0
+    ref = oracle_enumerate_facets(ds, (0, 1), "all")
+    got = fb.enumerate_facets(ds, (0, 1), "all")
+    assert len(ref) == kept
+    assert_same_facet_set(got, ref)
+    assert normals_calls[0] == reaches
+
+
+def test_null_directions_agree_with_svd():
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0.5, 2.0, size=(200, 4, 5)) * np.ldexp(1.0, rng.integers(-10, 10, size=(200, 1, 5)))
+    rows[0, 2] = rows[0, 1]  # rank-deficient blocks: a repeated row,
+    rows[1, 3] = 0.0         # and a zero row
+    q = facets_module._null_directions(rows.transpose(1, 2, 0)).T
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    _, sv, vh = np.linalg.svd(rows)
+    full = sv[:, -1] > 1e-9 * sv[:, 0]
+    assert not full[:2].any() and full[2:].all()
+    ref = vh[full, -1, :]
+    sign = np.sign((q[full] * ref).sum(axis=1))[:, None]
+    kappa = sv[full, 0] / sv[full, -1]
+    assert (np.abs(q[full] - sign * ref).max(axis=1) <= 64.0 * np.finfo(float).eps * kappa).all()
+    # a rank-deficient block still gets a unit vector orthogonal to its rows
+    assert np.abs((rows[:2] * q[:2, None, :]).sum(axis=2)).max() <= 1e-12 * np.abs(rows[:2]).max()
