@@ -15,11 +15,12 @@
 
 Each layer submits its independent LPs together (``lp.solve_lps``): the
 extreme test and Russell solve every DMU in one batch, and the closest
-measure solves in rounds, each round holding every unfinished DMU's next
-facet in bound order.  Russell and the closest measure take one DMU or a
-sequence of DMUs; for a sequence they return a list that holds, in place
-of a DMU's result, the error its own evaluation would raise, so one
-failing DMU leaves the others' results untouched.
+measure in rounds, each holding every unfinished DMU's unsolved facets
+whose bound is within the margin of its least bound (first round) or
+best gamma (later rounds).  Russell and the closest measure take one DMU
+or a sequence of DMUs; for a sequence they return a list that holds, in
+place of a DMU's result, the error its own evaluation would raise, so
+one failing DMU leaves the others' results untouched.
 """
 
 from __future__ import annotations
@@ -252,24 +253,35 @@ def closest_on_efpps(
         A, rels = systems[k]
         return LpProblem("min", C[i], A, rels, -rhs[i, rows[k]])
 
+    ranked = np.take_along_axis(bound, order, axis=1)
+
+    def window(ref: float) -> float:
+        return ref * (1 + 1e-9) + 1e-12
+
     while live:
         batch = []
         for i in live:
-            k = int(order[i, step[i]])
-            if best[i] is None or bound[i, k] <= best[i][0] * (1 + 1e-9) + 1e-12:
-                batch.append((i, k))
-        live = []
+            ref = ranked[i, step[i]] if best[i] is None else best[i][0]
+            end = max(step[i] + 1, int(np.searchsorted(ranked[i], window(ref), side="right")))
+            batch += [(i, int(k)) for k in order[i, step[i]:end]]
+        # Read each DMU's results in bound order with its running best, as
+        # if its facets were solved one at a time: a facet past the stop
+        # test is ignored, and the first error is the DMU's own.  step F
+        # marks a DMU done.
         for (i, k), sol in zip(batch, _solve_each(problem, batch)):
-            if isinstance(sol, SolverError):
-                results[i] = sol
+            if step[i] == F:
                 continue
-            if sol.status == "optimal":
-                gamma = float(np.sum(sol.x / Y[i])) / s
-                if best[i] is None or (gamma, k) < best[i][:2]:
-                    best[i] = (gamma, k, sol.x)
-            step[i] += 1
-            if step[i] < F:
-                live.append(i)
+            if best[i] is not None and ranked[i, step[i]] > window(best[i][0]):
+                step[i] = F
+            elif isinstance(sol, SolverError):
+                results[i], step[i] = sol, F
+            else:
+                if sol.status == "optimal":
+                    gamma = float(np.sum(sol.x / Y[i])) / s
+                    if best[i] is None or (gamma, k) < best[i][:2]:
+                        best[i] = (gamma, k, sol.x)
+                step[i] += 1
+        live = [i for i in live if step[i] < F and (best[i] is None or ranked[i, step[i]] <= window(best[i][0]))]
     for i, d in enumerate(dmus):
         if results[i] is not None:
             continue

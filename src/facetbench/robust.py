@@ -11,10 +11,12 @@ Negative slack reads as over-production relative to the robust target
 (resource-allocation distortion); positive slack is an ordinary
 shortfall.
 
-Evaluating several DMUs solves one sign-pattern batch per robust group
+Evaluating several DMUs runs one sign-pattern search per robust group
 (``signpattern.solve_sign_patterns``) for every DMU that has not failed
 in an earlier group, so a DMU's groups, and the first error it meets,
-come in the same order as when it is evaluated alone.
+come in the same order as when it is evaluated alone.  Each search solves
+its DMUs' LPs in one batch; a DMU whose patterns at its top level are all
+infeasible goes on to the next level in a later batch.
 """
 
 from __future__ import annotations

@@ -16,10 +16,17 @@ ascending p, and the visit stops at the first level below a level with a
 feasible pattern: the key ranks the level first, so no pattern there can
 win, and the winner is the one full enumeration would pick.
 
+Against one reference column (a, b), a ray, pattern z is feasible
+exactly when lambda has room in [max(0, max over z_r = 1 of rho_r),
+min(lambda_max, min over z_r = 0 of rho_r)], with rho_r = y_or / b_r and
+lambda_max = min_i x_oi / a_i.  A pattern with no room even after each
+bound is widened by RAY_MARGIN of its row's scale gets no LP: phase 1
+could not call it feasible, so every result still comes from an LP.
+
 ``solve_sign_patterns`` evaluates many points against one reference block
-and solves each level's LPs as one batch (``lp.solve_lps``) holding every
-point that has no feasible pattern yet; each point's visit order and stop
-rule are the ones above.
+in one batch (``lp.solve_lps``): each point starts at its highest level
+that has a pattern left, and only a point whose LPs there all come back
+infeasible goes on, in a later batch, to its next level down.
 """
 
 from __future__ import annotations
@@ -30,7 +37,13 @@ import numpy as np
 
 from .errors import SolverError
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import LpProblem, solve_lp, solve_lps  # noqa: F401
+from .lp import FEASIBILITY_TOL, LpProblem, solve_lp, solve_lps  # noqa: F401
+
+# Phase 1 accepts artificials summing to FEASIBILITY_TOL times the largest
+# rhs of its power-of-two equilibrated rows, which is below 2: each row is
+# met to within 2 * FEASIBILITY_TOL of its scale, at most its largest
+# magnitude (1, the slack's, included).  Twice that covers rounding.
+RAY_MARGIN = 4 * FEASIBILITY_TOL
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,23 @@ def _pattern_problems(x_o: np.ndarray, y_o: np.ndarray, matrices: list[np.ndarra
     return [LpProblem("min", c, A, rels, b) for A in matrices]
 
 
+def _ray_candidates(x_pts, y_pts, x_r, y_r, Z) -> np.ndarray:
+    """(points, patterns) mask of the patterns whose LP against the one
+    positive reference column (x_r, y_r) phase 1 might call feasible; each
+    row's bound on lambda is widened by RAY_MARGIN times the row's largest
+    magnitude over its lambda coefficient.  NaN keeps a pattern, and so
+    does pattern 0, the last visited, so that a point whose LPs cannot be
+    built fails as its own solve would."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cap = np.min((x_pts + RAY_MARGIN * np.maximum(np.abs(x_pts), x_r)) / x_r, axis=1)
+        pad = RAY_MARGIN * np.maximum(np.maximum(y_pts, y_r), 1.0)
+        lo = np.max(np.where(Z, ((y_pts - pad) / y_r)[:, None, :], 0.0), axis=2)
+        hi = np.min(np.where(Z, np.inf, ((y_pts + pad) / y_r)[:, None, :]), axis=2)
+        keep = ~(lo > np.minimum(hi, cap[:, None]))
+    keep[:, 0] = True
+    return keep
+
+
 def solve_sign_patterns(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -97,29 +127,39 @@ def solve_sign_patterns(
             out[j] = SolverError("evaluated DMU must have strictly positive outputs")
     live = [j for j in range(len(out)) if out[j] is None]
 
-    for level in range(s, -1, -1):
-        if not live:
-            break
-        patterns = []
-        for p in range(1 << s):
-            if p.bit_count() == level:
-                z = tuple((p >> r) & 1 for r in range(s))
-                sigma = np.array([1.0 if zr else -1.0 for zr in z])
-                patterns.append((p, z, sigma, _pattern_matrix(X_ref, Y_ref, sigma)))
-        matrices = [A for *_, A in patterns]
-        problems, built = [], []
-        for j in live:
+    zs = [tuple((p >> r) & 1 for r in range(s)) for p in range(1 << s)]
+    Z = np.array(zs, dtype=bool).reshape(-1, s)
+    level = Z.sum(axis=1)
+    sigmas = np.where(Z, 1.0, -1.0)
+    matrices = [_pattern_matrix(X_ref, Y_ref, sigma) for sigma in sigmas]
+    if k == 1 and np.all(X_ref > 0) and np.all(Y_ref > 0):
+        left = _ray_candidates(x_pts[live], y_pts[live], X_ref[:, 0], Y_ref[:, 0], Z)
+    else:
+        left = np.ones((len(live), len(zs)), dtype=bool)
+    todo = dict(zip(live, left))            # point -> patterns not yet visited
+
+    while todo:
+        problems, visits = [], []
+        for j, pending in todo.items():
+            if not pending.any():
+                out[j] = SolverError(
+                    "all sign patterns infeasible: empty reference technology "
+                    "(cannot happen for a nonempty reference set)"
+                )
+                continue
+            top = level[pending].max()
+            ps = np.flatnonzero(pending & (level == top))
+            pending[ps] = False
             try:
-                problems += _pattern_problems(x_pts[j], y_pts[j], matrices)
-                built.append(j)
+                problems += _pattern_problems(x_pts[j], y_pts[j], [matrices[p] for p in ps])
+                visits.append((j, ps))
             except SolverError as exc:      # a non-finite coefficient
                 out[j] = exc
-        sols = solve_lps(problems)
-        unfinished = []
-        width = len(patterns)
-        for n, j in enumerate(built):
+        sols = solve_lps(problems) if problems else []
+        n = 0
+        for j, ps in visits:
             best = None
-            for (p, z, sigma, _), sol in zip(patterns, sols[n * width:(n + 1) * width]):
+            for p, sol in zip(ps, sols[n:n + len(ps)]):
                 if isinstance(sol, SolverError):
                     out[j] = sol
                     break
@@ -129,16 +169,14 @@ def solve_sign_patterns(
                 if sol.status == "optimal":
                     gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
                     if best is None or (gamma, p) < best[:2]:
-                        best = (gamma, p, z, sigma, sol)
-            if out[j] is not None:
+                        best = (gamma, int(p), sol)
+            n += len(ps)
+            if out[j] is not None or best is None:
                 continue
-            if best is None:
-                unfinished.append(j)
-                continue
-            gamma, p, z, sigma, sol = best
-            t = sol.x[k:]
+            gamma, p, sol = best
+            sigma, t = sigmas[p], sol.x[k:]
             out[j] = SignPatternResult(
-                z=z,
+                z=zs[p],
                 slacks=sigma * t,
                 s_plus=np.where(sigma > 0, t, 0.0),
                 s_minus=np.where(sigma < 0, t, 0.0),
@@ -147,12 +185,7 @@ def solve_sign_patterns(
                 pattern_index=p,
                 degenerate_optimal_face=sol.degenerate_optimal_face,
             )
-        live = unfinished
-    for j in live:
-        out[j] = SolverError(
-            "all sign patterns infeasible: empty reference technology "
-            "(cannot happen for a nonempty reference set)"
-        )
+        todo = {j: pending for j, pending in todo.items() if out[j] is None}
     return out
 
 

@@ -149,17 +149,21 @@ def test_report_raises_the_first_error_in_dmu_order(monkeypatch, uni985, uni_ext
                             "table4-max", fb.FacetTolerances())
 
 
-# LPs, pivots and statuses per layer of `report --profile paper-985`.
-# Batching alone reproduced the figures of solving the LPs one by one
-# (pivots 543, 867, 420 and 747).  Column scaling moves some near-zero
-# tableau entries across the tolerances, so a few pivot paths change: the
-# same LPs reach the same statuses and the same report bytes with 2,583
-# pivots instead of 2,577.
+# solve_lps calls, LPs, pivots and statuses per layer of `report
+# --profile paper-985`.  Batching alone reproduced the figures of solving
+# the LPs one by one (pivots 543, 867, 420 and 747).  Column scaling moves
+# some near-zero tableau entries across the tolerances, so a few pivot
+# paths change: the same LPs reach the same statuses and the same report
+# bytes with 2,583 pivots instead of 2,577.  Every robust group of the
+# study is one DMU, a ray, so the sign-pattern search rules out the 263
+# patterns whose LPs were infeasible (868 pivots) before building them and
+# solves each group in one call; the closest measure solves its 82 LPs in
+# one round.
 REPORT_985_LAYERS = {
-    "extreme": {"lps": 38, "pivots": 543, "optimal": 38},
-    "signpattern": {"lps": 339, "pivots": 868, "optimal": 76, "infeasible": 263},
-    "closest": {"lps": 82, "pivots": 417, "optimal": 82},
-    "russell": {"lps": 38, "pivots": 755, "optimal": 38},
+    "extreme": {"calls": 1, "lps": 38, "pivots": 543, "optimal": 38},
+    "signpattern": {"calls": 2, "lps": 76, "pivots": 295, "optimal": 76},
+    "closest": {"calls": 1, "lps": 82, "pivots": 417, "optimal": 82},
+    "russell": {"calls": 1, "lps": 38, "pivots": 755, "optimal": 38},
 }
 
 
@@ -171,6 +175,7 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
     def counting(problems):
         sols = real(problems)
         c = counts.setdefault(layer[0], Counter())
+        c["calls"] += 1
         for sol in sols:
             c["lps"] += 1
             c["pivots"] += sol.iterations
@@ -195,5 +200,5 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--data", str(data_dir / "universities_985.csv"), "--profile", "paper-985"]) == 0
     assert {k: dict(v) for k, v in counts.items()} == REPORT_985_LAYERS
-    assert sum(v["lps"] for v in REPORT_985_LAYERS.values()) == 497
-    assert sum(v["pivots"] for v in REPORT_985_LAYERS.values()) == 2583
+    assert sum(v["lps"] for v in REPORT_985_LAYERS.values()) == 234
+    assert sum(v["pivots"] for v in REPORT_985_LAYERS.values()) == 2010

@@ -3,16 +3,21 @@ oracles that solve every candidate LP.
 
 Both searches stop once no unvisited candidate can win, and keep the same
 winner key as the exhaustive loops, so the winner, its gamma, slacks and
-intensities must agree bit for bit, with the same degenerate flag.
+intensities must agree bit for bit, with the same degenerate flag.  The
+sign-pattern search also rules out, without an LP, the patterns of a
+one-column reference that phase 1 could not call feasible.
 """
 
 import numpy as np
 import pytest
 
 import facetbench as fb
+from facetbench import measures, signpattern
+from facetbench.errors import SolverError
 from facetbench.facets import Facet, FacetSet
 from facetbench.measures import closest_on_efpps
 from facetbench.profiles import PAPER_985_EXTREMES
+from facetbench.signpattern import RAY_MARGIN
 
 from exhaustive_oracle import exhaustive_closest, exhaustive_sign_pattern, facet_lp
 
@@ -183,3 +188,118 @@ def test_sign_pattern_tie_at_one_level_goes_to_lower_index():
     assert res.pattern_index == 1 and res.gamma == 0.375
     assert list(res.slacks) == [0.0, -0.75]
     assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref)
+
+
+def solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref):
+    """The pattern indices whose LPs the search solves for one point, one
+    list per solve_lps call."""
+    calls = []
+    real = signpattern.solve_lps
+    m, k = len(x_o), np.asarray(X_ref).reshape(len(x_o), -1).shape[1]
+
+    def recording(problems):
+        calls.append([sum(1 << r for r, a in enumerate(np.diag(p.A[m:, k:])) if a < 0) for p in problems])
+        return real(problems)
+
+    monkeypatch.setattr(signpattern, "solve_lps", recording)
+    fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref)
+    monkeypatch.undo()
+    return calls
+
+
+# Every entry of these rays is at least 1 and the point's exceeds the
+# reference's, so each bound of lambda widens by RAY_MARGIN relative: a
+# lower bound rho_k is ruled out above lambda_max * (1 + 2 * RAY_MARGIN).
+MARGIN = 2 * RAY_MARGIN
+
+
+@pytest.mark.parametrize("offset,reaches_lp", [(-MARGIN / 2, True), (MARGIN / 2, True), (2 * MARGIN, False)])
+def test_ray_prefilter_rules_out_only_beyond_its_margin(monkeypatch, offset, reaches_lp):
+    # lambda_max = 3; output 0 alone bounds pattern 3 = (1, 1) below, at
+    # rho_0 = 3 * (1 + offset)
+    x_o, X_ref = [3.0], [[1.0]]
+    y_o, Y_ref = [4.5 * (1 + offset), 2.0], [[1.5], [2.0]]
+    calls = solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref)
+    assert (3 in calls[0]) == reaches_lp
+    assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref, f"offset {offset}")
+
+
+def test_ray_tie_at_lambda_max_matches_exhaustive(monkeypatch):
+    # rho_0 == lambda_max == 3: pattern (1, 1) is feasible at one point
+    x_o, y_o, X_ref, Y_ref = [3.0, 6.0], [4.5, 2.0], [[1.0], [2.0]], [[1.5], [2.0]]
+    assert solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref) == [[3]]
+    assert fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref).pattern_index == 3
+    assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref)
+
+
+def test_ray_zero_slope_matches_exhaustive():
+    # top level z = (1, 0, 0) on lambda in [1, 1.5], where gamma is
+    # (lambda - 1 + 2 * (1 - lambda / 2)) / 3 = 1/3: the optimal face is an
+    # edge, and the LP's vertex and degenerate flag must be the oracle's
+    x_o, y_o, X_ref, Y_ref = [1.5], [1.0, 2.0, 2.0], [[1.0]], [[1.0], [1.0], [1.0]]
+    res = fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref)
+    assert res.z == (1, 0, 0) and res.degenerate_optimal_face
+    assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref)
+
+
+def test_ray_instances_match_exhaustive_random():
+    # points on, just inside and just outside the ray's bounds, some in
+    # small integers that tie ratios exactly
+    rng = np.random.default_rng(1991)
+    for i in range(120):
+        m, s = (int(v) for v in rng.integers(1, [3, 4], endpoint=True))
+        integer = i % 3 == 0
+        draw = (lambda size: rng.integers(1, 6, size=size).astype(float)) if integer else (
+            lambda size: rng.uniform(0.5, 10.0, size=size))
+        X_ref, Y_ref = draw((m, 1)), draw((s, 1))
+        lam = float(rng.choice([1.0, 2.0])) if integer else float(rng.uniform(0.2, 3.0))
+        x_o = X_ref[:, 0] * lam * rng.choice([1.0, 1.5], size=m)
+        near = [1.0, 0.5, 2.0] if integer else [1.0, 1 - 1e-9, 1 + 1e-9, 1 + 1e-8, 1 - 1e-7, 0.5, 2.0]
+        y_o = Y_ref[:, 0] * lam * rng.choice(near, size=s)
+        assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref, f"instance {i}")
+
+
+def test_two_member_group_solves_every_pattern_of_each_level_it_visits(monkeypatch):
+    # (1, 1) is infeasible, so the point goes on to level 1 and solves both
+    # of its patterns, as in test_sign_pattern_tie_at_one_level_goes_to_lower_index
+    x_o, y_o = [1.0], [1.0, 1.0]
+    X_ref, Y_ref = [[2.0, 2.0]], [[2.0, 0.5], [0.5, 2.0]]
+    assert solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref) == [[3], [1, 2]]
+
+
+def two_round_case():
+    """Facet 0 has a zero coefficient, so its bound is 0 and it is solved
+    alone in the first round, at gamma 0.25.  Facets 1 (bound and gamma
+    0.125) and 2 (bound 0.2, infeasible) lie within that gamma, so a second
+    round solves both; facet 1 wins, and facet 2 is past the stop test."""
+    return facet_case([1.0, 4.0], [((1.0, 0.0), 0.5), ((1.0, 1.0), 1.0), ((2.0, 2.0), 3.2)])
+
+
+def test_closest_second_round_matches_exhaustive(monkeypatch):
+    ds, fs = two_round_case()
+    assert list(lower_bounds(fs, ds)) == pytest.approx([0.0, 0.125, 0.2])
+    calls = []
+    real = measures.solve_lps
+    monkeypatch.setattr(measures, "solve_lps", lambda problems: calls.append(len(problems)) or real(problems))
+    assert_closest_matches(fs, ds, 0)
+    assert calls == [1, 2]
+    assert exhaustive_closest(fs, ds, 0)[0] == 1
+
+
+@pytest.mark.parametrize("failing,raised", [(1, True), (2, False)])
+def test_closest_error_is_the_first_in_bound_order(monkeypatch, failing, raised):
+    """An error in facet 1's LP is the DMU's; one in facet 2's, which the
+    round solved but the stop test passes over, is not."""
+    ds, fs = two_round_case()
+    real = measures.solve_lps
+
+    def failing_lps(problems):
+        return [SolverError(f"facet {failing}") if np.array_equal(p.A[0], fs.facets[failing].u) else sol
+                for p, sol in zip(problems, real(problems))]
+
+    monkeypatch.setattr(measures, "solve_lps", failing_lps)
+    if raised:
+        with pytest.raises(SolverError, match="facet 1"):
+            closest_on_efpps(fs, ds, 0)
+    else:
+        assert bits(closest_on_efpps(fs, ds, 0).slacks) == bits(exhaustive_closest(fs, ds, 0)[2])
