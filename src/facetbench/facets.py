@@ -337,44 +337,44 @@ def facet_contains(
     return next(basic_solutions(A, r, FEASIBILITY_TOL), None) is not None
 
 
-def facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
+def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
     """(len(fs), n) scaled residuals of every facet at every DMU."""
     u = np.array([f.u for f in fs.facets]).reshape(len(fs), ds.s)
     v = np.array([f.v for f in fs.facets]).reshape(len(fs), ds.m)
     return _residuals(ds, u, v, range(ds.n))
 
 
-def verify_facet_set(ds: Dataset, fs: FacetSet, resid: np.ndarray | None = None) -> dict:
-    """Residual summary for reporting and invariant tests.
-
-    Returns per-facet max |u@y_j - v@x_j| over members (span residual),
-    max scaled support residual over the scope, and min normal component.
-    resid, when given, is ``facet_residuals(ds, fs)``.
-    """
+def facet_checks(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> tuple[dict, list[dict]]:
+    """(verify_facet_set, envelope_violations) from one residual matrix."""
+    tols = tols or FacetTolerances()
     support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
-    out = {}
-    if resid is None:
-        resid = facet_residuals(ds, fs)
+    resid = _facet_residuals(ds, fs)
+    summary = {}
     for f, row in zip(fs.facets, resid):
-        out[f.id] = {
+        summary[f.id] = {
             "span_residual": max(abs(row[j]) for j in f.members),
             "max_support_residual": max(row[j] for j in support),
             "min_normal_component": float(min(f.u.min(), f.v.min())),
         }
-    return out
-
-
-def envelope_violations(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None,
-                        resid: np.ndarray | None = None) -> list[dict]:
-    """DMUs lying outside some facet half-space (scaled residual above
-    tolerance).  On a clean dataset this list is empty for scope=all and
-    scope=extremes alike; a nonempty list under scope=extremes flags the
-    kind of data anomaly that support checks over extremes cannot see.
-    resid, when given, is ``facet_residuals(ds, fs)``."""
-    tols = tols or FacetTolerances()
-    if resid is None:
-        resid = facet_residuals(ds, fs)
-    return [
+    violations = [
         {"dmu": ds.names[j], "facet": fs.facets[i].id, "residual": float(resid[i, j])}
         for j, i in zip(*np.nonzero(resid.T > tols.support_tol))
     ]
+    return summary, violations
+
+
+def verify_facet_set(ds: Dataset, fs: FacetSet) -> dict:
+    """Residual summary for reporting and invariant tests.
+
+    Returns per-facet max |u@y_j - v@x_j| over members (span residual),
+    max scaled support residual over the scope, and min normal component.
+    """
+    return facet_checks(ds, fs)[0]
+
+
+def envelope_violations(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> list[dict]:
+    """DMUs lying outside some facet half-space (scaled residual above
+    tolerance).  On a clean dataset this list is empty for scope=all and
+    scope=extremes alike; a nonempty list under scope=extremes flags the
+    kind of data anomaly that support checks over extremes cannot see."""
+    return facet_checks(ds, fs, tols)[1]

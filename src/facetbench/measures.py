@@ -16,11 +16,11 @@
 Each layer submits its independent LPs together (``lp.solve_lps``): the
 extreme test and Russell solve every DMU in one batch, and the closest
 measure in rounds, each holding every unfinished DMU's unsolved facets
-whose bound is within the margin of its least bound (first round) or
-best gamma (later rounds).  Russell and the closest measure take one DMU
-or a sequence of DMUs; for a sequence they return a list that holds, in
-place of a DMU's result, the error its own evaluation would raise, so
-one failing DMU leaves the others' results untouched.
+that pass the stop test against its least bound, then its best gamma.
+Russell and the closest measure take one DMU or a sequence of DMUs; for
+a sequence they return a list that holds, in place of a DMU's result,
+the error its own evaluation would raise, so one failing DMU leaves the
+others' results untouched.
 """
 
 from __future__ import annotations
@@ -255,23 +255,19 @@ def closest_on_efpps(
 
     ranked = np.take_along_axis(bound, order, axis=1)
 
-    def window(ref: float) -> float:
-        return ref * (1 + 1e-9) + 1e-12
+    def reach(i: int, ref: float) -> int:
+        """How many of DMU i's ranked facets pass the stop test against ref."""
+        return int(np.searchsorted(ranked[i], ref * (1 + 1e-9) + 1e-12, side="right"))
 
     while live:
         batch = []
         for i in live:
-            ref = ranked[i, step[i]] if best[i] is None else best[i][0]
-            end = max(step[i] + 1, int(np.searchsorted(ranked[i], window(ref), side="right")))
+            end = max(step[i] + 1, reach(i, ranked[i, step[i]] if best[i] is None else best[i][0]))
             batch += [(i, int(k)) for k in order[i, step[i]:end]]
-        # Read each DMU's results in bound order with its running best, as
-        # if its facets were solved one at a time: a facet past the stop
-        # test is ignored, and the first error is the DMU's own.  step F
-        # marks a DMU done.
+        # Read in bound order with the running best, as if solved one at a
+        # time: the first error is the DMU's own, and step F marks it done.
         for (i, k), sol in zip(batch, _solve_each(problem, batch)):
-            if step[i] == F:
-                continue
-            if best[i] is not None and ranked[i, step[i]] > window(best[i][0]):
+            if step[i] == F or (best[i] is not None and step[i] >= reach(i, best[i][0])):
                 step[i] = F
             elif isinstance(sol, SolverError):
                 results[i], step[i] = sol, F
@@ -281,7 +277,7 @@ def closest_on_efpps(
                     if best[i] is None or (gamma, k) < best[i][:2]:
                         best[i] = (gamma, k, sol.x)
                 step[i] += 1
-        live = [i for i in live if step[i] < F and (best[i] is None or ranked[i, step[i]] <= window(best[i][0]))]
+        live = [i for i in live if step[i] < F and (best[i] is None or step[i] < reach(i, best[i][0]))]
     for i, d in enumerate(dmus):
         if results[i] is not None:
             continue

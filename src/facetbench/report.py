@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError
-from .facets import FacetSet, FacetTolerances, envelope_violations, facet_residuals, verify_facet_set
+from .facets import FacetSet, FacetTolerances, facet_checks, verify_facet_set
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
 from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, russell_farthest
 from .partition import RobustPartition, partition_export
@@ -49,8 +49,11 @@ def config_echo(aggregation: str, tols: FacetTolerances, scope: str, extra: dict
     return echo
 
 
-def facet_export(ds: Dataset, fs: FacetSet, resid: np.ndarray | None = None) -> list[dict]:
-    residuals = verify_facet_set(ds, fs, resid)
+def facet_export(ds: Dataset, fs: FacetSet) -> list[dict]:
+    return _facet_rows(ds, fs, verify_facet_set(ds, fs))
+
+
+def _facet_rows(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
     out = []
     for f in fs.facets:
         out.append({
@@ -164,8 +167,7 @@ def build_report(
             "closest": closest,
             "russell": _measure_payload(russell_rows[o]),
         })
-    resid = facet_residuals(ds, fs)
-    violations = envelope_violations(ds, fs, tols, resid)
+    residuals, violations = facet_checks(ds, fs, tols)
     warnings = list(fs.warnings)
     if extremes.discrepancy:
         detail = extremes.discrepancy_detail(ds)
@@ -197,7 +199,7 @@ def build_report(
             "discrepancy": extremes.discrepancy_detail(ds),
             "lambda0": {ds.names[d]: v for d, v in sorted(extremes.lambda0.items())},
         },
-        "facets": facet_export(ds, fs, resid),
+        "facets": _facet_rows(ds, fs, residuals),
         "subsets_examined": fs.subsets_examined,
         "partition": partition_export(ds, part),
         "envelope_violations": violations,

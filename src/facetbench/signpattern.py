@@ -16,12 +16,10 @@ ascending p, and the visit stops at the first level below a level with a
 feasible pattern: the key ranks the level first, so no pattern there can
 win, and the winner is the one full enumeration would pick.
 
-Against one reference column (a, b), a ray, pattern z is feasible
-exactly when lambda has room in [max(0, max over z_r = 1 of rho_r),
-min(lambda_max, min over z_r = 0 of rho_r)], with rho_r = y_or / b_r and
-lambda_max = min_i x_oi / a_i.  A pattern with no room even after each
-bound is widened by RAY_MARGIN of its row's scale gets no LP: phase 1
-could not call it feasible, so every result still comes from an LP.
+Against one positive reference column (a, b), a ray, pattern z is
+feasible when lambda has room in [max(0, max_{z_r=1} y_or/b_r),
+min(min_i x_oi/a_i, min_{z_r=0} y_or/b_r)].  A pattern with no room even
+with each row given the residual phase 1 allows (RAY_MARGIN) gets no LP.
 
 ``solve_sign_patterns`` evaluates many points against one reference block
 in one batch (``lp.solve_lps``): each point starts at its highest level
@@ -39,10 +37,10 @@ from .errors import SolverError
 # solve_lp stays bound here for profilers that wrap it by this name.
 from .lp import FEASIBILITY_TOL, LpProblem, solve_lp, solve_lps  # noqa: F401
 
-# Phase 1 accepts artificials summing to FEASIBILITY_TOL times the largest
-# rhs of its power-of-two equilibrated rows, which is below 2: each row is
-# met to within 2 * FEASIBILITY_TOL of its scale, at most its largest
-# magnitude (1, the slack's, included).  Twice that covers rounding.
+# Phase 1 allows each row a residual of FEASIBILITY_TOL times the largest
+# basic value, in units of the row's power-of-two scale, which is at most
+# its largest magnitude.  Against a ray the basic values, column-scaled,
+# stay below 2 * max(1, lambda_max); twice that covers rounding.
 RAY_MARGIN = 4 * FEASIBILITY_TOL
 
 
@@ -86,15 +84,13 @@ def _pattern_problems(x_o: np.ndarray, y_o: np.ndarray, matrices: list[np.ndarra
 
 
 def _ray_candidates(x_pts, y_pts, x_r, y_r, Z) -> np.ndarray:
-    """(points, patterns) mask of the patterns whose LP against the one
-    positive reference column (x_r, y_r) phase 1 might call feasible; each
-    row's bound on lambda is widened by RAY_MARGIN times the row's largest
-    magnitude over its lambda coefficient.  NaN keeps a pattern, and so
-    does pattern 0, the last visited, so that a point whose LPs cannot be
-    built fails as its own solve would."""
+    """(points, patterns) mask of the patterns whose LP against the ray
+    (x_r, y_r) phase 1 might call feasible.  NaN keeps a pattern, and
+    pattern 0 is always kept, so a point whose LPs cannot be built fails."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cap = np.min((x_pts + RAY_MARGIN * np.maximum(np.abs(x_pts), x_r)) / x_r, axis=1)
-        pad = RAY_MARGIN * np.maximum(np.maximum(y_pts, y_r), 1.0)
+        tol = RAY_MARGIN * np.maximum(1.0, np.min(x_pts / x_r, axis=1))[:, None]
+        cap = np.min((x_pts + tol * np.maximum(np.abs(x_pts), x_r)) / x_r, axis=1)
+        pad = tol * np.maximum(np.maximum(y_pts, y_r), 1.0)
         lo = np.max(np.where(Z, ((y_pts - pad) / y_r)[:, None, :], 0.0), axis=2)
         hi = np.min(np.where(Z, np.inf, ((y_pts + pad) / y_r)[:, None, :]), axis=2)
         keep = ~(lo > np.minimum(hi, cap[:, None]))
@@ -129,35 +125,29 @@ def solve_sign_patterns(
 
     zs = [tuple((p >> r) & 1 for r in range(s)) for p in range(1 << s)]
     Z = np.array(zs, dtype=bool).reshape(-1, s)
-    level = Z.sum(axis=1)
-    sigmas = np.where(Z, 1.0, -1.0)
+    level, sigmas = Z.sum(axis=1), np.where(Z, 1.0, -1.0)
     matrices = [_pattern_matrix(X_ref, Y_ref, sigma) for sigma in sigmas]
+    left = np.ones((len(live), len(zs)), dtype=bool)
     if k == 1 and np.all(X_ref > 0) and np.all(Y_ref > 0):
         left = _ray_candidates(x_pts[live], y_pts[live], X_ref[:, 0], Y_ref[:, 0], Z)
-    else:
-        left = np.ones((len(live), len(zs)), dtype=bool)
     todo = dict(zip(live, left))            # point -> patterns not yet visited
 
     while todo:
         problems, visits = [], []
         for j, pending in todo.items():
             if not pending.any():
-                out[j] = SolverError(
-                    "all sign patterns infeasible: empty reference technology "
-                    "(cannot happen for a nonempty reference set)"
-                )
+                out[j] = SolverError("all sign patterns infeasible: empty reference technology "
+                                     "(cannot happen for a nonempty reference set)")
                 continue
-            top = level[pending].max()
-            ps = np.flatnonzero(pending & (level == top))
+            ps = np.flatnonzero(pending & (level == level[pending].max()))
             pending[ps] = False
             try:
                 problems += _pattern_problems(x_pts[j], y_pts[j], [matrices[p] for p in ps])
-                visits.append((j, ps))
+                visits.append((j, ps, len(problems) - len(ps)))
             except SolverError as exc:      # a non-finite coefficient
                 out[j] = exc
-        sols = solve_lps(problems) if problems else []
-        n = 0
-        for j, ps in visits:
+        sols = solve_lps(problems)
+        for j, ps, n in visits:
             best = None
             for p, sol in zip(ps, sols[n:n + len(ps)]):
                 if isinstance(sol, SolverError):
@@ -170,7 +160,6 @@ def solve_sign_patterns(
                     gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
                     if best is None or (gamma, p) < best[:2]:
                         best = (gamma, int(p), sol)
-            n += len(ps)
             if out[j] is not None or best is None:
                 continue
             gamma, p, sol = best

@@ -207,10 +207,11 @@ def solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref):
     return calls
 
 
-# Every entry of these rays is at least 1 and the point's exceeds the
-# reference's, so each bound of lambda widens by RAY_MARGIN relative: a
-# lower bound rho_k is ruled out above lambda_max * (1 + 2 * RAY_MARGIN).
-MARGIN = 2 * RAY_MARGIN
+# In the ray below lambda_max = 3, every entry is at least 1 and the
+# point's exceeds the reference's, so each bound of lambda widens by
+# 3 * RAY_MARGIN relative: a lower bound rho_k is ruled out above
+# lambda_max * (1 + MARGIN), to first order.
+MARGIN = 2 * 3 * RAY_MARGIN
 
 
 @pytest.mark.parametrize("offset,reaches_lp", [(-MARGIN / 2, True), (MARGIN / 2, True), (2 * MARGIN, False)])
@@ -257,6 +258,57 @@ def test_ray_instances_match_exhaustive_random():
         near = [1.0, 0.5, 2.0] if integer else [1.0, 1 - 1e-9, 1 + 1e-9, 1 + 1e-8, 1 - 1e-7, 0.5, 2.0]
         y_o = Y_ref[:, 0] * lam * rng.choice(near, size=s)
         assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref, f"instance {i}")
+
+
+def test_ray_far_along_its_direction_keeps_what_phase_1_accepts(monkeypatch):
+    # lambda_max = 1000 and rho_0 = 1000.0001: pattern (1, 1) is empty in
+    # exact arithmetic, but phase 1 meets output 0 within its tolerance of
+    # FEASIBILITY_TOL times the largest basic value, lambda itself, and the
+    # pattern wins with gamma about 499.5
+    x_o, y_o, X_ref, Y_ref = [1000.0], [1000.0001, 1.0], [[1.0]], [[1.0], [1.0]]
+    assert solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref) == [[3]]
+    assert fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref).gamma == pytest.approx(499.5)
+    assert_sign_pattern_matches(x_o, y_o, X_ref, Y_ref)
+
+
+def search_with_and_without_prefilter(monkeypatch, x_o, y_o, X_ref, Y_ref):
+    """solve_sign_pattern's result or error, first as it runs, then with
+    every pattern of the ray kept."""
+    out = []
+    for _ in range(2):
+        try:
+            res = fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref)
+            out.append((res.pattern_index, bits(res.gamma), bits(res.slacks), bits(res.intensities),
+                        res.degenerate_optimal_face))
+        except SolverError as exc:
+            out.append(str(exc))
+        monkeypatch.setattr(signpattern, "_ray_candidates",
+                            lambda x_pts, y_pts, x_r, y_r, Z: np.ones((len(x_pts), len(Z)), dtype=bool))
+    monkeypatch.undo()
+    return out
+
+
+def test_long_ray_instances_match_search_without_prefilter(monkeypatch):
+    # lambda_max from 10 to 1e6 times the column scale, outputs near the
+    # bounds by relative or absolute offsets, some outputs small.  Some of
+    # these LPs fail, so the search is compared, errors included, with the
+    # same search solving every pattern of each level it visits.
+    rng = np.random.default_rng(2007)
+    for i in range(80):
+        m, s = (int(v) for v in rng.integers(1, [3, 4], endpoint=True))
+        X_ref = rng.uniform(0.5, 10.0, size=(m, 1)) * 10.0 ** rng.uniform(-3, 1)
+        Y_ref = rng.uniform(0.5, 10.0, size=(s, 1)) * 10.0 ** rng.uniform(-3, 1)
+        lam = 10.0 ** rng.uniform(1, 6)
+        x_o = X_ref[:, 0] * lam * rng.choice([1.0, 1.5], size=m)
+        y_o = Y_ref[:, 0] * lam
+        if i % 2:
+            y_o = y_o * (1 + rng.choice([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, 0.5], size=s))
+        else:
+            y_o = y_o + rng.choice([0.0, 1e-4, -1e-4, 1e-6], size=s)
+        if i % 5 == 0:
+            y_o[rng.integers(0, s)] = rng.uniform(0.1, 2.0)
+        with_filter, without = search_with_and_without_prefilter(monkeypatch, x_o, y_o, X_ref, Y_ref)
+        assert with_filter == without, f"instance {i}"
 
 
 def test_two_member_group_solves_every_pattern_of_each_level_it_visits(monkeypatch):
