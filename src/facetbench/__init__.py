@@ -22,8 +22,8 @@ _EXPORTS = {
     "dataset": ("Dataset", "Violation", "load_dataset", "parse_dataset", "save_dataset", "validate_dataset"),
     "errors": ("DataError", "FacetBenchError", "FacetInfeasibleError", "SolverError"),
     "facets": (
-        "Facet", "FacetSet", "FacetTolerances", "enumerate_facets", "envelope_violations",
-        "facet_contains", "facet_normal", "verify_facet_set",
+        "Facet", "FacetSet", "enumerate_facets", "envelope_violations", "facet_contains", "facet_normal",
+        "verify_facet_set",
     ),
     "lp": ("LpProblem", "LpSolution", "solve_lp"),
     "measures": (

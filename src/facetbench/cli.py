@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset
 from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
-from .facets import FacetTolerances, enumerate_facets
+from .facets import enumerate_facets
 from .measures import extreme_set
 from .partition import partition_export, partition_robust
 from .profiles import get_profile
@@ -136,10 +136,9 @@ def _emit_payload(payload: dict, args) -> None:
 def _pipeline(args):
     ds = load_dataset(args.data)
     override, scope, aggregation = _settings(args)
-    tols = FacetTolerances()
     ext = extreme_set(ds, override)
-    fs = enumerate_facets(ds, ext.indices, scope, tols)
-    return ds, ext, fs, aggregation, tols, scope
+    fs = enumerate_facets(ds, ext.indices, scope)
+    return ds, ext, fs, aggregation
 
 
 def cmd_validate(args) -> int:
@@ -174,10 +173,10 @@ def cmd_extremes(args) -> int:
 
 
 def cmd_facets(args) -> int:
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     payload = {
         "data": args.data,
-        "support_scope": scope,
+        "support_scope": fs.scope,
         "extremes": [ds.names[d] for d in ext.indices],
         "facets": facet_export(ds, fs),
         "subsets_examined": fs.subsets_examined,
@@ -188,7 +187,7 @@ def cmd_facets(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
     payload = {"data": args.data, "partition": partition_export(ds, part)}
     _emit_payload(payload, args)
@@ -196,9 +195,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
-    report = build_report(ds, ext, fs, part, aggregation, tols, data_path=args.data, profile=args.profile)
+    report = build_report(ds, ext, fs, part, aggregation, data_path=args.data, profile=args.profile)
     wanted = args.measure
     if wanted != "all":
         keep = {"robust": ["robust"], "closest": ["closest"], "russell": ["russell"]}[wanted]
@@ -215,9 +214,9 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
-    report = build_report(ds, ext, fs, part, aggregation, tols, data_path=args.data, profile=args.profile)
+    report = build_report(ds, ext, fs, part, aggregation, data_path=args.data, profile=args.profile)
     text = emit(report, args.format, args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -227,7 +226,7 @@ def cmd_report(args) -> int:
 def cmd_scenario(args) -> int:
     d0 = _parse_delta("--delta0", args.delta0)
     d1 = _parse_delta("--delta", args.delta) if args.delta is not None else _parse_delta("--delta1", args.delta1)
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     sc = load_scenario(args.prices)
     if sc.s != ds.s:
         raise DataError(f"scenario has {sc.s} outputs, dataset has {ds.s}")
@@ -291,7 +290,7 @@ def cmd_scenario(args) -> int:
 def cmd_coverage(args) -> int:
     trials = _parse_count("--trials", args.trials)
     seed = _parse_count("--seed", args.seed)
-    ds, ext, fs, aggregation, tols, scope = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args)
     xbar = _parse_xbar(args.xbar, ds.m)
     if args.strategies:
         strategies = _parse_strategies(args.strategies)

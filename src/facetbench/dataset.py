@@ -192,33 +192,21 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
     return out
 
 
-def _split_header(header: list[str], schema: dict[str, str] | None) -> tuple[int, list[tuple[int, str]], list[tuple[int, str]]]:
+def _split_header(header: list[str]) -> tuple[int, list[tuple[int, str]], list[tuple[int, str]]]:
     """Return (name column, [(col, label)] inputs, [(col, label)] outputs)."""
     name_col = None
     ins: list[tuple[int, str]] = []
     outs: list[tuple[int, str]] = []
     for k, raw in enumerate(header):
         col = raw.strip()
-        role, label = None, col
-        if schema is not None:
-            role = schema.get(col)
-            if role not in (None, "name", "in", "out"):
-                raise DataError(f"schema role for column {col!r} must be name/in/out, got {role!r}")
-        if role is None:
-            if col.lower().startswith("in:"):
-                role, label = "in", col[3:].strip()
-            elif col.lower().startswith("out:"):
-                role, label = "out", col[4:].strip()
-            else:
-                role = "name"
-        if role == "name":
-            if name_col is not None:
-                raise DataError(f"duplicate name column: {header[name_col]!r} and {col!r}")
-            name_col = k
-        elif role == "in":
-            ins.append((k, label))
+        if col.lower().startswith("in:"):
+            ins.append((k, col[3:].strip()))
+        elif col.lower().startswith("out:"):
+            outs.append((k, col[4:].strip()))
+        elif name_col is not None:
+            raise DataError(f"duplicate name column: {header[name_col]!r} and {col!r}")
         else:
-            outs.append((k, label))
+            name_col = k
     if name_col is None:
         raise DataError("header has no name column (exactly one column without an in:/out: prefix)")
     if not ins:
@@ -232,7 +220,7 @@ def _split_header(header: list[str], schema: dict[str, str] | None) -> tuple[int
     return name_col, ins, outs
 
 
-def parse_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dataset:
+def parse_dataset(path: str | Path) -> Dataset:
     """Parse a CSV into a Dataset without enforcing the value invariants.
 
     Structural problems (bad header, non-numeric cells, duplicate names,
@@ -248,7 +236,7 @@ def parse_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dat
     rows = [row for row in rows if row and any(c.strip() for c in row)]
     if not rows:
         raise DataError(f"{path}: no data rows (file is empty)")
-    name_col, ins, outs = _split_header(rows[0], schema)
+    name_col, ins, outs = _split_header(rows[0])
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no data rows")
@@ -277,9 +265,9 @@ def parse_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dat
     )
 
 
-def load_dataset(path: str | Path, schema: dict[str, str] | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Parse and fully validate; any violation is a hard DataError."""
-    ds = parse_dataset(path, schema)
+    ds = parse_dataset(path)
     violations = validate_dataset(ds)
     if violations:
         listing = "; ".join(str(v) for v in violations)

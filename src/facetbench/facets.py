@@ -12,8 +12,8 @@ The subsets are processed in chunks of FACET_CHUNK, in two stages.  First
 a Householder QR of every subset's transposed rows, written as array
 operations over the chunk, gives a null direction, and a subset is ruled
 out when neither sign of it could be positive and supporting, with a
-margin of 64*eps/rank_tol on each test: for a subset that passes the
-rank test, the QR and SVD directions differ by about eps/rank_tol.  Then
+margin of QR_MARGIN on each test: for a subset that passes the rank
+test, the QR and SVD directions differ by about eps/RANK_TOL.  Then
 the few subsets left, about as many as there are facets, get one stacked
 SVD and one array support test, which alone decide what is kept.  That
 is 2-3 us per subset for s+m = 5 (10,626 subsets in 0.02-0.03 s, against
@@ -36,13 +36,12 @@ from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 
 FACET_CHUNK = 1024  # subsets per batched QR and SVD stage; bounds the chunk's arrays
 
-
-@dataclass(frozen=True)
-class FacetTolerances:
-    rank_tol: float = 1e-9        # relative smallest/largest singular value
-    support_tol: float = 1e-7     # residual after scaling each DMU row by its norm
-    positivity_tol: float = 1e-9  # min component of the unit normal
-    dedup_tol: float = 1e-7       # distance between unit normals
+# The fixed facet tolerances; a report echoes them with the LP ones.
+RANK_TOL = 1e-9        # relative smallest/largest singular value
+SUPPORT_TOL = 1e-7     # residual after scaling each DMU row by its norm
+POSITIVITY_TOL = 1e-9  # min component of the unit normal
+DEDUP_TOL = 1e-7       # distance between unit normals
+QR_MARGIN = 64.0 * np.finfo(float).eps / RANK_TOL  # the QR prefilter's margin (see above)
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,7 @@ class FacetSet:
         return tuple(f.id for f in self.facets)
 
 
-def _normals(
-    ds: Dataset, subsets: np.ndarray, tols: FacetTolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normals(ds: Dataset, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit normals of a (k, s+m-1) array of subsets of DMU indices.
 
     Returns (ok, u, v): u and v are the output and input parts of each
@@ -96,8 +93,8 @@ def _normals(
     flip = (u[np.arange(len(u)), first] < 0.0)[:, None]
     u = np.where(flip, -u, u)
     v = np.where(flip, -v, v)
-    ok = ~(sv[:, -1] <= tols.rank_tol * sv[:, 0])
-    ok &= ~(np.minimum(u.min(axis=1, initial=np.inf), v.min(axis=1, initial=np.inf)) <= tols.positivity_tol)
+    ok = ~(sv[:, -1] <= RANK_TOL * sv[:, 0])
+    ok &= ~(np.minimum(u.min(axis=1, initial=np.inf), v.min(axis=1, initial=np.inf)) <= POSITIVITY_TOL)
     return ok, u, v
 
 
@@ -111,20 +108,15 @@ def _residuals(ds: Dataset, u: np.ndarray, v: np.ndarray, cols) -> np.ndarray:
     return value / _row_norms(ds)[cols]
 
 
-def facet_normal(
-    ds: Dataset,
-    subset: tuple[int, ...] | list[int],
-    tols: FacetTolerances | None = None,
-) -> tuple[np.ndarray, np.ndarray] | None:
+def facet_normal(ds: Dataset, subset: tuple[int, ...] | list[int]) -> tuple[np.ndarray, np.ndarray] | None:
     """Unit normal (u, v) of the hyperplane through the subset's data
     rays, or None when the rows are rank-deficient or the normal is not
     strictly positive.  Absence is a value, not an error."""
-    tols = tols or FacetTolerances()
     subset = tuple(subset)
     d = ds.s + ds.m - 1
     if len(subset) != d:
         raise DataError(f"subset size {len(subset)} != s+m-1 = {d}")
-    ok, u, v = _normals(ds, np.array([subset], dtype=np.intp), tols)
+    ok, u, v = _normals(ds, np.array([subset], dtype=np.intp))
     return (u[0], v[0]) if ok[0] else None
 
 
@@ -163,16 +155,14 @@ def _null_directions(blocks: np.ndarray) -> np.ndarray:
     return q
 
 
-def _may_be_facets(
-    blocks: np.ndarray, probe: np.ndarray, s: int, tols: FacetTolerances, margin: float
-) -> np.ndarray:
+def _may_be_facets(blocks: np.ndarray, probe: np.ndarray, s: int) -> np.ndarray:
     """Mask of the k subsets, given as their (y, x) rows in a (d, d+1, k)
     array, that `_normals` and the support test could keep.
 
     A subset is ruled out when neither sign of its QR null direction
     w = (q_out, -q_in) could pass: some component is at most
-    positivity_tol - margin, or some support residual w@(y_j, -x_j)/|r_j|
-    exceeds support_tol + margin (probe holds the support rows
+    POSITIVITY_TOL - QR_MARGIN, or some support residual w@(y_j, -x_j)/|r_j|
+    exceeds SUPPORT_TOL + QR_MARGIN (probe holds the support rows
     (y_j, x_j)/|r_j| as columns).  A NaN rules nothing out.
     """
     q = _null_directions(blocks)
@@ -181,19 +171,14 @@ def _may_be_facets(
         res += probe[i][:, None] * q[i]
     w_min = np.minimum(q[:s].min(axis=0), -q[s:].max(axis=0))
     w_max = np.maximum(q[:s].max(axis=0), -q[s:].min(axis=0))
-    low = tols.positivity_tol - margin
-    high = tols.support_tol + margin
+    low = POSITIVITY_TOL - QR_MARGIN
+    high = SUPPORT_TOL + QR_MARGIN
     fails_plus = (w_min <= low) | (res.max(axis=0) > high)
     fails_minus = (-w_max <= low) | (-res.min(axis=0) > high)
     return ~(fails_plus & fails_minus)
 
 
-def enumerate_facets(
-    ds: Dataset,
-    extremes: list[int] | tuple[int, ...],
-    scope: str = "extremes",
-    tols: FacetTolerances | None = None,
-) -> FacetSet:
+def enumerate_facets(ds: Dataset, extremes: list[int] | tuple[int, ...], scope: str = "extremes") -> FacetSet:
     """Enumerate every facet spanned by the extreme set.
 
     Facet ids are canonical: subsets are ordered lexicographically by
@@ -202,7 +187,6 @@ def enumerate_facets(
     collapse to the first subset; the union of coincident spanning sets
     is recorded as a regularity warning, not an error.
     """
-    tols = tols or FacetTolerances()
     if scope not in ("extremes", "all"):
         raise DataError(f"support scope must be 'extremes' or 'all', got {scope!r}")
     extremes = tuple(int(e) for e in extremes)
@@ -213,9 +197,6 @@ def enumerate_facets(
     ext = np.array(extremes, dtype=np.intp)
     rows = np.vstack([ds.outputs, ds.inputs]).T
     probe = rows[list(support)].T / _row_norms(ds)[list(support)]  # unit support rows, as columns
-    # A subset that _normals keeps has condition number below 1/rank_tol,
-    # so its QR and SVD null directions differ by about eps/rank_tol.
-    margin = 64.0 * np.finfo(float).eps / tols.rank_tol if tols.rank_tol > 0.0 else np.inf
 
     found: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
     examined = 0
@@ -227,13 +208,13 @@ def enumerate_facets(
         examined += len(pos)
         subsets = ext[pos]
         blocks = rows[subsets.T].transpose(0, 2, 1)
-        subsets = subsets[_may_be_facets(blocks, probe, ds.s, tols, margin)]
-        ok, u, v = _normals(ds, subsets, tols)
+        subsets = subsets[_may_be_facets(blocks, probe, ds.s)]
+        ok, u, v = _normals(ds, subsets)
         keep = np.flatnonzero(ok)
-        supported = ~(_residuals(ds, u[keep], v[keep], support) > tols.support_tol).any(axis=1)
+        supported = ~(_residuals(ds, u[keep], v[keep], support) > SUPPORT_TOL).any(axis=1)
         for i in keep[supported]:
             found.append((tuple(subsets[i].tolist()), u[i], v[i]))
-    return _facet_set(ds, found, extremes, scope, examined, tols)
+    return _facet_set(ds, found, extremes, scope, examined)
 
 
 def _facet_set(
@@ -242,14 +223,13 @@ def _facet_set(
     extremes: tuple[int, ...],
     scope: str,
     examined: int,
-    tols: FacetTolerances,
 ) -> FacetSet:
     """Number the supported subsets of `found`, in canonical order, as
     facets, collapsing coincident hyperplanes (same unit normal) to the
     first subset.
 
     Each new normal is compared with every kept normal in one array test
-    and merges into the first within ``dedup_tol`` (max-abs distance)."""
+    and merges into the first within DEDUP_TOL (max-abs distance)."""
     facets: list[Facet] = []
     warnings: list[str] = []
     kept: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, set[int]]] = []
@@ -258,7 +238,7 @@ def _facet_set(
         k = len(kept)
         normals[k, : ds.s] = u
         normals[k, ds.s:] = v
-        hits = np.flatnonzero(np.max(np.abs(normals[:k] - normals[k]), axis=1) <= tols.dedup_tol)
+        hits = np.flatnonzero(np.max(np.abs(normals[:k] - normals[k]), axis=1) <= DEDUP_TOL)
         if hits.size:
             kept[hits[0]][3].update(subset)
         else:
@@ -344,9 +324,8 @@ def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
     return _residuals(ds, u, v, range(ds.n))
 
 
-def facet_checks(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> tuple[dict, list[dict]]:
+def facet_checks(ds: Dataset, fs: FacetSet) -> tuple[dict, list[dict]]:
     """(verify_facet_set, envelope_violations) from one residual matrix."""
-    tols = tols or FacetTolerances()
     support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
     resid = _facet_residuals(ds, fs)
     summary = {}
@@ -358,7 +337,7 @@ def facet_checks(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None)
         }
     violations = [
         {"dmu": ds.names[j], "facet": fs.facets[i].id, "residual": float(resid[i, j])}
-        for j, i in zip(*np.nonzero(resid.T > tols.support_tol))
+        for j, i in zip(*np.nonzero(resid.T > SUPPORT_TOL))
     ]
     return summary, violations
 
@@ -372,9 +351,9 @@ def verify_facet_set(ds: Dataset, fs: FacetSet) -> dict:
     return facet_checks(ds, fs)[0]
 
 
-def envelope_violations(ds: Dataset, fs: FacetSet, tols: FacetTolerances | None = None) -> list[dict]:
+def envelope_violations(ds: Dataset, fs: FacetSet) -> list[dict]:
     """DMUs lying outside some facet half-space (scaled residual above
     tolerance).  On a clean dataset this list is empty for scope=all and
     scope=extremes alike; a nonempty list under scope=extremes flags the
     kind of data anomaly that support checks over extremes cannot see."""
-    return facet_checks(ds, fs, tols)[1]
+    return facet_checks(ds, fs)[1]

@@ -52,8 +52,7 @@ _MAXITER = 200_000
 
 # Row relations as codes; orienting a row to a nonnegative rhs swaps <= and >=.
 _CODES = {"<=": 0, "=": 1, ">=": 2}
-_LE, _EQ, _GE, _DROPPED = 0, 1, 2, -1
-_FLIPPED = np.array([_GE, _EQ, _LE])
+_LE, _EQ, _GE = 0, 1, 2
 
 # The numerical policy shared by every program the package emits.
 FEASIBILITY_TOL = 1e-9

@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
-from .facets import FacetSet, FacetTolerances
+from .facets import SUPPORT_TOL, FacetSet
 from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, solve_lp, solve_lps
 
 EXTREME_TOL = 1e-7
@@ -199,7 +199,6 @@ def closest_on_efpps(
     facets: FacetSet,
     ds: Dataset,
     o: int | Sequence[int],
-    tols: FacetTolerances | None = None,
 ) -> MeasureResult | list[MeasureResult | FacetBenchError]:
     """Least mean-normalized slack raising the DMU onto the boundary of
     the facet half-space intersection.
@@ -208,7 +207,6 @@ def closest_on_efpps(
     technology; no nonnegative slack can reach the boundary through the
     violated constraint, so the result is flagged instead of scored.
     """
-    tols = tols or FacetTolerances()
     dmus, single = _dmus(o)
     if not facets.facets:
         return _one_or_all(single, [DataError("closest measure needs a nonempty facet set") for _ in dmus])
@@ -222,7 +220,7 @@ def closest_on_efpps(
     # u@y_o - v@x_o for every (DMU, facet), as Facet.value computes it
     rhs = (np.sum((Y[:, None, :] * U).reshape(-1, s), axis=1)
            - np.sum((X[:, None, :] * V).reshape(-1, ds.m), axis=1)).reshape(len(dmus), F)
-    outside = np.any(rhs / point_norm[:, None] > tols.support_tol, axis=1)
+    outside = np.any(rhs / point_norm[:, None] > SUPPORT_TOL, axis=1)
     C = 1.0 / (s * Y)
     # Facet k's LP cut down to its equality row u_k @ x = -rhs_k, x >= 0,
     # has the optimum -rhs_k * min_r c_r / u_kr when u_k > 0; any other

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError
-from .facets import FacetSet, FacetTolerances, facet_checks, verify_facet_set
+from .facets import DEDUP_TOL, POSITIVITY_TOL, RANK_TOL, SUPPORT_TOL, FacetSet, facet_checks, verify_facet_set
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
 from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, russell_farthest
 from .partition import RobustPartition, partition_export
@@ -30,23 +30,22 @@ def _floats(arr) -> list[float]:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def config_echo(aggregation: str, tols: FacetTolerances, scope: str, extra: dict | None = None) -> dict:
+def config_echo(aggregation: str, scope: str, profile: str | None, data_path: str) -> dict:
     """The run's settings; the fixed tolerances and the shrink fraction are
     echoed too, so a report says which numerical policy produced it."""
-    echo = {
+    return {
         "feasibility_tol": FEASIBILITY_TOL,
         "optimality_tol": OPTIMALITY_TOL,
         "aggregation": aggregation,
         "shrink_warn_fraction": SHRINK_WARN_FRACTION,
         "support_scope": scope,
-        "rank_tol": tols.rank_tol,
-        "support_tol": tols.support_tol,
-        "positivity_tol": tols.positivity_tol,
-        "dedup_tol": tols.dedup_tol,
+        "rank_tol": RANK_TOL,
+        "support_tol": SUPPORT_TOL,
+        "positivity_tol": POSITIVITY_TOL,
+        "dedup_tol": DEDUP_TOL,
+        "profile": profile,
+        "data": data_path,
     }
-    if extra:
-        echo.update(extra)
-    return echo
 
 
 def facet_export(ds: Dataset, fs: FacetSet) -> list[dict]:
@@ -138,14 +137,13 @@ def build_report(
     fs: FacetSet,
     part: RobustPartition,
     aggregation: str,
-    tols: FacetTolerances,
     data_path: str = "",
     profile: str | None = None,
 ) -> RunReport:
     """Assemble the full pipeline report (steps 1-4 plus both comparison
     measures and the warnings ledger)."""
     robust_rows = batch_evaluate(ds, part, aggregation)
-    closest_rows = closest_on_efpps(fs, ds, range(ds.n), tols)
+    closest_rows = closest_on_efpps(fs, ds, range(ds.n))
     russell_rows = russell_farthest(ds, range(ds.n))
     results = []
     # Errors surface in DMU order, closest before Russell, as if each DMU
@@ -167,7 +165,7 @@ def build_report(
             "closest": closest,
             "russell": _measure_payload(russell_rows[o]),
         })
-    residuals, violations = facet_checks(ds, fs, tols)
+    residuals, violations = facet_checks(ds, fs)
     warnings = list(fs.warnings)
     if extremes.discrepancy:
         detail = extremes.discrepancy_detail(ds)
@@ -185,7 +183,7 @@ def build_report(
         else:
             warnings.extend(f"{row['dmu']}: {w}" for w in rr.warnings)
     payload = {
-        "config": config_echo(aggregation, tols, fs.scope, {"profile": profile, "data": data_path}),
+        "config": config_echo(aggregation, fs.scope, profile, data_path),
         "dataset": {
             "n": ds.n, "m": ds.m, "s": ds.s,
             "names": list(ds.names),
@@ -209,9 +207,8 @@ def build_report(
     return RunReport(payload)
 
 
-def emit(report_payload: dict | RunReport, fmt: str, path: str | Path | None) -> str:
+def emit(report: RunReport, fmt: str, path: str | Path | None) -> str:
     """Serialize to json or csv; write to path when given, return the text."""
-    report = report_payload if isinstance(report_payload, RunReport) else RunReport(report_payload)
     if fmt == "json":
         text = report.to_json()
     elif fmt == "csv":

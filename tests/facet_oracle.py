@@ -7,19 +7,21 @@ chunks.  The supported subsets are then numbered and merged by
 ``oracle_facet_set``, the pairwise first-match scan the package ran before
 it compared each normal with all kept normals in one array test.  Facet
 ids, members, warnings and the u/v bytes of the two paths can be compared
-exactly.
+exactly.  The tolerances are the package's constants, read at call time,
+so a test that sets them sets them for both paths.
 """
 
 import itertools
 
 import numpy as np
 
-from facetbench.facets import Facet, FacetSet, FacetTolerances, _row_norms
+from facetbench import facets as facets_module
+from facetbench.facets import Facet, FacetSet, _row_norms
 
 
-def oracle_facet_set(ds, found, extremes, scope, examined, tols):
+def oracle_facet_set(ds, found, extremes, scope, examined):
     """Number `found` as facets, merging each normal into the first kept
-    normal within dedup_tol: one kept normal at a time, in order.
+    normal within DEDUP_TOL: one kept normal at a time, in order.
 
     The distance test is done in Python floats, component by component
     (``max |n - p| <= tol`` holds iff every component does, and a NaN
@@ -33,7 +35,7 @@ def oracle_facet_set(ds, found, extremes, scope, examined, tols):
         nvec = (*u.tolist(), *v.tolist())
         merged = False
         for prev in kept:
-            if all(abs(a - b) <= tols.dedup_tol for a, b in zip(nvec, prev[4])):
+            if all(abs(a - b) <= facets_module.DEDUP_TOL for a, b in zip(nvec, prev[4])):
                 prev[3].update(subset)
                 merged = True
                 break
@@ -56,16 +58,15 @@ def oracle_facet_set(ds, found, extremes, scope, examined, tols):
     )
 
 
-def oracle_facet_normal(ds, subset, tols=None):
+def oracle_facet_normal(ds, subset):
     """(u, v) of one subset, or None: rank-deficient or not positive."""
-    tols = tols or FacetTolerances()
     d = ds.s + ds.m - 1
     rows = np.empty((d, ds.s + ds.m))
     for i, j in enumerate(subset):
         rows[i, : ds.s] = ds.outputs[:, j]
         rows[i, ds.s:] = ds.inputs[:, j]
     _, sv, vh = np.linalg.svd(rows)
-    if sv[-1] <= tols.rank_tol * sv[0]:
+    if sv[-1] <= facets_module.RANK_TOL * sv[0]:
         return None
     normal = vh[-1]
     u = normal[: ds.s]
@@ -76,13 +77,12 @@ def oracle_facet_normal(ds, subset, tols=None):
                 u = -u
                 v = -v
             break
-    if min(u.min(initial=np.inf), v.min(initial=np.inf)) <= tols.positivity_tol:
+    if min(u.min(initial=np.inf), v.min(initial=np.inf)) <= facets_module.POSITIVITY_TOL:
         return None
     return u, v
 
 
-def oracle_enumerate_facets(ds, extremes, scope="extremes", tols=None):
-    tols = tols or FacetTolerances()
+def oracle_enumerate_facets(ds, extremes, scope="extremes"):
     extremes = tuple(int(e) for e in extremes)
     d = ds.s + ds.m - 1
     support = extremes if scope == "extremes" else tuple(range(ds.n))
@@ -92,19 +92,19 @@ def oracle_enumerate_facets(ds, extremes, scope="extremes", tols=None):
     for pos_subset in itertools.combinations(range(len(extremes)), d):
         examined += 1
         subset = tuple(extremes[p] for p in pos_subset)
-        res = oracle_facet_normal(ds, subset, tols)
+        res = oracle_facet_normal(ds, subset)
         if res is None:
             continue
         u, v = res
         supported = True
         for j in support:
             resid = (np.sum(u * ds.outputs[:, j]) - np.sum(v * ds.inputs[:, j])) / norms[j]
-            if resid > tols.support_tol:
+            if resid > facets_module.SUPPORT_TOL:
                 supported = False
                 break
         if supported:
             found.append((subset, u, v))
-    return oracle_facet_set(ds, found, extremes, scope, examined, tols)
+    return oracle_facet_set(ds, found, extremes, scope, examined)
 
 
 def oracle_residual(ds, facet, j):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.facets import FacetTolerances
 from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.robust import batch_evaluate
@@ -258,7 +257,7 @@ def test_c12_performance_full_profile(data_dir):
     t0 = time.perf_counter()
     ds = fb.load_dataset(data_dir / "universities_985.csv")
     ext = extreme_set(ds, override=PAPER_985_EXTREMES)
-    fs = fb.enumerate_facets(ds, ext.indices, "extremes", FacetTolerances())
+    fs = fb.enumerate_facets(ds, ext.indices, "extremes")
     part = fb.partition_robust(fs)
     rows = batch_evaluate(ds, part)
     for o in range(ds.n):

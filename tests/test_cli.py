@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from facetbench import facets
 from facetbench.cli import main
 from facetbench.dataset import output_floors, save_dataset
 from test_facets import curved_dataset
@@ -216,6 +217,16 @@ def test_985_report_in_a_fresh_interpreter(data_dir):
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_985_DIGESTS["json"][1]
+
+
+def test_985_report_echoes_the_facet_tolerances(capsys, data_dir, monkeypatch):
+    monkeypatch.chdir(data_dir.parent)
+    code, out, _ = run(capsys, *REPORT_985)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert [config[k] for k in ("rank_tol", "support_tol", "positivity_tol", "dedup_tol")] == [
+        facets.RANK_TOL, facets.SUPPORT_TOL, facets.POSITIVITY_TOL, facets.DEDUP_TOL,
+    ]
 
 
 # sha256 of `facets` and `partition` stdout on the benchmark's geometry:

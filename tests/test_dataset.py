@@ -85,14 +85,6 @@ def test_column_order_preserved(tmp_path):
     assert ds.outputs[:, 1].tolist() == [5, 7]
 
 
-def test_schema_override(tmp_path):
-    p = tmp_path / "plain.csv"
-    p.write_text("unit,staff,papers\nA,10,20\n")
-    ds = fb.load_dataset(p, schema={"unit": "name", "staff": "in", "papers": "out"})
-    assert ds.names == ("A",)
-    assert ds.inputs[0, 0] == 10
-
-
 def test_validate_zero_output_names_cell():
     ds = fb.Dataset(names=("A", "B"), inputs=[[1.0, 2.0]], outputs=[[3.0, 0.0]])
     violations = fb.validate_dataset(ds)

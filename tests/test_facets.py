@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -165,7 +166,19 @@ def test_dedup_records_regularity_warning():
 
 # Every full-rank subset becomes a facet and nothing merges, so the sign
 # flip and the bytes of every normal are visible in the facet set.
-EXPOSE = fb.FacetTolerances(positivity_tol=-2.0, support_tol=np.inf, dedup_tol=-1.0)
+EXPOSE = {"POSITIVITY_TOL": -2.0, "SUPPORT_TOL": np.inf, "DEDUP_TOL": -1.0}
+
+
+@contextmanager
+def tolerances(**values):
+    """Set facets' tolerance constants inside the block, for the package
+    and the oracle alike; QR_MARGIN follows RANK_TOL as it does at import."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(facets_module, name, value)
+        if "RANK_TOL" in values:
+            mp.setattr(facets_module, "QR_MARGIN", 64.0 * np.finfo(float).eps / values["RANK_TOL"])
+        yield
 
 
 def assert_same_facet_set(got, ref):
@@ -206,9 +219,9 @@ def normals_calls(monkeypatch):
     seen = [0]
     inner = facets_module._normals
 
-    def counted(ds, subsets, tols):
+    def counted(ds, subsets):
         seen[0] += len(subsets)
-        return inner(ds, subsets, tols)
+        return inner(ds, subsets)
 
     monkeypatch.setattr(facets_module, "_normals", counted)
     return seen
@@ -226,7 +239,8 @@ def curved16():
 def curved10_exposed():
     """C(10, 4) = 210 subsets, every full-rank one kept as a facet."""
     ds = curved_dataset(11, 10)
-    return ds, oracle_enumerate_facets(ds, range(10), "all", EXPOSE)
+    with tolerances(**EXPOSE):
+        return ds, oracle_enumerate_facets(ds, range(10), "all")
 
 
 @pytest.mark.parametrize("scope", ["extremes", "all"])
@@ -239,11 +253,12 @@ def test_985_matches_oracle(uni985, uni_extremes, scope):
 
 
 def test_985_every_normal_matches_oracle(uni985, uni_extremes, normals_calls):
-    # support_tol = inf: the scope does not matter, and with
-    # positivity_tol = -2 no null direction is ruled out before the SVD
-    ref = oracle_enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE)
-    assert len(ref) == 330
-    assert_same_facet_set(fb.enumerate_facets(uni985, uni_extremes.indices, "all", EXPOSE), ref)
+    # SUPPORT_TOL = inf: the scope does not matter, and with
+    # POSITIVITY_TOL = -2 no null direction is ruled out before the SVD
+    with tolerances(**EXPOSE):
+        ref = oracle_enumerate_facets(uni985, uni_extremes.indices, "all")
+        assert len(ref) == 330
+        assert_same_facet_set(fb.enumerate_facets(uni985, uni_extremes.indices, "all"), ref)
     assert normals_calls[0] == 330
 
 
@@ -268,36 +283,39 @@ def test_chunking_keeps_every_normal(curved10_exposed, monkeypatch, chunk):
         monkeypatch.setattr(facets_module, "FACET_CHUNK", chunk)
     ds, ref = curved10_exposed
     assert len(ref) == ref.subsets_examined == 210
-    assert_same_facet_set(fb.enumerate_facets(ds, range(10), "all", EXPOSE), ref)
+    with tolerances(**EXPOSE):
+        assert_same_facet_set(fb.enumerate_facets(ds, range(10), "all"), ref)
 
 
 def test_all_kept_1820_match_oracle():
     # 1,820 kept normals: every new normal is compared with all kept ones
     ds = curved_dataset(2025, 16, n_dominated=6)
-    ref = oracle_enumerate_facets(ds, range(16), "all", EXPOSE)
-    assert len(ref) == ref.subsets_examined == 1820
-    assert_same_facet_set(fb.enumerate_facets(ds, range(16), "all", EXPOSE), ref)
+    with tolerances(**EXPOSE):
+        ref = oracle_enumerate_facets(ds, range(16), "all")
+        assert len(ref) == ref.subsets_examined == 1820
+        assert_same_facet_set(fb.enumerate_facets(ds, range(16), "all"), ref)
 
 
 def test_dedup_merges_into_first_normal_within_tol():
-    # Normals (u1, u2 | v) under dedup_tol = 0.25, all distances exact in
+    # Normals (u1, u2 | v) under DEDUP_TOL = 0.25, all distances exact in
     # binary: C lies within tol of both kept A and B and must merge into
     # A, the first; D lies exactly tol from A and must merge too.
     ds = fb.Dataset(tuple("PQRST"), np.ones((1, 5)), np.ones((2, 5)))
-    tols = fb.FacetTolerances(dedup_tol=0.25)
     found = [
         ((0, 1), np.array([1.0, 1.0]), np.array([1.0])),     # A
         ((0, 2), np.array([1.375, 1.0]), np.array([1.0])),   # B: 0.375 from A
         ((1, 2), np.array([1.1875, 1.0]), np.array([1.0])),  # C: 0.1875 from A and B
         ((3, 4), np.array([1.0, 1.25]), np.array([1.0])),    # D: 0.25 from A, 0.375 from B
     ]
-    ref = oracle_facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4, tols)
+    with tolerances(DEDUP_TOL=0.25):
+        ref = oracle_facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4)
+        got = facets_module._facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4)
     assert [f.members for f in ref.facets] == [(0, 1), (0, 2)]
     assert ref.warnings == (
         "regularity condition violated: DMUs {P, Q, R, S, T} lie on one hyperplane "
         "(facet 1 keeps spanning set ('P', 'Q'))",
     )
-    assert_same_facet_set(facets_module._facet_set(ds, found, (0, 1, 2, 3, 4), "all", 4, tols), ref)
+    assert_same_facet_set(got, ref)
 
 
 @pytest.mark.parametrize("scope", ["extremes", "all"])
@@ -317,11 +335,9 @@ def test_duplicate_and_proportional_units_match_oracle(scope):
     ref = oracle_enumerate_facets(ds, ext, scope)
     assert any("regularity" in w for w in ref.warnings)
     assert_same_facet_set(fb.enumerate_facets(ds, ext, scope), ref)
-    if scope == "all":  # support_tol = inf: the scope does not matter
-        assert_same_facet_set(
-            fb.enumerate_facets(ds, ext, scope, EXPOSE),
-            oracle_enumerate_facets(ds, ext, scope, EXPOSE),
-        )
+    if scope == "all":  # SUPPORT_TOL = inf: the scope does not matter
+        with tolerances(**EXPOSE):
+            assert_same_facet_set(fb.enumerate_facets(ds, ext, scope), oracle_enumerate_facets(ds, ext, scope))
 
 
 def test_coincident_hyperplanes_match_oracle():
@@ -346,18 +362,17 @@ def test_zero_first_output_weight_matches_oracle():
         np.array([[0.0, 1.0, 2.0, 1.0]]),
         np.array([[1.0, 0.0, 0.0, 3.0], [0.0, 1.0, 1.0, 2.0]]),
     )
-    u, v = oracle_facet_normal(ds, (0, 1), EXPOSE)
-    assert u[0] == 0.0
-    assert u[1] > 0.0
     assert oracle_facet_normal(ds, (0, 1)) is None
     assert fb.facet_normal(ds, (0, 1)) is None
-    got_u, got_v = fb.facet_normal(ds, (0, 1), EXPOSE)
-    assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes())
-    for scope in ("extremes", "all"):
-        assert_same_facet_set(
-            fb.enumerate_facets(ds, range(4), scope, EXPOSE),
-            oracle_enumerate_facets(ds, range(4), scope, EXPOSE),
-        )
+    with tolerances(**EXPOSE):
+        u, v = oracle_facet_normal(ds, (0, 1))
+        assert u[0] == 0.0
+        assert u[1] > 0.0
+        got_u, got_v = fb.facet_normal(ds, (0, 1))
+        assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes())
+        for scope in ("extremes", "all"):
+            ref = oracle_enumerate_facets(ds, range(4), scope)
+            assert_same_facet_set(fb.enumerate_facets(ds, range(4), scope), ref)
 
 
 def test_one_input_one_output_matches_oracle():
@@ -380,14 +395,15 @@ def test_toy_b_no_facet_matches_oracle(toy_b):
 
 
 def test_facet_normal_matches_oracle_on_every_subset(uni985, uni_extremes):
-    for subset in itertools.combinations(uni_extremes.indices, 4):
-        for tols in (None, EXPOSE):
-            got = fb.facet_normal(uni985, subset, tols)
-            ref = oracle_facet_normal(uni985, subset, tols)
-            assert (got is None) == (ref is None), subset
-            if ref is not None:
-                assert got[0].tobytes() == ref[0].tobytes()
-                assert got[1].tobytes() == ref[1].tobytes()
+    for values in ({}, EXPOSE):
+        with tolerances(**values):
+            for subset in itertools.combinations(uni_extremes.indices, 4):
+                got = fb.facet_normal(uni985, subset)
+                ref = oracle_facet_normal(uni985, subset)
+                assert (got is None) == (ref is None), subset
+                if ref is not None:
+                    assert got[0].tobytes() == ref[0].tobytes()
+                    assert got[1].tobytes() == ref[1].tobytes()
 
 
 @pytest.mark.parametrize("scope", ["extremes", "all"])
@@ -399,7 +415,7 @@ def test_residuals_match_per_dmu_oracle(uni985, uni_extremes, scope):
     for j in range(uni985.n):
         for f in fs.facets:
             resid = oracle_residual(uni985, f, j)
-            if resid > fb.FacetTolerances().support_tol:
+            if resid > facets_module.SUPPORT_TOL:
                 expect_violations.append({"dmu": uni985.names[j], "facet": f.id, "residual": float(resid)})
     assert fb.envelope_violations(uni985, fs) == expect_violations
     for f in fs.facets:
@@ -413,8 +429,8 @@ def test_residuals_match_per_dmu_oracle(uni985, uni_extremes, scope):
 # The QR prefilter: only subsets whose null direction could pass reach
 # _normals, and the facet set stays the oracle's, byte for byte.
 
-# the prefilter's margin at the default rank_tol, about 1.4e-5
-QR_MARGIN = 64.0 * np.finfo(float).eps / fb.FacetTolerances().rank_tol
+# the prefilter's margin at RANK_TOL = 1e-9, about 1.4e-5
+QR_MARGIN = 64.0 * np.finfo(float).eps / facets_module.RANK_TOL
 
 
 def test_985_only_facets_reach_the_svd(uni985, uni_extremes, normals_calls):
@@ -442,15 +458,13 @@ def test_985_rescaled_columns_match_oracle(uni985, column, k):
         assert_same_facet_set(fb.enumerate_facets(ds, ext, scope), oracle_enumerate_facets(ds, ext, scope))
 
 
-@pytest.mark.parametrize("rank_tol", [1e-6, 1e-12, 0.0])
+@pytest.mark.parametrize("rank_tol", [1e-6, 1e-12])
 @pytest.mark.parametrize("scope", ["extremes", "all"])
-def test_rank_tolerance_matches_oracle(uni985, scope, rank_tol, normals_calls):
+def test_rank_tolerance_matches_oracle(uni985, scope, rank_tol):
     ext = fb.extreme_set(uni985).indices
-    tols = fb.FacetTolerances(rank_tol=rank_tol)
-    ref = oracle_enumerate_facets(uni985, ext, scope, tols)
-    assert_same_facet_set(fb.enumerate_facets(uni985, ext, scope, tols), ref)
-    if rank_tol == 0.0:  # no condition bound, so no margin: nothing is ruled out
-        assert normals_calls[0] == ref.subsets_examined == 2380
+    with tolerances(RANK_TOL=rank_tol):
+        ref = oracle_enumerate_facets(uni985, ext, scope)
+        assert_same_facet_set(fb.enumerate_facets(uni985, ext, scope), ref)
 
 
 @pytest.mark.parametrize("scope", ["extremes", "all"])
@@ -473,8 +487,8 @@ def test_support_margin_boundary(normals_calls, offset, reaches, kept):
     """A and B span the hyperplane with unit normal n = (1, 1, -3)/sqrt(11)
     in (y1, y2, x); C = p + rho*|p|*n with p = (1.5, 1.5, 1) on it, so C's
     scaled residual is rho to within rho^3 (n is orthogonal to p)."""
-    tols = fb.FacetTolerances()
-    rho = tols.support_tol + offset * (tols.support_tol if offset < 0 else QR_MARGIN)
+    tol = facets_module.SUPPORT_TOL
+    rho = tol + offset * (tol if offset < 0 else QR_MARGIN)
     step = rho / math.sqrt(2.0)  # rho * |p| / sqrt(11)
     ds = fb.Dataset(
         ("A", "B", "C"),

@@ -145,8 +145,7 @@ def test_report_raises_the_first_error_in_dmu_order(monkeypatch, uni985, uni_ext
     monkeypatch.setattr(report, "closest_on_efpps", closest)
     monkeypatch.setattr(report, "russell_farthest", russell)
     with pytest.raises(SolverError, match=raised):
-        report.build_report(uni985, uni_extremes, uni_facets, uni_partition,
-                            "table4-max", fb.FacetTolerances())
+        report.build_report(uni985, uni_extremes, uni_facets, uni_partition, "table4-max")
 
 
 # solve_lps calls, LPs, pivots and statuses per layer of `report

@@ -5,6 +5,7 @@ attribute imports its home module on first access.  These checks run in
 subprocesses, since the test process itself has long imported everything.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -21,8 +22,8 @@ SRC = ROOT / "src"
 PUBLIC = {
     "dataset": ["Dataset", "Violation", "load_dataset", "parse_dataset", "save_dataset", "validate_dataset"],
     "errors": ["DataError", "FacetBenchError", "FacetInfeasibleError", "SolverError"],
-    "facets": ["Facet", "FacetSet", "FacetTolerances", "enumerate_facets", "envelope_violations",
-               "facet_contains", "facet_normal", "verify_facet_set"],
+    "facets": ["Facet", "FacetSet", "enumerate_facets", "envelope_violations", "facet_contains",
+               "facet_normal", "verify_facet_set"],
     "lp": ["LpProblem", "LpSolution", "solve_lp"],
     "measures": ["ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_efficiency_test",
                  "extreme_set", "russell_farthest"],
@@ -87,7 +88,7 @@ def test_every_public_name_is_its_home_object():
         "                  'dir': sorted(set(dir(facetbench)) & set(same)), 'version': facetbench.__version__}))"
     )
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 61
+    assert len(names) == 60
     assert sorted(out["same"]) == names
     assert all(out["same"].values())
     assert out["missing"] == "module 'facetbench' has no attribute 'no_such_name' / ImportError"
@@ -95,6 +96,29 @@ def test_every_public_name_is_its_home_object():
     assert out["all"] == names
     assert out["dir"] == names
     assert out["version"] == "0.1.0"
+
+
+def _parameters(obj) -> tuple[str, ...]:
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:  # the exception classes have no Python signature
+        return ()
+
+
+def test_no_public_callable_takes_a_settings_parameter():
+    # the numerical policy is fixed: tolerances are module constants, and
+    # a dataset's column roles come from its header alone
+    import facetbench
+
+    callables = [getattr(facetbench, name) for names in facetbench._EXPORTS.values() for name in names]
+    assert sum(map(callable, callables)) > 50
+    taken = [
+        f"{obj.__name__}({param})"
+        for obj in filter(callable, callables)
+        for param in _parameters(obj)
+        if param in ("tols", "cfg", "schema")
+    ]
+    assert taken == []
 
 
 SUBMODULES = sorted(p.stem for p in (SRC / "facetbench").glob("*.py") if p.stem != "__init__")
