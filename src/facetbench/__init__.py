@@ -27,12 +27,11 @@ _EXPORTS = {
     ),
     "lp": ("LpProblem", "LpSolution", "solve_lp"),
     "measures": (
-        "ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_efficiency_test",
-        "extreme_set", "russell_farthest",
+        "ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_set", "russell_farthest",
     ),
     "partition": ("RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"),
     "report": ("RunReport", "build_report", "emit"),
-    "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate", "evaluate_group", "robust_efficiency"),
+    "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate", "robust_efficiency"),
     "scenario": (
         "AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint", "PriceSampler",
         "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum", "facet_tables",

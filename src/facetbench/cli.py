@@ -17,19 +17,17 @@ Exit codes: 0 success, 1 data/input error, 2 internal or solver error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset
+from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset, write_text
 from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
 from .facets import enumerate_facets
 from .measures import extreme_set
 from .partition import partition_export, partition_robust
 from .profiles import get_profile
-from .report import build_report, emit, facet_export
+from .report import RunReport, build_report, emit, extremes_export, facet_export
 from .scenario import (
     check_assumptions,
     facet_optimum,
@@ -59,10 +57,10 @@ def _parse_strategies(spec: str) -> list[tuple[int, ...]]:
         part = part.strip()
         if not part:
             continue
-        try:
-            out.append(tuple(int(tok) for tok in part.split(",")))
-        except ValueError:
-            raise DataError(f"bad strategy spec {part!r}: expected comma-separated facet ids") from None
+        ids = tuple(_digits(tok.strip()) for tok in part.split(","))
+        if None in ids:
+            raise DataError(f"bad strategy spec {part!r}: expected comma-separated facet ids")
+        out.append(ids)
     if not out:
         raise DataError("empty strategy spec")
     return out
@@ -78,15 +76,23 @@ def _parse_delta(flag: str, text: str) -> float:
     return value
 
 
-def _parse_count(flag: str, text: str) -> int:
-    """A nonnegative integer written in ASCII digits only: no sign, digit
-    separator or surrounding whitespace, which ``int()`` would accept."""
+def _digits(text: str) -> int | None:
+    """The nonnegative integer text writes in ASCII digits only, or None:
+    ``int()`` would also accept a sign, digit separators, surrounding
+    whitespace and other scripts' digits."""
     if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise DataError(f"bad {flag} {text!r}: expected a nonnegative integer")
+    return None
+
+
+def _parse_count(flag: str, text: str) -> int:
+    value = _digits(text)
+    if value is None:
+        raise DataError(f"bad {flag} {text!r}: expected a nonnegative integer")
+    return value
 
 
 def _parse_xbar(spec: str | None, m: int) -> np.ndarray:
@@ -123,12 +129,9 @@ def _settings(args) -> tuple[tuple[str, ...] | None, str, str]:
 
 
 def _emit_payload(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = RunReport(payload).to_json()
     if getattr(args, "out", None):
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from None
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -160,15 +163,7 @@ def cmd_extremes(args) -> int:
     ds = load_dataset(args.data)
     override, _, _ = _settings(args)
     ext = extreme_set(ds, override)
-    payload = {
-        "data": args.data,
-        "effective": [ds.names[d] for d in ext.indices],
-        "computed": [ds.names[d] for d in ext.computed],
-        "pinned": ext.pinned,
-        "discrepancy": ext.discrepancy_detail(ds),
-        "lambda0": {ds.names[d]: v for d, v in sorted(ext.lambda0.items())},
-    }
-    _emit_payload(payload, args)
+    _emit_payload({"data": args.data, **extremes_export(ds, ext)}, args)
     return 0
 
 

@@ -57,6 +57,15 @@ def read_text(path: str | Path, newline: str | None = None) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8.  Every output file goes through here,
+    so a path that cannot be written raises DataError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken dataset invariant, with enough context to locate it."""

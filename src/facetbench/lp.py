@@ -17,19 +17,19 @@ measured in a unit 1024 times too small is solved as if its unit were
 right.
 
 Problems are solved in batches.  ``solve_lps`` groups independent problems
-by variable count and equality rows (orientation may turn a <= row into a
->= row; see ``_tableaus``), and runs each group's phase 1 and phase 2 as
-one stack of tableaus that the kernel advances in lockstep, one pivot of
-every running problem per pass.  The set-up, the phase-1 infeasibility
-test and the read-out of the solution (basic values, the negativity
-check, the objective value, the alternate-optima probe) are vectorised
-over the stack.  Every problem sees the same elementwise operations it
-would see alone; max, min, any, argmax and argmin are exact, and a row
-sum along the last axis adds in the same order as the sum of that row
-alone.  So a problem's result does not depend by a single bit on the
-other problems of its batch.  Driving leftover artificials out of the
-basis, which may drop rows, goes row by row over the problems that need
-it, and the survivors are regrouped by shape for phase 2.
+by variable count and row relations, and sends each group in one pass
+through phase 1 and phase 2 as one stack of tableaus that the kernel
+advances in lockstep, one pivot of every running problem per pass.  The
+set-up, the phase-1 infeasibility test and the read-out of the solution
+(basic values, the negativity check, the objective value, the
+alternate-optima probe) are vectorised over the stack.  Every problem
+sees the same elementwise operations it would see alone; max, min, any,
+argmax and argmin are exact, and a row sum along the last axis adds in
+the same order as the sum of that row alone.  So a problem's result does
+not depend by a single bit on the other problems of its batch.  Driving
+leftover artificials out of the basis, which may drop rows, goes row by
+row over the problems that need it, and the survivors are split by the
+rows they kept for phase 2.
 ``solve_lp(p)`` is ``solve_lps([p])[0]``: there is one LP path.
 
 The pivot loop itself lives in the NumPy kernel module ``_simplex_py``,
@@ -128,19 +128,10 @@ def solve_lps(problems: Iterable[LpProblem]) -> list[LpSolution | SolverError]:
     shapes: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
         shapes.setdefault((p.c.size, p.relations), []).append(i)
-    oriented: dict[tuple, list[_Stack]] = {}
     for (nvar, rels), idx in shapes.items():
-        for key, stack in _tableaus(problems, np.array(idx), nvar, rels, out):
-            oriented.setdefault(key, []).append(stack)
-    # Stacks are dropped as soon as they are done with, to keep the peak
-    # memory near one group's tableaus.
-    ready: dict[tuple, list[_Stack]] = {}
-    while oriented:
-        (nvar, eq, _), stacks = oriented.popitem()
-        for stack in _phase1(_concat(stacks), nvar + eq.count(False), out):
-            ready.setdefault((nvar,) + stack.T.shape[1:], []).append(stack)
-    while ready:
-        _phase2(_concat(ready.popitem()[1]), problems, out)
+        for art_start, stack in _tableaus(problems, np.array(idx), nvar, rels, out):
+            for ready in _phase1(stack, art_start, out):
+                _phase2(ready, problems, out)
     return out
 
 
@@ -160,13 +151,6 @@ class _Stack:
         return _Stack(self.idx[sel], T, basis, self.iters[sel], self.colscale[sel], self.nvar)
 
 
-def _concat(stacks: list[_Stack]) -> _Stack:
-    if len(stacks) == 1:
-        return stacks[0]
-    return _Stack(*(np.concatenate([getattr(s, f) for s in stacks])
-                    for f in ("idx", "T", "basis", "iters", "colscale")), stacks[0].nvar)
-
-
 def _unsolved(status: str, nvar: int, iters: int = 0) -> LpSolution:
     return LpSolution(status, math.nan, np.full(nvar, math.nan), iterations=int(iters))
 
@@ -182,7 +166,7 @@ def _split(keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _tableaus(problems, idx, nvar, rels, out):
     """Equilibrate and orient the problems idx, which share nvar and rels,
-    and yield (stack key, phase-1 tableaus).
+    and yield (first artificial column, phase-1 tableaus).
 
     A row gets an artificial column when it needs one (= or oriented >=)
     in any problem of the stack; a problem whose row does not need it
@@ -191,8 +175,7 @@ def _tableaus(problems, idx, nvar, rels, out):
     phase 2, and artificial indices keep their row order, so the
     tie-break by basis index is unchanged: the padding lets rows that
     orientation turned from <= into >= share a stack without changing a
-    bit.  The key is (nvar, which kept rows are equalities, which rows
-    have an artificial column).
+    bit.
     """
     # Equilibrate each row (with its rhs) by the power of two that brings
     # its largest magnitude into [1, 2).  Adding 0.0 turns -0.0 into +0.0,
@@ -254,14 +237,14 @@ def _tableaus(problems, idx, nvar, rels, out):
         for i in art_rows:
             T[:, nrow, :] -= np.where(art[:, i, None], T[:, i, :], 0.0)
         T[:, nrow, art_start:total] = 0.0
-        yield (nvar, tuple(eq), tuple(art_rows)), _Stack(
+        yield art_start, _Stack(
             idx[ks], T, basis, np.zeros(len(ks), dtype=np.int64), colscale[ks], nvar)
 
 
 def _phase1(st: _Stack, art_start: int, out) -> list[_Stack]:
     """Run phase 1 where some problem has artificial rows; return the
     feasible problems' tableaus without artificial columns, grouped by
-    shape, ready for phase 2."""
+    the rows they kept, ready for phase 2."""
     T, basis = st.T, st.basis
     nrow = T.shape[1] - 1
     total = T.shape[2] - 1

@@ -1,7 +1,7 @@
 """Extreme-efficiency test and the two comparison measures.
 
-* extreme_efficiency_test: the convex-representability LP, exactly as the
-  four-step procedure states it (convexity row included).
+* extreme_set: the convex-representability LP of every DMU, exactly as
+  the four-step procedure states it (convexity row included).
 * russell_farthest: output-oriented weighted Russell measure over the full
   constant-returns technology, weights 1/s, efficiency 1/(1 + mean
   normalized slack) -- the farthest-target comparison column.
@@ -17,10 +17,10 @@ Each layer submits its independent LPs together (``lp.solve_lps``): the
 extreme test and Russell solve every DMU in one batch, and the closest
 measure in rounds, each holding every unfinished DMU's unsolved facets
 that pass the stop test against its least bound, then its best gamma.
-Russell and the closest measure take one DMU or a sequence of DMUs; for
-a sequence they return a list that holds, in place of a DMU's result,
-the error its own evaluation would raise, so one failing DMU leaves the
-others' results untouched.
+Russell and the closest measure take a sequence of DMUs and return a
+list that holds, in place of a DMU's result, the error its own
+evaluation would raise, so one failing DMU leaves the others' results
+untouched.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import SUPPORT_TOL, FacetSet
-from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, solve_lp, solve_lps
+# solve_lp stays bound here for profilers that wrap it by this name.
+from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, solve_lp, solve_lps  # noqa: F401
 
 EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
@@ -82,37 +83,27 @@ def _extreme_problems(ds: Dataset, dmus) -> list[LpProblem]:
     return problems
 
 
-def _extreme_value(ds: Dataset, o: int, sol: LpSolution) -> tuple[float, bool]:
-    if sol.status != "optimal":
-        raise SolverError(
-            f"extreme test LP reported {sol.status} for DMU {ds.names[o]} "
-            "(the unit vector is always feasible)"
-        )
-    lam0 = float(sol.value)
-    return lam0, lam0 >= 1.0 - EXTREME_TOL
-
-
-def extreme_efficiency_test(ds: Dataset, o: int) -> tuple[float, bool]:
-    """Minimize the DMU's own intensity inside a dominating convex
-    combination; a unit minimum means nothing else can represent it."""
-    return _extreme_value(ds, o, solve_lp(_extreme_problems(ds, [o])[0]))
-
-
 def extreme_set(
     ds: Dataset,
     override: list[str] | tuple[str, ...] | None = None,
 ) -> ExtremeSetResult:
-    """Run the test on every DMU; an override pins the returned list
-    verbatim while the computed set is kept for the discrepancy report."""
+    """Run the test on every DMU: minimize the DMU's own intensity inside
+    a dominating convex combination; a unit minimum means nothing else can
+    represent it.  An override pins the returned list verbatim while the
+    computed set is kept for the discrepancy report."""
     sols = solve_lps(_extreme_problems(ds, range(ds.n)))
     lambda0: dict[int, float] = {}
     computed = []
     for o, sol in enumerate(sols):
         if isinstance(sol, SolverError):
             raise sol
-        lam0, is_ext = _extreme_value(ds, o, sol)
-        lambda0[o] = lam0
-        if is_ext:
+        if sol.status != "optimal":
+            raise SolverError(
+                f"extreme test LP reported {sol.status} for DMU {ds.names[o]} "
+                "(the unit vector is always feasible)"
+            )
+        lambda0[o] = float(sol.value)
+        if lambda0[o] >= 1.0 - EXTREME_TOL:
             computed.append(o)
     if override is None:
         return ExtremeSetResult(tuple(computed), tuple(computed), lambda0, pinned=False)
@@ -138,27 +129,10 @@ def _solve_each(make, items) -> list[LpSolution | SolverError]:
     return out
 
 
-def _dmus(o: int | Sequence[int]) -> tuple[list[int], bool]:
-    """(DMUs to evaluate, whether o named a single DMU)."""
-    single = isinstance(o, (int, np.integer))
-    return ([o] if single else list(o)), single
-
-
-def _one_or_all(single: bool, results: list):
-    """A single DMU's result (raising its error), or the whole list."""
-    if not single:
-        return results
-    if isinstance(results[0], FacetBenchError):
-        raise results[0]
-    return results[0]
-
-
-def russell_farthest(
-    ds: Dataset, o: int | Sequence[int]
-) -> MeasureResult | list[MeasureResult | SolverError]:
+def russell_farthest(ds: Dataset, dmus: Sequence[int]) -> list[MeasureResult | SolverError]:
     """Maximize the mean normalized output slack over the full CRS
     technology (weights 1/s); theta = 1/(1 + optimum)."""
-    dmus, single = _dmus(o)
+    dmus = list(dmus)
     n, m, s = ds.n, ds.m, ds.s
     A = np.zeros((m + s, n + s))
     A[:m, :n] = ds.inputs
@@ -192,14 +166,14 @@ def russell_farthest(
                 dmu=d, measure="eff3", status=status, theta=theta,
                 slacks=slacks, intensities=intensities, target=y_o + slacks,
             ))
-    return _one_or_all(single, results)
+    return results
 
 
 def closest_on_efpps(
     facets: FacetSet,
     ds: Dataset,
-    o: int | Sequence[int],
-) -> MeasureResult | list[MeasureResult | FacetBenchError]:
+    dmus: Sequence[int],
+) -> list[MeasureResult | FacetBenchError]:
     """Least mean-normalized slack raising the DMU onto the boundary of
     the facet half-space intersection.
 
@@ -207,9 +181,9 @@ def closest_on_efpps(
     technology; no nonnegative slack can reach the boundary through the
     violated constraint, so the result is flagged instead of scored.
     """
-    dmus, single = _dmus(o)
+    dmus = list(dmus)
     if not facets.facets:
-        return _one_or_all(single, [DataError("closest measure needs a nonempty facet set") for _ in dmus])
+        return [DataError("closest measure needs a nonempty facet set") for _ in dmus]
     s = ds.s
     F = len(facets.facets)
     U = np.vstack([f.u for f in facets.facets])
@@ -293,4 +267,4 @@ def closest_on_efpps(
             dmu=d, measure="eff2", status=status, theta=theta,
             slacks=slacks, intensities={}, target=y_o + slacks,
         )
-    return _one_or_all(single, results)
+    return results

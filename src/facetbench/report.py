@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, write_text
 from .errors import DataError, FacetBenchError
 from .facets import DEDUP_TOL, POSITIVITY_TOL, RANK_TOL, SUPPORT_TOL, FacetSet, facet_checks, verify_facet_set
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
@@ -50,6 +50,16 @@ def config_echo(aggregation: str, scope: str, profile: str | None, data_path: st
 
 def facet_export(ds: Dataset, fs: FacetSet) -> list[dict]:
     return _facet_rows(ds, fs, verify_facet_set(ds, fs))
+
+
+def extremes_export(ds: Dataset, ext: ExtremeSetResult) -> dict:
+    return {
+        "effective": [ds.names[d] for d in ext.indices],
+        "computed": [ds.names[d] for d in ext.computed],
+        "pinned": ext.pinned,
+        "discrepancy": ext.discrepancy_detail(ds),
+        "lambda0": {ds.names[d]: v for d, v in sorted(ext.lambda0.items())},
+    }
 
 
 def _facet_rows(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
@@ -190,13 +200,7 @@ def build_report(
             "input_labels": list(ds.input_labels),
             "output_labels": list(ds.output_labels),
         },
-        "extremes": {
-            "effective": [ds.names[d] for d in extremes.indices],
-            "computed": [ds.names[d] for d in extremes.computed],
-            "pinned": extremes.pinned,
-            "discrepancy": extremes.discrepancy_detail(ds),
-            "lambda0": {ds.names[d]: v for d, v in sorted(extremes.lambda0.items())},
-        },
+        "extremes": extremes_export(ds, extremes),
         "facets": _facet_rows(ds, fs, residuals),
         "subsets_examined": fs.subsets_examined,
         "partition": partition_export(ds, part),
@@ -216,8 +220,5 @@ def emit(report: RunReport, fmt: str, path: str | Path | None) -> str:
     else:
         raise DataError(f"format must be json or csv, got {fmt!r}")
     if path is not None:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from None
+        write_text(path, text)
     return text

@@ -28,7 +28,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError
 from .partition import RobustPartition
-from .signpattern import SignPatternResult, solve_sign_pattern, solve_sign_patterns
+# solve_sign_pattern stays bound here for profilers that wrap it by this name.
+from .signpattern import SignPatternResult, solve_sign_pattern, solve_sign_patterns  # noqa: F401
 
 AGGREGATIONS = ("table4-max", "paper-min")
 # A chosen target whose output norm is below this fraction of the DMU's
@@ -91,22 +92,6 @@ def _group_result(members: tuple[int, ...], X_ref, Y_ref, res: SignPatternResult
         target_outputs=Y_ref @ res.intensities,
         target_inputs=X_ref @ res.intensities,
     )
-
-
-def evaluate_group(
-    ds: Dataset,
-    group_members: tuple[int, ...] | list[int],
-    o: int,
-    group_index: int = 0,
-) -> GroupResult:
-    """Signed-slack projection of DMU o onto one group's technology."""
-    members = tuple(group_members)
-    if not members:
-        raise DataError("group must be nonempty")
-    X_ref = ds.inputs[:, list(members)]
-    Y_ref = ds.outputs[:, list(members)]
-    res = solve_sign_pattern(ds.inputs[:, o], ds.outputs[:, o], X_ref, Y_ref)
-    return _group_result(members, X_ref, Y_ref, res, group_index)
 
 
 def _slack_kind(value: float, tol: float) -> str:

@@ -150,11 +150,11 @@ def test_c06_robust_efficiency_table(uni985, robust_rows):
 def test_c07_russell_table(uni985):
     within = 0
     for name, (_, _, _, theta_exp) in TABLE4.items():
-        got = russell_farthest(uni985, uni985.index(name)).theta
+        got = russell_farthest(uni985, [uni985.index(name)])[0].theta
         if abs(got - theta_exp) <= 1e-3:
             within += 1
     for name, expected in (("WHU", 1.0), ("CQU", 1.0), ("TSU", 1.0), ("RUC", 0.3891)):
-        got = russell_farthest(uni985, uni985.index(name)).theta
+        got = russell_farthest(uni985, [uni985.index(name)])[0].theta
         assert got == pytest.approx(expected, abs=1e-3), name
     assert within >= 35, f"only {within}/38 russell thetas within 1e-3"
     _ok("C7", f"({within}/38 within 1e-3 of the published russell column)")
@@ -165,7 +165,7 @@ def test_c08_closest_table(uni985, uni_facets, robust_rows):
     within = 0
     eff2 = {}
     for name, (_, _, theta_exp, _) in TABLE4.items():
-        r = closest_on_efpps(uni_facets, uni985, uni985.index(name))
+        r = closest_on_efpps(uni_facets, uni985, [uni985.index(name)])[0]
         eff2[name] = r.theta
         if r.theta is not None and abs(r.theta - theta_exp) <= 1e-2:
             within += 1
@@ -261,8 +261,8 @@ def test_c12_performance_full_profile(data_dir):
     part = fb.partition_robust(fs)
     rows = batch_evaluate(ds, part)
     for o in range(ds.n):
-        closest_on_efpps(fs, ds, o)
-        russell_farthest(ds, o)
+        for r in (closest_on_efpps(fs, ds, [o])[0], russell_farthest(ds, [o])[0]):
+            assert not isinstance(r, fb.FacetBenchError), r
     elapsed = time.perf_counter() - t0
     assert fs.subsets_examined == 330
     assert len(rows) == 38

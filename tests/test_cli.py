@@ -316,6 +316,17 @@ def test_coverage_command(capsys, data_dir):
     assert union["count"] == 100
 
 
+@pytest.mark.parametrize("spec", ["+1", "\u0661", "1_0"], ids=["signed", "non-ascii-digit", "digit-separator"])
+def test_strategy_ids_take_ascii_digits_only(capsys, data_dir, spec):
+    # int() reads these as facets 1, 1 and 10
+    code, _, err = run(
+        capsys, "coverage", "--data", str(data_dir / "toy_isoquant_a.csv"), "--trials", "10",
+        "--strategies", spec,
+    )
+    assert code == 1
+    assert "bad strategy spec" in err
+
+
 def test_unknown_profile(capsys, data_dir):
     code, _, err = run(
         capsys, "report", "--data", str(data_dir / "universities_985.csv"),

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.measures import closest_on_efpps, extreme_efficiency_test, extreme_set, russell_farthest
+from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
 
 
+def extreme_test(ds, o):
+    """(lambda0, extreme) of DMU o, read from the test run on every DMU."""
+    res = extreme_set(ds)
+    return res.lambda0[o], o in res.computed
+
 
 def test_extreme_test_f_is_representable(toy_a):
-    lam0, is_ext = extreme_efficiency_test(toy_a, toy_a.index("F"))
+    lam0, is_ext = extreme_test(toy_a, toy_a.index("F"))
     assert lam0 == pytest.approx(0.0, abs=1e-9)
     assert not is_ext
 
@@ -36,13 +41,13 @@ def test_extreme_test_a_via_bruteforce(toy_a):
     o = toy_a.index("A")
     others = [j for j in range(toy_a.n) if j != o]
     assert not convex_grid_dominates(toy_a, o, others)
-    lam0, is_ext = extreme_efficiency_test(toy_a, o)
+    lam0, is_ext = extreme_test(toy_a, o)
     assert is_ext
     assert lam0 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_whu_extreme(uni985):
-    _, is_ext = extreme_efficiency_test(uni985, uni985.index("WHU"))
+    _, is_ext = extreme_test(uni985, uni985.index("WHU"))
     assert is_ext
 
 
@@ -77,33 +82,33 @@ def test_single_dmu_dataset_extreme():
 
 def test_russell_table_rows(uni985):
     for name, expected in (("WHU", 1.0), ("RUC", 0.3891), ("TSU", 1.0)):
-        r = russell_farthest(uni985, uni985.index(name))
+        r = russell_farthest(uni985, [uni985.index(name)])[0]
         assert r.theta == pytest.approx(expected, abs=1e-3)
-    assert russell_farthest(uni985, uni985.index("WHU")).status == "on-frontier"
+    assert russell_farthest(uni985, [uni985.index("WHU")])[0].status == "on-frontier"
 
 
 def test_russell_slacks_nonnegative(uni985):
     for o in (0, 5, 12, 30):
-        r = russell_farthest(uni985, o)
+        r = russell_farthest(uni985, [o])[0]
         assert np.all(r.slacks >= -1e-12)
         assert r.target == pytest.approx(uni985.outputs[:, o] + r.slacks)
 
 
 def test_closest_table_rows(uni985, uni_facets):
-    r = closest_on_efpps(uni_facets, uni985, uni985.index("PKU"))
+    r = closest_on_efpps(uni_facets, uni985, [uni985.index("PKU")])[0]
     assert r.theta == pytest.approx(0.9964, abs=1e-2)
-    r = closest_on_efpps(uni_facets, uni985, uni985.index("NAFU"))
+    r = closest_on_efpps(uni_facets, uni985, [uni985.index("NAFU")])[0]
     assert r.theta == pytest.approx(0.3036, abs=1e-2)
 
 
 def test_closest_tsu_flagged(uni985, uni_facets):
-    r = closest_on_efpps(uni_facets, uni985, uni985.index("TSU"))
+    r = closest_on_efpps(uni_facets, uni985, [uni985.index("TSU")])[0]
     assert r.status == "out-of-envelope"
     assert r.theta is None
 
 
 def test_closest_on_facet_point_scores_one(uni985, uni_facets):
-    r = closest_on_efpps(uni_facets, uni985, uni985.index("WHU"))
+    r = closest_on_efpps(uni_facets, uni985, [uni985.index("WHU")])[0]
     assert r.theta == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(r.slacks) <= 1e-7)
     assert r.status == "on-frontier"
@@ -113,7 +118,7 @@ def test_closest_target_touches_boundary(uni985, uni_facets):
     # the projection lies on the boundary: one facet tight, none violated
     for name in ("PKU", "RUC", "BIT", "NAFU"):
         o = uni985.index(name)
-        r = closest_on_efpps(uni_facets, uni985, o)
+        r = closest_on_efpps(uni_facets, uni985, [o])[0]
         x_o = uni985.inputs[:, o]
         vals = np.array([f.value(r.target, x_o) for f in uni_facets.facets])
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -123,7 +128,7 @@ def test_closest_target_touches_boundary(uni985, uni_facets):
 
 def test_theta_iff_zero_slacks(uni985, uni_facets):
     for o in range(0, uni985.n, 5):
-        for r in (russell_farthest(uni985, o), closest_on_efpps(uni_facets, uni985, o)):
+        for r in (russell_farthest(uni985, [o])[0], closest_on_efpps(uni_facets, uni985, [o])[0]):
             if r.theta is None:
                 continue
             assert 0.0 < r.theta <= 1.0
@@ -134,8 +139,8 @@ def test_theta_iff_zero_slacks(uni985, uni_facets):
 def test_eff2_not_less_than_eff3_on_sample(uni985, uni_facets):
     # an observed regularity of this sample, not a law
     for o in range(uni985.n):
-        r2 = closest_on_efpps(uni_facets, uni985, o)
-        r3 = russell_farthest(uni985, o)
+        r2 = closest_on_efpps(uni_facets, uni985, [o])[0]
+        r3 = russell_farthest(uni985, [o])[0]
         if r2.theta is None:
             continue
         assert r2.theta >= r3.theta - 1e-7

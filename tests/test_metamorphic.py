@@ -163,8 +163,8 @@ def test_dmu_reordering_keeps_every_result(uni985):
             "groups": [(g.facet_ids, sorted(ds.names[j] for j in g.members)) for g in part.groups],
             "robust": {ds.names[o]: (r.theta, tuple(g.theta for g in r.groups))
                        for o, r in enumerate(robust)},
-            "closest": {ds.names[o]: fb.closest_on_efpps(fs, ds, o).theta for o in range(ds.n)},
-            "russell": {ds.names[o]: fb.russell_farthest(ds, o).theta for o in range(ds.n)},
+            "closest": {ds.names[o]: fb.closest_on_efpps(fs, ds, [o])[0].theta for o in range(ds.n)},
+            "russell": {ds.names[o]: fb.russell_farthest(ds, [o])[0].theta for o in range(ds.n)},
         }
 
     base, got = by_name(uni985), by_name(shuffled)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.robust import batch_evaluate, evaluate_group, robust_efficiency
+from facetbench.robust import batch_evaluate, robust_efficiency
 
+
+def group_result(ds, part, o, leader):
+    """DMU o's result against the robust group whose first member is leader."""
+    index = next(g.index for g in part.groups if ds.names[g.members[0]] == leader)
+    return next(g for g in robust_efficiency(ds, part, o).groups if g.group_index == index)
 
 
 def grid_refine_oracle(x_o, y_o, x_ref, y_ref, lam_hi=None, steps=100_001):
@@ -27,17 +32,15 @@ def grid_refine_oracle(x_o, y_o, x_ref, y_ref, lam_hi=None, steps=100_001):
 
 
 def test_pku_group_whu(uni985, uni_partition):
-    g_whu = next(g for g in uni_partition.groups if uni985.names[g.members[0]] == "WHU")
-    res = evaluate_group(uni985, g_whu.members, uni985.index("PKU"), group_index=g_whu.index)
+    res = group_result(uni985, uni_partition, uni985.index("PKU"), "WHU")
     assert res.intensities[uni985.index("WHU")] == pytest.approx(54 / 95, abs=1e-10)
     assert res.slacks == pytest.approx([0.0, -24.2421, -3107.3474], abs=1e-3)
     assert res.theta == pytest.approx(0.7251, abs=5e-4)
 
 
 def test_pku_group_cqu(uni985, uni_partition):
-    g_cqu = next(g for g in uni_partition.groups if uni985.names[g.members[0]] == "CQU")
     o = uni985.index("PKU")
-    res = evaluate_group(uni985, g_cqu.members, o, group_index=g_cqu.index)
+    res = group_result(uni985, uni_partition, o, "CQU")
     assert res.z == (0, 0, 0)
     assert res.intensities[uni985.index("CQU")] == pytest.approx(274.112 / 363.333, abs=1e-9)
     assert res.theta == pytest.approx(0.6308, abs=5e-4)
@@ -50,8 +53,7 @@ def test_pku_group_cqu(uni985, uni_partition):
 
 
 def test_whu_self_evaluation(uni985, uni_partition):
-    g_whu = next(g for g in uni_partition.groups if uni985.names[g.members[0]] == "WHU")
-    res = evaluate_group(uni985, g_whu.members, uni985.index("WHU"), group_index=g_whu.index)
+    res = group_result(uni985, uni_partition, uni985.index("WHU"), "WHU")
     assert res.theta == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(res.slacks, 0.0, atol=1e-9)
     assert res.z == (1, 1, 1)
