@@ -17,28 +17,61 @@ Exit codes: 0 success, 1 data/input error, 2 internal or solver error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import load_dataset, parse_dataset, parse_float, read_text, validate_dataset, write_text
+from .dataset import json_text, load_dataset, parse_dataset, parse_float, read_text, validate_dataset, write_text
 from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
-from .facets import enumerate_facets
-from .measures import extreme_set
+from .facets import enumerate_facets, facet_export, verify_facet_set
+from .measures import extreme_set, extremes_export
 from .partition import partition_export, partition_robust
 from .profiles import get_profile
-from .report import RunReport, build_report, emit, extremes_export, facet_export
-from .scenario import (
-    check_assumptions,
-    facet_optimum,
-    facet_tables,
-    global_optimum,
-    load_scenario,
-    price_at,
-    revenue,
-    simulate_coverage,
-    uniqueness_diagnostics,
-)
+
+if TYPE_CHECKING:
+    from .report import build_report, emit
+    from .scenario import (
+        check_assumptions,
+        facet_optimum,
+        facet_tables,
+        global_optimum,
+        load_scenario,
+        price_at,
+        revenue,
+        simulate_coverage,
+        uniqueness_diagnostics,
+    )
+
+# module -> the names its commands call, bound in this namespace on a
+# command's first use (or on first attribute access, PEP 562), so that a
+# command compiles and runs only the modules it uses.  A name is bound with
+# setdefault: a wrapper that a profiler set on this module's binding
+# beforehand is the object the command calls.
+_DEFERRED = {
+    "report": ("build_report", "emit"),
+    "scenario": (
+        "check_assumptions", "facet_optimum", "facet_tables", "global_optimum", "load_scenario", "price_at",
+        "revenue", "simulate_coverage", "uniqueness_diagnostics",
+    ),
+}
+
+_DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    home = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 def _read_extremes_file(path: str) -> tuple[str, ...]:
@@ -129,7 +162,7 @@ def _settings(args) -> tuple[tuple[str, ...] | None, str, str]:
 
 
 def _emit_payload(payload: dict, args) -> None:
-    text = RunReport(payload).to_json()
+    text = json_text(payload)
     if getattr(args, "out", None):
         write_text(args.out, text)
     else:
@@ -173,7 +206,7 @@ def cmd_facets(args) -> int:
         "data": args.data,
         "support_scope": fs.scope,
         "extremes": [ds.names[d] for d in ext.indices],
-        "facets": facet_export(ds, fs),
+        "facets": facet_export(ds, fs, verify_facet_set(ds, fs)),
         "subsets_examined": fs.subsets_examined,
         "warnings": list(fs.warnings),
     }
@@ -190,6 +223,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_efficiency(args) -> int:
+    _bind("report")
     ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
     report = build_report(ds, ext, fs, part, aggregation, data_path=args.data, profile=args.profile)
@@ -209,6 +243,7 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _bind("report")
     ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
     report = build_report(ds, ext, fs, part, aggregation, data_path=args.data, profile=args.profile)
@@ -219,6 +254,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    _bind("scenario")
     d0 = _parse_delta("--delta0", args.delta0)
     d1 = _parse_delta("--delta", args.delta) if args.delta is not None else _parse_delta("--delta1", args.delta1)
     ds, ext, fs, aggregation = _pipeline(args)
@@ -283,6 +319,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    _bind("scenario")
     trials = _parse_count("--trials", args.trials)
     seed = _parse_count("--seed", args.seed)
     ds, ext, fs, aggregation = _pipeline(args)
@@ -377,6 +414,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":
+            raise DataError("bad --out '': expected a file path")
         return args.fn(args)
     except SolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -66,6 +66,14 @@ def write_text(path: str | Path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
+def json_text(payload) -> str:
+    """The JSON output format of every command: sorted keys, two-space
+    indent and a final newline, so equal payloads give equal bytes."""
+    import json  # here, not at the top: loading a dataset needs no JSON
+
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken dataset invariant, with enough context to locate it."""

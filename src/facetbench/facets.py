@@ -351,6 +351,22 @@ def verify_facet_set(ds: Dataset, fs: FacetSet) -> dict:
     return facet_checks(ds, fs)[0]
 
 
+def facet_export(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
+    """JSON-ready export, one row per facet: members by name, the normal
+    and the residuals of ``verify_facet_set(ds, fs)`` passed in."""
+    return [
+        {
+            "id": f.id,
+            "members": [ds.names[j] for j in f.members],
+            "u": [float(x) for x in f.u],
+            "v": [float(x) for x in f.v],
+            "span_residual": residuals[f.id]["span_residual"],
+            "max_support_residual": residuals[f.id]["max_support_residual"],
+        }
+        for f in fs.facets
+    ]
+
+
 def envelope_violations(ds: Dataset, fs: FacetSet) -> list[dict]:
     """DMUs lying outside some facet half-space (scaled residual above
     tolerance).  On a clean dataset this list is empty for scope=all and

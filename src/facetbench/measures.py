@@ -113,6 +113,18 @@ def extreme_set(
     return ExtremeSetResult(pinned, tuple(computed), lambda0, pinned=True)
 
 
+def extremes_export(ds: Dataset, ext: ExtremeSetResult) -> dict:
+    """JSON-ready export: the effective, computed and pinned sets, the
+    discrepancy between them and every DMU's test value."""
+    return {
+        "effective": [ds.names[d] for d in ext.indices],
+        "computed": [ds.names[d] for d in ext.computed],
+        "pinned": ext.pinned,
+        "discrepancy": ext.discrepancy_detail(ds),
+        "lambda0": {ds.names[d]: v for d, v in sorted(ext.lambda0.items())},
+    }
+
+
 def _solve_each(make, items) -> list[LpSolution | SolverError]:
     """One batch of the LPs make(item); an item whose LP cannot be built
     (a non-finite coefficient) gets the SolverError building it raised."""

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, write_text
+from .dataset import Dataset, json_text, write_text
 from .errors import DataError, FacetBenchError
-from .facets import DEDUP_TOL, POSITIVITY_TOL, RANK_TOL, SUPPORT_TOL, FacetSet, facet_checks, verify_facet_set
+from .facets import DEDUP_TOL, POSITIVITY_TOL, RANK_TOL, SUPPORT_TOL, FacetSet, facet_checks, facet_export
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
-from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, russell_farthest
+from .measures import ExtremeSetResult, MeasureResult, closest_on_efpps, extremes_export, russell_farthest
 from .partition import RobustPartition, partition_export
 from .robust import SHRINK_WARN_FRACTION, EfficiencyResult, RowError, batch_evaluate
 
@@ -46,34 +45,6 @@ def config_echo(aggregation: str, scope: str, profile: str | None, data_path: st
         "profile": profile,
         "data": data_path,
     }
-
-
-def facet_export(ds: Dataset, fs: FacetSet) -> list[dict]:
-    return _facet_rows(ds, fs, verify_facet_set(ds, fs))
-
-
-def extremes_export(ds: Dataset, ext: ExtremeSetResult) -> dict:
-    return {
-        "effective": [ds.names[d] for d in ext.indices],
-        "computed": [ds.names[d] for d in ext.computed],
-        "pinned": ext.pinned,
-        "discrepancy": ext.discrepancy_detail(ds),
-        "lambda0": {ds.names[d]: v for d, v in sorted(ext.lambda0.items())},
-    }
-
-
-def _facet_rows(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
-    out = []
-    for f in fs.facets:
-        out.append({
-            "id": f.id,
-            "members": [ds.names[j] for j in f.members],
-            "u": _floats(f.u),
-            "v": _floats(f.v),
-            "span_residual": residuals[f.id]["span_residual"],
-            "max_support_residual": residuals[f.id]["max_support_residual"],
-        })
-    return out
 
 
 def _measure_payload(r: MeasureResult) -> dict:
@@ -106,7 +77,7 @@ class RunReport:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
+        return json_text(self.payload)
 
     def to_csv(self) -> str:
         ds_part = self.payload["dataset"]
@@ -201,7 +172,7 @@ def build_report(
             "output_labels": list(ds.output_labels),
         },
         "extremes": extremes_export(ds, extremes),
-        "facets": _facet_rows(ds, fs, residuals),
+        "facets": facet_export(ds, fs, residuals),
         "subsets_examined": fs.subsets_examined,
         "partition": partition_export(ds, part),
         "envelope_violations": violations,

@@ -208,17 +208,6 @@ def test_985_report_stdout_pinned(capsys, data_dir, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_985_report_in_a_fresh_interpreter(data_dir):
-    # the path of the console script and the benchmark: `python -m` in a
-    # new process, where the package namespace starts empty
-    root = data_dir.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "facetbench.cli", *REPORT_985], cwd=root, capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_985_DIGESTS["json"][1]
-
-
 def test_985_report_echoes_the_facet_tolerances(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, _ = run(capsys, *REPORT_985)
@@ -245,6 +234,41 @@ def test_24_extremes_stdout_pinned(capsys, tmp_path, monkeypatch, command):
     code, out, err = run(capsys, command, "--data", "curved.csv")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CURVED_24_DIGESTS[command]
+
+
+def run_module(cwd, *argv) -> subprocess.CompletedProcess:
+    """`python -m facetbench.cli argv` in a new process: the path of the
+    console script and the benchmark, where the package namespace starts
+    empty and each command binds the modules it uses on first call."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "facetbench.cli", *argv], cwd=cwd, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_985_report_in_a_fresh_interpreter(data_dir):
+    proc = run_module(data_dir.parent, *REPORT_985)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_985_DIGESTS["json"][1]
+
+
+def test_24_extremes_partition_in_a_fresh_interpreter(tmp_path):
+    save_dataset(curved_dataset(2026, 24, n_dominated=16), tmp_path / "curved.csv")
+    proc = run_module(tmp_path, "partition", "--data", "curved.csv")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == CURVED_24_DIGESTS["partition"]
+
+
+# the benchmark's coverage-985 operation at seed 1: WHU's inputs as xbar
+COVERAGE_985 = ["coverage", "--data", "data/universities_985.csv", "--profile", "paper-985",
+                "--xbar", "2579,344.467", "--trials", "250", "--seed", "1"]
+COVERAGE_985_DIGEST = "9ebd2830f8fb6d402a29ae4573651a85753677fd71dd1de131d3ebafd6ae02fc"
+
+
+def test_985_coverage_in_a_fresh_interpreter(data_dir):
+    proc = run_module(data_dir.parent, *COVERAGE_985)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == COVERAGE_985_DIGEST
 
 
 def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):
@@ -345,6 +369,22 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
     assert code == 1
     assert "no facets" in err
     assert not out_path.exists()
+
+
+# command -> the arguments it needs besides --data, on the toy dataset
+OUT_COMMANDS = {
+    "validate": [], "extremes": [], "facets": [], "partition": [], "efficiency": [], "report": [],
+    "scenario": ["--prices", "data/prices_toy.json"], "coverage": ["--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_empty_out_is_an_input_error(capsys, data_dir, monkeypatch, command):
+    # `report` and `efficiency` used to try to write the path "", the
+    # other commands to print to stdout
+    monkeypatch.chdir(data_dir.parent)
+    argv = [command, "--data", "data/toy_isoquant_a.csv", *OUT_COMMANDS[command], "--out", ""]
+    assert run(capsys, *argv) == (1, "", "error: bad --out '': expected a file path\n")
 
 
 UNI_985 = (Path(__file__).resolve().parents[1] / "data" / "universities_985.csv").read_text()

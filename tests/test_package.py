@@ -133,12 +133,66 @@ def test_every_submodule_is_an_attribute(module):
     assert out == [False, True, f"facetbench.{module}"]
 
 
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
 def test_benchmark_wrap_targets_resolve():
     # The benchmark measures its layers by wrapping program bindings by
     # name (perfbench/spans.py); a binding it cannot find drops metrics.
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     restore, missing = spans.install(spans.Tracer())
     spans.uninstall(restore)
     assert missing == []
+
+
+def test_benchmark_wrappers_are_what_the_commands_call():
+    # The benchmark installs its wrappers before the first command runs.
+    # A command that bound a function by a local import would call the
+    # original and leave the span unrecorded, with no error.
+    out = fresh(
+        "import contextlib, importlib.util, io, json\n"
+        f"spec = importlib.util.spec_from_file_location('perfbench_spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "from facetbench import cli\n"
+        "tracer = spans.Tracer()\n"
+        "restore, missing = spans.install(tracer)\n"
+        "data = ['--data', 'data/universities_985.csv', '--profile', 'paper-985']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['report', *data]), cli.main(['coverage', *data, '--trials', '50'])]\n"
+        "spans.uninstall(restore)\n"
+        "print(json.dumps({'codes': codes, 'missing': missing, 'names': [s.name for s in tracer.spans]}))"
+    )
+    assert (out["codes"], out["missing"]) == ([0, 0], [])
+    for name in ("report.build", "report.to_json", "scenario.coverage"):
+        assert out["names"].count(name) == 1, name
+
+
+# modules every command loads: the CLI and the pipeline up to the partition
+CLI_MODULES = ["cli", "dataset", "errors", "facets", "lp", "_simplex_py", "measures", "partition", "profiles"]
+
+# command -> (its arguments after --data, the modules it loads beyond CLI_MODULES)
+COMMANDS = {
+    "validate": ([], []),
+    "extremes": ([], []),
+    "facets": ([], []),
+    "partition": ([], []),
+    "efficiency": ([], ["report", "robust", "signpattern"]),
+    "report": ([], ["report", "robust", "signpattern"]),
+    "scenario": (["--prices", "data/prices_toy.json"], ["scenario"]),
+    "coverage": (["--trials", "10"], ["scenario"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_its_modules(command):
+    args, extra = COMMANDS[command]
+    argv = [command, "--data", "data/toy_isoquant_a.csv", *args]
+    loaded = fresh("import contextlib, io, json, sys\n"
+                   "from facetbench import cli\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert cli.main({argv!r}) == 0\n"
+                   f"print({LOADED})")
+    assert loaded == sorted(["facetbench"] + [f"facetbench.{m}" for m in CLI_MODULES + extra])
