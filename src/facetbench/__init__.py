@@ -19,24 +19,21 @@ __version__ = "0.1.0"
 # submodule -> the public names it exports at package level.  Every
 # submodule is a key, so each one resolves as an attribute too.
 _EXPORTS = {
-    "dataset": ("Dataset", "Violation", "load_dataset", "parse_dataset", "save_dataset", "validate_dataset"),
+    "dataset": ("Dataset", "Violation", "load_dataset", "parse_dataset", "validate_dataset"),
     "errors": ("DataError", "FacetBenchError", "FacetInfeasibleError", "SolverError"),
-    "facets": (
-        "Facet", "FacetSet", "enumerate_facets", "envelope_violations", "facet_contains", "facet_normal",
-        "verify_facet_set",
-    ),
+    "facets": ("Facet", "FacetSet", "enumerate_facets", "facet_contains"),
     "lp": ("LpProblem", "LpSolution", "solve_lp"),
     "measures": (
         "ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_set", "russell_farthest",
     ),
     "partition": ("RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"),
     "report": ("RunReport", "build_report", "emit"),
-    "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate", "robust_efficiency"),
+    "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"),
     "scenario": (
         "AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint", "PriceSampler",
         "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum", "facet_tables",
         "global_optimum", "load_scenario", "price_at", "revenue", "simulate_coverage",
-        "uniqueness_diagnostics", "withstand_capacity",
+        "uniqueness_diagnostics",
     ),
     "signpattern": ("SignPatternResult", "solve_sign_pattern"),
     "cli": (),

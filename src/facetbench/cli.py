@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import json_text, load_dataset, parse_dataset, parse_float, read_text, validate_dataset, write_text
 from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
-from .facets import enumerate_facets, facet_export, verify_facet_set
+from .facets import enumerate_facets, facet_checks, facet_export
 from .measures import extreme_set, extremes_export
 from .partition import partition_export, partition_robust
 from .profiles import get_profile
@@ -206,7 +206,7 @@ def cmd_facets(args) -> int:
         "data": args.data,
         "support_scope": fs.scope,
         "extremes": [ds.names[d] for d in ext.indices],
-        "facets": facet_export(ds, fs, verify_facet_set(ds, fs)),
+        "facets": facet_export(ds, fs, facet_checks(ds, fs)[0]),
         "subsets_examined": fs.subsets_examined,
         "warnings": list(fs.warnings),
     }
@@ -256,7 +256,10 @@ def cmd_report(args) -> int:
 def cmd_scenario(args) -> int:
     _bind("scenario")
     d0 = _parse_delta("--delta0", args.delta0)
-    d1 = _parse_delta("--delta", args.delta) if args.delta is not None else _parse_delta("--delta1", args.delta1)
+    if args.delta is not None:
+        d1 = _parse_delta("--delta", args.delta)
+    else:
+        d1 = _parse_delta("--delta1", "1" if args.delta1 is None else args.delta1)
     ds, ext, fs, aggregation = _pipeline(args)
     sc = load_scenario(args.prices)
     if sc.s != ds.s:
@@ -387,8 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--prices", required=True, help="price scenario JSON")
     p.add_argument("--delta0", default="0", help="pre-risk parameter")
-    p.add_argument("--delta1", default="1", help="post-risk parameter")
-    p.add_argument("--delta", help="shorthand for --delta1")
+    post = p.add_mutually_exclusive_group()
+    # no default here: argparse would not see a given "1" as a conflict
+    post.add_argument("--delta1", help="post-risk parameter")
+    post.add_argument("--delta", help="shorthand for --delta1")
     p.add_argument("--target", help="DMU whose point anchors the analysis")
     p.add_argument("--xbar", help="fixed input vector, comma-separated (default: target's inputs, else ones)")
     p.set_defaults(fn=cmd_scenario, aggregation=None)

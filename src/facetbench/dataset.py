@@ -68,10 +68,11 @@ def write_text(path: str | Path, text: str) -> None:
 
 def json_text(payload) -> str:
     """The JSON output format of every command: sorted keys, two-space
-    indent and a final newline, so equal payloads give equal bytes."""
+    indent and a final newline, so equal payloads give equal bytes.  A
+    NaN or infinity raises ValueError: JSON (RFC 8259) has no such token."""
     import json  # here, not at the top: loading a dataset needs no JSON
 
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -291,20 +292,3 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataError(f"{path}: invalid dataset: {listing}")
     return ds
 
-
-def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the canonical CSV form (name column first, inputs, outputs).
-
-    Values are written with repr-level precision so that a reload
-    reproduces the dataset bit for bit.
-    """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dmu"] + [f"in:{lb}" for lb in ds.input_labels] + [f"out:{lb}" for lb in ds.output_labels])
-        for j, name in enumerate(ds.names):
-            w.writerow(
-                [name]
-                + [repr(float(v)) for v in ds.inputs[:, j]]
-                + [repr(float(v)) for v in ds.outputs[:, j]]
-            )

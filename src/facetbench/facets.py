@@ -108,18 +108,6 @@ def _residuals(ds: Dataset, u: np.ndarray, v: np.ndarray, cols) -> np.ndarray:
     return value / _row_norms(ds)[cols]
 
 
-def facet_normal(ds: Dataset, subset: tuple[int, ...] | list[int]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Unit normal (u, v) of the hyperplane through the subset's data
-    rays, or None when the rows are rank-deficient or the normal is not
-    strictly positive.  Absence is a value, not an error."""
-    subset = tuple(subset)
-    d = ds.s + ds.m - 1
-    if len(subset) != d:
-        raise DataError(f"subset size {len(subset)} != s+m-1 = {d}")
-    ok, u, v = _normals(ds, np.array([subset], dtype=np.intp))
-    return (u[0], v[0]) if ok[0] else None
-
-
 def _row_norms(ds: Dataset) -> np.ndarray:
     stacked = np.vstack([ds.outputs, ds.inputs])
     return np.sqrt(np.sum(stacked * stacked, axis=0))
@@ -317,17 +305,15 @@ def facet_contains(
     return next(basic_solutions(A, r, FEASIBILITY_TOL), None) is not None
 
 
-def _facet_residuals(ds: Dataset, fs: FacetSet) -> np.ndarray:
-    """(len(fs), n) scaled residuals of every facet at every DMU."""
+def facet_checks(ds: Dataset, fs: FacetSet) -> tuple[dict, list[dict]]:
+    """(summary, violations) from every facet's scaled residual at every
+    DMU: per facet id, the span residual over its members, the max support
+    residual over the scope and the min normal component; and the DMUs
+    outside some facet half-space (residual above SUPPORT_TOL)."""
+    support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
     u = np.array([f.u for f in fs.facets]).reshape(len(fs), ds.s)
     v = np.array([f.v for f in fs.facets]).reshape(len(fs), ds.m)
-    return _residuals(ds, u, v, range(ds.n))
-
-
-def facet_checks(ds: Dataset, fs: FacetSet) -> tuple[dict, list[dict]]:
-    """(verify_facet_set, envelope_violations) from one residual matrix."""
-    support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
-    resid = _facet_residuals(ds, fs)
+    resid = _residuals(ds, u, v, range(ds.n))
     summary = {}
     for f, row in zip(fs.facets, resid):
         summary[f.id] = {
@@ -342,18 +328,9 @@ def facet_checks(ds: Dataset, fs: FacetSet) -> tuple[dict, list[dict]]:
     return summary, violations
 
 
-def verify_facet_set(ds: Dataset, fs: FacetSet) -> dict:
-    """Residual summary for reporting and invariant tests.
-
-    Returns per-facet max |u@y_j - v@x_j| over members (span residual),
-    max scaled support residual over the scope, and min normal component.
-    """
-    return facet_checks(ds, fs)[0]
-
-
 def facet_export(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
     """JSON-ready export, one row per facet: members by name, the normal
-    and the residuals of ``verify_facet_set(ds, fs)`` passed in."""
+    and the residuals of ``facet_checks(ds, fs)[0]`` passed in."""
     return [
         {
             "id": f.id,
@@ -366,10 +343,3 @@ def facet_export(ds: Dataset, fs: FacetSet, residuals: dict) -> list[dict]:
         for f in fs.facets
     ]
 
-
-def envelope_violations(ds: Dataset, fs: FacetSet) -> list[dict]:
-    """DMUs lying outside some facet half-space (scaled residual above
-    tolerance).  On a clean dataset this list is empty for scope=all and
-    scope=extremes alike; a nonempty list under scope=extremes flags the
-    kind of data anomaly that support checks over extremes cannot see."""
-    return facet_checks(ds, fs)[1]

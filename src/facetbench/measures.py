@@ -34,7 +34,7 @@ from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import SUPPORT_TOL, FacetSet
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, solve_lp, solve_lps  # noqa: F401
+from .lp import LpProblem, LpSolution, solve_lp, solve_lps  # noqa: F401
 
 EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
@@ -42,13 +42,9 @@ ZERO_SLACK_TOL = 1e-7
 
 @dataclass(frozen=True)
 class MeasureResult:
-    dmu: int
-    measure: str                      # eff2 | eff3 | extreme-test
     status: str                       # scored | on-frontier | out-of-envelope
     theta: float | None
     slacks: np.ndarray | None
-    intensities: dict[int, float]
-    target: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -167,17 +163,10 @@ def russell_farthest(ds: Dataset, dmus: Sequence[int]) -> list[MeasureResult | S
         elif sol.status != "optimal":
             results.append(SolverError(f"Russell LP reported {sol.status} for DMU {ds.names[d]}"))
         else:
-            y_o = ds.outputs[:, d]
-            lam = sol.x[:n]
             slacks = sol.x[n:]
-            gamma = float(np.sum(slacks / y_o)) / s
-            theta = 1.0 / (1.0 + gamma)
+            gamma = float(np.sum(slacks / ds.outputs[:, d])) / s
             status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
-            intensities = {j: float(lam[j]) for j in range(n) if lam[j] > FEASIBILITY_TOL}
-            results.append(MeasureResult(
-                dmu=d, measure="eff3", status=status, theta=theta,
-                slacks=slacks, intensities=intensities, target=y_o + slacks,
-            ))
+            results.append(MeasureResult(status=status, theta=1.0 / (1.0 + gamma), slacks=slacks))
     return results
 
 
@@ -225,10 +214,7 @@ def closest_on_efpps(
     live = []
     for i in range(len(dmus)):
         if outside[i]:
-            results[i] = MeasureResult(
-                dmu=dmus[i], measure="eff2", status="out-of-envelope", theta=None,
-                slacks=None, intensities={}, target=None,
-            )
+            results[i] = MeasureResult(status="out-of-envelope", theta=None, slacks=None)
         else:
             live.append(i)
 
@@ -272,11 +258,6 @@ def closest_on_efpps(
             )
             continue
         gamma, _, slacks = best[i]
-        y_o = ds.outputs[:, d]
-        theta = 1.0 / (1.0 + gamma)
         status = "on-frontier" if gamma <= ZERO_SLACK_TOL else "scored"
-        results[i] = MeasureResult(
-            dmu=d, measure="eff2", status=status, theta=theta,
-            slacks=slacks, intensities={}, target=y_o + slacks,
-        )
+        results[i] = MeasureResult(status=status, theta=1.0 / (1.0 + gamma), slacks=slacks)
     return results

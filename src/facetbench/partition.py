@@ -29,10 +29,6 @@ class RobustPartition:
     s_star: tuple[int, ...]                # ascending dataset indices
     groups: tuple[RobustGroup, ...]
 
-    @property
-    def group_count(self) -> int:
-        return len(self.groups)
-
     def counts(self) -> dict[int, int]:
         return {d: len(k) for d, k in sorted(self.membership.items())}
 

@@ -158,19 +158,6 @@ def _evaluate(
     return [errors[o] if o in errors else _aggregate(ds, o, tuple(groups[o]), aggregation) for o in dmus]
 
 
-def robust_efficiency(
-    ds: Dataset,
-    part: RobustPartition,
-    o: int,
-    aggregation: str = "table4-max",
-) -> EfficiencyResult:
-    """Evaluate DMU o against every robust group and aggregate."""
-    res = _evaluate(ds, part, [o], aggregation)[0]
-    if isinstance(res, FacetBenchError):
-        raise res
-    return res
-
-
 def batch_evaluate(
     ds: Dataset,
     part: RobustPartition,

@@ -73,13 +73,17 @@ class PriceScenario:
             if self.domain is None or not (np.isfinite(self.domain).all() and self.domain[0] <= self.domain[1]):
                 raise DataError("affine scenario needs a finite domain [lo, hi] with lo <= hi")
             for endpoint in self.domain:
-                p = bases + slopes * endpoint
+                with np.errstate(over="ignore"):
+                    p = bases + slopes * endpoint
                 if np.any(p <= 0):
                     bad = int(np.argmin(p))
                     raise DataError(
                         f"price of output {self.output_names[bad]!r} is {p[bad]!r} "
                         f"at delta={endpoint}: prices must stay strictly positive on the domain"
                     )
+                if not np.all(np.isfinite(p)):
+                    bad = int(np.argmax(p))
+                    raise DataError(f"price of output {self.output_names[bad]!r} is not finite at delta={endpoint}")
             object.__setattr__(self, "bases", bases)
             object.__setattr__(self, "slopes", slopes)
         else:
@@ -115,13 +119,17 @@ def price_at(sc: PriceScenario, delta: float) -> np.ndarray:
     return p
 
 
+@np.errstate(over="ignore")
 def revenue(y: np.ndarray, sc: PriceScenario, delta: float) -> float:
     """Price-weighted output value P(delta) @ y."""
     y = np.asarray(y, dtype=float)
     p = price_at(sc, delta)
     if y.shape != p.shape:
         raise DataError(f"output vector length {y.size} != {p.size} prices")
-    return float(np.sum(p * y))
+    value = float(np.sum(p * y))
+    if not np.isfinite(value):
+        raise DataError(f"revenue at delta={delta} is not finite")
+    return value
 
 
 def _is_number(v) -> bool:
@@ -187,6 +195,7 @@ class FacetTables:
     vertices: dict[int, np.ndarray]
 
 
+@np.errstate(over="ignore")
 def facet_tables(ds: Dataset, facets: FacetSet, xbar: np.ndarray) -> FacetTables:
     """Build each facet's vertex table at xbar; every fixed-input question
     reads these, since a table does not depend on prices."""
@@ -199,6 +208,8 @@ def facet_tables(ds: Dataset, facets: FacetSet, xbar: np.ndarray) -> FacetTables
         Yf = ds.outputs[:, cols]
         rows = [Yf[:, basis] @ lam for basis, lam in basic_solutions(ds.inputs[:, cols], xbar, FEASIBILITY_TOL)]
         vertices[f.id] = np.array(rows).reshape(-1, ds.s)
+        if not np.all(np.isfinite(vertices[f.id])):
+            raise DataError(f"facet {f.id} has a vertex that is not finite at input vector {xbar.tolist()}")
     return FacetTables(xbar=xbar, vertices=vertices)
 
 
@@ -230,6 +241,7 @@ class AssumptionReport:
         return self.assumption1_holds and self.assumption2_holds
 
 
+@np.errstate(over="ignore")
 def facet_optimum(tables: FacetTables, facet_id: int, sc: PriceScenario, delta: float) -> OptimalPoint:
     """Revenue-maximal point of one facet under the tables' fixed inputs:
     the first best row of the facet's vertex table."""
@@ -242,6 +254,8 @@ def facet_optimum(tables: FacetTables, facet_id: int, sc: PriceScenario, delta: 
             f"facet {facet_id} admits no point with input vector {tables.xbar.tolist()}"
         )
     values = [float(np.sum(prices * y)) for y in table]
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"revenue on facet {facet_id} at delta={delta} is not finite")
     best = values.index(max(values))
     return OptimalPoint(facet_id=facet_id, outputs=table[best], value=values[best])
 
@@ -266,34 +280,6 @@ def global_optimum(
     )
     best = next(p for p in points if p.value == best_value)
     return best, owners
-
-
-def _withstand(opt1: OptimalPoint, yhat: np.ndarray, sc: PriceScenario, delta0: float, delta1: float) -> WithstandResult:
-    r_hat0 = revenue(yhat, sc, delta0)
-    r_hat1 = revenue(yhat, sc, delta1)
-    wr = opt1.value - r_hat1
-    bound = r_hat0 - r_hat1
-    return WithstandResult(
-        wr=wr, bound=bound,
-        within_bound=wr <= bound + 1e-9 * max(1.0, abs(bound)),
-    )
-
-
-def withstand_capacity(
-    ds: Dataset,
-    facet: Facet,
-    tables: FacetTables,
-    yhat: np.ndarray,
-    sc: PriceScenario,
-    delta0: float,
-    delta1: float,
-) -> WithstandResult:
-    """Revenue recoverable by within-facet substitution after the shock,
-    against the pre/post revenue gap that bounds it."""
-    yhat = np.asarray(yhat, dtype=float)
-    if not facet_contains(facet, ds, tables.xbar, yhat):
-        raise DataError(f"target point is not on facet {facet.id}")
-    return _withstand(facet_optimum(tables, facet.id, sc, delta1), yhat, sc, delta0, delta1)
 
 
 def check_assumptions(
@@ -336,6 +322,8 @@ def check_assumptions(
                     {"facet": f.id, "dmu": ds.names[j], "revenue_before": r0, "revenue_after": r1}
                 )
     r_hat0 = revenue(yhat, sc, delta0)
+    r_hat1 = revenue(yhat, sc, delta1)
+    gap = r_hat0 - r_hat1
     entries = []
     withstand = []
     for f in containing:
@@ -344,7 +332,9 @@ def check_assumptions(
         entries.append(
             {"facet": f.id, "post_risk_optimum": opt1.value, "pre_risk_revenue": r_hat0, "holds": holds}
         )
-        withstand.append(_withstand(opt1, yhat, sc, delta0, delta1))
+        # recoverable by within-facet substitution, against the gap bounding it
+        wr = opt1.value - r_hat1
+        withstand.append(WithstandResult(wr=wr, bound=gap, within_bound=wr <= gap + 1e-9 * max(1.0, abs(gap))))
     best, _ = global_optimum(tables, sc, delta1)
     return AssumptionReport(
         assumption1_holds=not violations,
@@ -364,6 +354,7 @@ class Diagnosis:
     tied_pairs: tuple[tuple[str, str], ...] = ()
 
 
+@np.errstate(over="ignore")
 def uniqueness_diagnostics(
     ds: Dataset,
     facet: Facet,
@@ -380,7 +371,8 @@ def uniqueness_diagnostics(
     over).
     """
     prices = price_at(sc, delta)
-    pu = prices / np.sqrt(np.sum(prices * prices))
+    q = prices / prices.max()  # so the norm cannot overflow
+    pu = q / np.sqrt(np.sum(q * q))
     uu = facet.u / np.sqrt(np.sum(facet.u * facet.u))
     if float(np.max(np.abs(pu - uu))) <= PARALLEL_TOL:
         return Diagnosis(
@@ -396,6 +388,8 @@ def uniqueness_diagnostics(
         ])
     else:
         values = np.array([float(np.sum(prices * ds.outputs[:, j])) for j in cols])
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"a generator's revenue on facet {facet.id} at delta={delta} is not finite")
     best = float(np.max(values))
     tied = [cols[i] for i in range(len(cols)) if values[i] >= best - TIE_RTOL * max(1.0, abs(best))]
     if len(tied) > 1:
@@ -504,9 +498,12 @@ def simulate_coverage(
         stop = min(start + COVERAGE_CHUNK, trials)
         prices = np.array([sampler.draw(seed, i, ds.s) for i in range(start, stop)])
         values = np.full((stop - start, len(fids)), -np.inf)
-        for col, V in usable:
-            values[:, col] = (prices @ V.T).max(axis=1)
+        with np.errstate(over="ignore"):
+            for col, V in usable:
+                values[:, col] = (prices @ V.T).max(axis=1)
         best = values.max(axis=1)
+        if not np.all(np.isfinite(best)):
+            raise DataError(f"a sampled revenue is not finite at input vector {tables.xbar.tolist()}")
         incidence[start:stop] = values >= (best - OWNERSHIP_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
 
     facet_counts = {fid: int(incidence[:, col_of[fid]].sum()) for fid in fids}

@@ -57,10 +57,6 @@ class SignPatternResult:
     pattern_index: int
     degenerate_optimal_face: bool
 
-    @property
-    def z_count(self) -> int:
-        return sum(self.z)
-
 
 def _pattern_matrix(X_ref: np.ndarray, Y_ref: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Constraint matrix of pattern sigma; variables are lambda (k), then

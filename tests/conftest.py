@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,16 @@ import facetbench as fb
 from facetbench.profiles import PAPER_985_EXTREMES
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def write_csv(ds, path):
+    """Write ds in the dataset CSV format: the name column, then inputs and
+    outputs, each value as its repr, which parses back bit for bit."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dmu"] + [f"in:{lb}" for lb in ds.input_labels] + [f"out:{lb}" for lb in ds.output_labels])
+        for j, name in enumerate(ds.names):
+            w.writerow([name] + [repr(float(v)) for v in (*ds.inputs[:, j], *ds.outputs[:, j])])
 
 
 @pytest.fixture(scope="session")

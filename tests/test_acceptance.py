@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import facetbench as fb
+from facetbench.facets import facet_checks
 from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.robust import batch_evaluate
@@ -22,7 +23,6 @@ from facetbench.scenario import (
     global_optimum,
     revenue,
     simulate_coverage,
-    withstand_capacity,
 )
 
 from bigm_oracle import solve_bigm
@@ -49,7 +49,8 @@ def test_c01_toy_revenue_suite(data_dir):
     r_c1 = facet_optimum(tables, fs.facets[0].id, sc, 1.0).value
     r_d1 = facet_optimum(tables, fs.facets[1].id, sc, 1.0).value
     best1, _ = global_optimum(tables, sc, 1.0)
-    wr = withstand_capacity(ds, fs.facets[0], tables, yF, sc, 0.0, 1.0)
+    rep = check_assumptions(ds, fs, tables, sc, yF, 0.0, 1.0)
+    wr = rep.withstand[0]
     elapsed = time.perf_counter() - t0
 
     assert r_f0 == pytest.approx(1854.0, abs=1e-9)
@@ -59,6 +60,7 @@ def test_c01_toy_revenue_suite(data_dir):
     assert r_f0 - r_f1 == pytest.approx(898.8, abs=1e-9)    # pre-risk loss
     assert r_f0 - r_c1 == pytest.approx(345.0, abs=1e-9)    # single-facet residual
     assert r_f0 - best1.value == pytest.approx(28.9, abs=1e-9)  # multi-facet residual
+    assert rep.recovery_entries[0]["facet"] == fs.facets[0].id  # F lies on facet 1 only
     assert wr.wr == pytest.approx(553.8, abs=1e-9)
     assert elapsed < 0.1, f"toy revenue suite took {elapsed:.3f}s"
     _ok("C1", f"(toy revenue suite exact to 1e-9, {elapsed * 1000:.1f} ms)")
@@ -79,7 +81,7 @@ def test_c02_toy_facet_enumeration(toy_a, toy_b, toy_facets):
 def test_c03_toy_partition(toy_a, toy_facets):
     part = fb.partition_robust(toy_facets)
     assert [toy_a.names[d] for d in part.s_star] == ["C"]
-    assert part.group_count == 1
+    assert len(part.groups) == 1
     assert part.groups[0].facet_ids == (1, 2)
     _ok("C3", "(S*={C}, H=1, G1={1,2})")
 
@@ -95,7 +97,7 @@ def test_c04_985_facets_match_membership_table(uni985, uni_extremes, uni_facets)
     # the data anomaly is surfaced as structured discrepancies, not hidden:
     detail = uni_extremes.discrepancy_detail(uni985)
     assert "TSU" in detail["computed_not_pinned"]
-    viol = fb.envelope_violations(uni985, uni_facets)
+    viol = facet_checks(uni985, uni_facets)[1]
     assert [(v["dmu"], v["facet"]) for v in viol] == [("TSU", 13)]
     _ok("C4", "(14 facets equal the published membership matrix; TSU anomaly reported)")
 
@@ -104,7 +106,7 @@ def test_c05_985_partition(uni985, uni_partition):
     part = uni_partition
     assert part.maxcount == 8
     assert {uni985.names[d] for d in part.s_star} == {"WHU", "CQU"}
-    assert part.group_count == 2
+    assert len(part.groups) == 2
     assert part.groups[0].facet_ids == (1, 2, 3, 4, 5, 6, 7, 8)
     assert [uni985.names[d] for d in part.groups[0].members] == ["CQU"]
     assert part.groups[1].facet_ids == (1, 2, 5, 6, 9, 10, 12, 13)
@@ -191,7 +193,7 @@ def test_c09_solver_equivalence_random():
         mine = fb.solve_sign_pattern(x_o, y_o, X[:, cols], Y[:, cols])
         z_ref, gamma_ref, theta_ref = solve_bigm(x_o, y_o, X[:, cols], Y[:, cols])
         detail = f"instance {i}: gamma {mine.gamma!r} vs oracle {gamma_ref!r}, z {mine.z} vs oracle {z_ref}"
-        assert mine.z_count == sum(z_ref), detail
+        assert sum(mine.z) == sum(z_ref), detail
         theta_mine = 1.0 / (1.0 + mine.gamma)
         assert theta_mine == pytest.approx(theta_ref, abs=1e-7), detail
         checked += 1
@@ -209,7 +211,7 @@ def test_c10_invariant_suite(uni985, uni_facets, uni_partition, robust_rows, toy
 
     # facet invariants: residuals, support, positivity
     for fs, ds in ((uni_facets, uni985), (toy_facets, toy_a)):
-        res = fb.verify_facet_set(ds, fs)
+        res = facet_checks(ds, fs)[0]
         for f in fs.facets:
             assert res[f.id]["span_residual"] <= 1e-7
             assert res[f.id]["max_support_residual"] <= 1e-7
@@ -226,7 +228,8 @@ def test_c10_invariant_suite(uni985, uni_facets, uni_partition, robust_rows, toy
     yF = toy_a.outputs[:, toy_a.index("F")]
     rep = check_assumptions(toy_a, toy_facets, tables, toy_scenario, yF, 0.0, 1.0)
     assert rep.ok()
-    wr = withstand_capacity(toy_a, toy_facets.facets[0], tables, yF, toy_scenario, 0.0, 1.0)
+    assert [e["facet"] for e in rep.recovery_entries] == [toy_facets.facets[0].id]
+    wr = rep.withstand[0]
     assert 0.0 <= wr.wr <= wr.bound + 1e-9
     # and the theorem-3 consequence on the same evaluation
     assert rep.global_post_risk_optimum <= revenue(yF, toy_scenario, 0.0) + 1e-9

@@ -12,7 +12,9 @@ import pytest
 
 from facetbench import facets
 from facetbench.cli import main
-from facetbench.dataset import output_floors, save_dataset
+from facetbench.dataset import output_floors
+
+from conftest import write_csv
 from test_facets import curved_dataset
 
 
@@ -230,7 +232,7 @@ CURVED_24_DIGESTS = {
 @pytest.mark.parametrize("command", sorted(CURVED_24_DIGESTS))
 def test_24_extremes_stdout_pinned(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
-    save_dataset(curved_dataset(2026, 24, n_dominated=16), "curved.csv")
+    write_csv(curved_dataset(2026, 24, n_dominated=16), "curved.csv")
     code, out, err = run(capsys, command, "--data", "curved.csv")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CURVED_24_DIGESTS[command]
@@ -253,7 +255,7 @@ def test_985_report_in_a_fresh_interpreter(data_dir):
 
 
 def test_24_extremes_partition_in_a_fresh_interpreter(tmp_path):
-    save_dataset(curved_dataset(2026, 24, n_dominated=16), tmp_path / "curved.csv")
+    write_csv(curved_dataset(2026, 24, n_dominated=16), tmp_path / "curved.csv")
     proc = run_module(tmp_path, "partition", "--data", "curved.csv")
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == CURVED_24_DIGESTS["partition"]
@@ -450,6 +452,25 @@ INPUT_FAULTS = {
     "delta-not-number": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "one"]),
     "delta0-nan": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta0", "nan"]),
     "delta-inf": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "inf"]),
+    # finite input whose revenue or vertices overflow the double range: these
+    # used to exit 0 with zero counts or Infinity, or 2 with an IndexError
+    "coverage-revenue-overflow": ({}, ["coverage", "--trials", "5", "--xbar", "1e306"]),
+    "scenario-vertex-overflow": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--xbar", "1e307"]),
+    "scenario-price-overflow": (
+        {"p.json": '{"outputs": [{"name": "a", "base": 1e308, "slope": 1e308}, {"name": "b", "base": 5}, '
+                   '{"name": "c", "base": 12}], "delta_domain": [0, 1]}'},
+        ["scenario", "--prices", "p.json"],
+    ),
+    "scenario-facet-revenue-overflow": (
+        {"p.json": '{"outputs": [{"name": "a", "base": 1e306}, {"name": "b", "base": 1e306}, '
+                   '{"name": "c", "base": 1e306}], "delta_domain": [0, 1]}'},
+        ["scenario", "--prices", "p.json"],
+    ),
+    "scenario-generator-revenue-overflow": (
+        {"p.json": '{"outputs": [{"name": "a", "base": 1e307}, {"name": "b", "base": 5}, '
+                   '{"name": "c", "base": 12}], "delta_domain": [0, 1]}'},
+        ["scenario", "--prices", "p.json", "--xbar", "1e-5"],
+    ),
 }
 
 
@@ -515,6 +536,22 @@ def test_usage_errors_exit_1(capsys, data_dir, case):
     err = capsys.readouterr().err
     assert err.startswith("usage: facet-bench")
     assert "error: " in err
+
+
+@pytest.mark.parametrize("delta1", ["0.5", "1"])  # "1" is --delta1's value when not given
+@pytest.mark.parametrize("first", ["--delta1", "--delta"])
+def test_delta_and_delta1_together_are_a_usage_error(capsys, data_dir, delta1, first):
+    # --delta used to override --delta1 silently
+    flags = [["--delta1", delta1], ["--delta", "0.7"]]
+    if first == "--delta":
+        flags.reverse()
+    argv = ["scenario", "--data", str(data_dir / "toy_isoquant_a.csv"),
+            "--prices", str(data_dir / "prices_toy.json"), *flags[0], *flags[1]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    other = "--delta" if first == "--delta1" else "--delta1"
+    assert capsys.readouterr().err.endswith(f"error: argument {other}: not allowed with argument {first}\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])

@@ -3,8 +3,10 @@ import pytest
 
 import facetbench as fb
 from facetbench.cli import _read_extremes_file
-from facetbench.dataset import RANGE_BITS, output_floors, parse_dataset, parse_float, save_dataset
+from facetbench.dataset import RANGE_BITS, json_text, output_floors, parse_dataset, parse_float
 from facetbench.scenario import load_scenario
+
+from conftest import write_csv
 
 
 def test_load_985_shape(uni985):
@@ -132,9 +134,17 @@ def test_validate_too_few_dmus():
     assert "too-few-dmus" in rules
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_rejects_non_finite_numbers(value):
+    # NaN and Infinity are not JSON (RFC 8259): no command may print them
+    assert json_text({"a": [1.5, 1e308]}) == '{\n  "a": [\n    1.5,\n    1e+308\n  ]\n}\n'
+    with pytest.raises(ValueError):
+        json_text({"a": [1.5, value]})
+
+
 def test_round_trip_identical(uni985, tmp_path):
     out = tmp_path / "again.csv"
-    save_dataset(uni985, out)
+    write_csv(uni985, out)
     again = fb.load_dataset(out)
     assert again.names == uni985.names
     assert np.array_equal(again.inputs, uni985.inputs)
@@ -142,7 +152,7 @@ def test_round_trip_identical(uni985, tmp_path):
     assert again.input_labels == uni985.input_labels
     # and once more: serialization is a fixed point
     out2 = tmp_path / "thrice.csv"
-    save_dataset(again, out2)
+    write_csv(again, out2)
     assert out.read_text() == out2.read_text()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import facetbench as fb
 from facetbench import facets as facets_module
+from facetbench.facets import facet_checks
 
 from facet_oracle import oracle_enumerate_facets, oracle_facet_normal, oracle_facet_set, oracle_residual
 from facetbench.profiles import PAPER_985_EXTREMES
@@ -29,8 +30,15 @@ def null_space_oracle(rows):
     return n / np.linalg.norm(n)
 
 
+def facet_normal(ds, subset):
+    """The unit normal (u, v) that enumeration computes for one subset of
+    s+m-1 DMUs, or None when it rules the subset out."""
+    ok, u, v = facets_module._normals(ds, np.array([subset]))
+    return (u[0], v[0]) if ok[0] else None
+
+
 def test_toy_normal_abc(toy_a):
-    res = fb.facet_normal(toy_a, [0, 1, 2])  # A, B, C
+    res = facet_normal(toy_a, [0, 1, 2])  # A, B, C
     assert res is not None
     u, v = res
     expected = np.array([6.0, 6.0, 37.0])
@@ -48,7 +56,7 @@ def test_toy_normal_abc(toy_a):
 
 
 def test_toy_normal_cde(toy_a):
-    u, v = fb.facet_normal(toy_a, [2, 3, 4])
+    u, v = facet_normal(toy_a, [2, 3, 4])
     expected = np.array([89.0, 89.0, 40.0])
     assert np.allclose(u / np.linalg.norm(u), expected / np.linalg.norm(expected), atol=1e-12)
     scale = 89.0 / u[0]
@@ -60,12 +68,7 @@ def test_toy_b_no_normal(toy_b):
     # all rows satisfy y1 = y2: the output block is singular and the only
     # null direction has mixed signs, so no facet normal exists
     assert np.linalg.det(toy_b.outputs) == pytest.approx(0.0, abs=1e-9)
-    assert fb.facet_normal(toy_b, [0, 1, 2]) is None
-
-
-def test_wrong_subset_size(toy_a):
-    with pytest.raises(fb.DataError, match="subset size"):
-        fb.facet_normal(toy_a, [0, 1])
+    assert facet_normal(toy_b, [0, 1, 2]) is None
 
 
 def test_toy_enumeration(toy_a, toy_facets):
@@ -82,7 +85,7 @@ def test_toy_b_enumeration(toy_b):
 
 
 def test_facet_invariants(toy_a, toy_facets):
-    residuals = fb.verify_facet_set(toy_a, toy_facets)
+    residuals = facet_checks(toy_a, toy_facets)[0]
     for f in toy_facets.facets:
         assert len(f.members) == toy_a.s + toy_a.m - 1
         n = np.concatenate([f.u, f.v])
@@ -137,7 +140,7 @@ def test_985_matches_membership_table(uni985, uni_facets):
 
 
 def test_985_envelope_violations(uni985, uni_facets):
-    viol = fb.envelope_violations(uni985, uni_facets)
+    viol = facet_checks(uni985, uni_facets)[1]
     assert [(v["dmu"], v["facet"]) for v in viol] == [("TSU", 13)]
 
 
@@ -330,7 +333,7 @@ def test_duplicate_and_proportional_units_match_oracle(scope):
     ])
     ext = (*range(8), 11, 12)
     for a, b in [(0, 11), (3, 12)]:
-        assert fb.facet_normal(ds, (a, b, 1, 2)) is None
+        assert facet_normal(ds, (a, b, 1, 2)) is None
         assert oracle_facet_normal(ds, (a, b, 1, 2)) is None
     ref = oracle_enumerate_facets(ds, ext, scope)
     assert any("regularity" in w for w in ref.warnings)
@@ -363,12 +366,12 @@ def test_zero_first_output_weight_matches_oracle():
         np.array([[1.0, 0.0, 0.0, 3.0], [0.0, 1.0, 1.0, 2.0]]),
     )
     assert oracle_facet_normal(ds, (0, 1)) is None
-    assert fb.facet_normal(ds, (0, 1)) is None
+    assert facet_normal(ds, (0, 1)) is None
     with tolerances(**EXPOSE):
         u, v = oracle_facet_normal(ds, (0, 1))
         assert u[0] == 0.0
         assert u[1] > 0.0
-        got_u, got_v = fb.facet_normal(ds, (0, 1))
+        got_u, got_v = facet_normal(ds, (0, 1))
         assert (got_u.tobytes(), got_v.tobytes()) == (u.tobytes(), v.tobytes())
         for scope in ("extremes", "all"):
             ref = oracle_enumerate_facets(ds, range(4), scope)
@@ -390,15 +393,14 @@ def test_toy_b_no_facet_matches_oracle(toy_b):
         ref = oracle_enumerate_facets(toy_b, ext, scope)
         assert len(ref) == 0
         assert_same_facet_set(fb.enumerate_facets(toy_b, ext, scope), ref)
-    assert fb.envelope_violations(toy_b, ref) == []
-    assert fb.verify_facet_set(toy_b, ref) == {}
+    assert facet_checks(toy_b, ref) == ({}, [])
 
 
 def test_facet_normal_matches_oracle_on_every_subset(uni985, uni_extremes):
     for values in ({}, EXPOSE):
         with tolerances(**values):
             for subset in itertools.combinations(uni_extremes.indices, 4):
-                got = fb.facet_normal(uni985, subset)
+                got = facet_normal(uni985, subset)
                 ref = oracle_facet_normal(uni985, subset)
                 assert (got is None) == (ref is None), subset
                 if ref is not None:
@@ -410,14 +412,14 @@ def test_facet_normal_matches_oracle_on_every_subset(uni985, uni_extremes):
 def test_residuals_match_per_dmu_oracle(uni985, uni_extremes, scope):
     fs = fb.enumerate_facets(uni985, uni_extremes.indices, scope)
     support = fs.extremes if scope == "extremes" else range(uni985.n)
-    summary = fb.verify_facet_set(uni985, fs)
+    summary, violations = facet_checks(uni985, fs)
     expect_violations = []
     for j in range(uni985.n):
         for f in fs.facets:
             resid = oracle_residual(uni985, f, j)
             if resid > facets_module.SUPPORT_TOL:
                 expect_violations.append({"dmu": uni985.names[j], "facet": f.id, "residual": float(resid)})
-    assert fb.envelope_violations(uni985, fs) == expect_violations
+    assert violations == expect_violations
     for f in fs.facets:
         span = max(abs(oracle_residual(uni985, f, j)) for j in f.members)
         sup = max(oracle_residual(uni985, f, j) for j in support)
@@ -495,7 +497,7 @@ def test_support_margin_boundary(normals_calls, offset, reaches, kept):
         np.array([[1.0, 1.0, 1.0 - 3.0 * step]]),
         np.array([[2.0, 1.0, 1.5 + step], [1.0, 2.0, 1.5 + step]]),
     )
-    u, v = fb.facet_normal(ds, (0, 1))
+    u, v = facet_normal(ds, (0, 1))
     y, x = ds.outputs[:, 2], ds.inputs[:, 2]
     assert (u @ y - v @ x) / np.linalg.norm([*y, *x]) == pytest.approx(rho, abs=1e-12)
     normals_calls[0] = 0

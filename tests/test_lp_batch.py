@@ -12,7 +12,7 @@ import pytest
 
 import facetbench as fb
 import facetbench.lp as lp
-from facetbench import cli, measures, report, signpattern
+from facetbench import cli, measures, report, robust, signpattern
 from facetbench.errors import SolverError
 
 from test_lp import LP_DIGEST, _digest_instances
@@ -107,7 +107,7 @@ def test_a_failing_dmu_marks_only_its_own_entry(uni985, uni_facets, value, messa
     rows = fb.batch_evaluate(ds, part)
     assert isinstance(rows[1], fb.RowError) and message in rows[1].error
     for o in (0, 2):
-        assert repr(rows[o].theta) == repr(fb.robust_efficiency(ds, part, o).theta)
+        assert repr(rows[o].theta) == repr(robust._evaluate(ds, part, [o], "table4-max")[0].theta)
     if value == 0.0:
         return
     russell = fb.russell_farthest(ds, [0, 1, 2])

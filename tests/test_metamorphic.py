@@ -18,6 +18,8 @@ from facetbench.cli import main
 from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.robust import batch_evaluate
 
+from conftest import write_csv
+
 COLUMNS = ("in:researchers", "in:size", "out:nsa", "out:sb", "out:hp")
 
 
@@ -96,7 +98,7 @@ CLOSEST_EXIT_2 = {("in:researchers", "x1024"), ("in:size", "x1024"), ("out:hp", 
 @pytest.mark.parametrize("column,factor", _cases(CLOSEST_EXIT_2, "ROADMAP item 1"))
 def test_power_of_two_unit_change_keeps_report_exit_0(uni985, tmp_path, capsys, column, factor):
     path = tmp_path / "rescaled.csv"
-    fb.save_dataset(_rescaled(uni985, column, factor), path)
+    write_csv(_rescaled(uni985, column, factor), path)
     code = main(["report", "--data", str(path), "--profile", "paper-985"])
     err = capsys.readouterr().err
     assert (code, err) == (0, "")

@@ -21,19 +21,18 @@ SRC = ROOT / "src"
 # home module -> the public names `facetbench` exported when every module
 # was imported eagerly
 PUBLIC = {
-    "dataset": ["Dataset", "Violation", "load_dataset", "parse_dataset", "save_dataset", "validate_dataset"],
+    "dataset": ["Dataset", "Violation", "load_dataset", "parse_dataset", "validate_dataset"],
     "errors": ["DataError", "FacetBenchError", "FacetInfeasibleError", "SolverError"],
-    "facets": ["Facet", "FacetSet", "enumerate_facets", "envelope_violations", "facet_contains",
-               "facet_normal", "verify_facet_set"],
+    "facets": ["Facet", "FacetSet", "enumerate_facets", "facet_contains"],
     "lp": ["LpProblem", "LpSolution", "solve_lp"],
     "measures": ["ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_set", "russell_farthest"],
     "partition": ["RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"],
     "report": ["RunReport", "build_report", "emit"],
-    "robust": ["EfficiencyResult", "GroupResult", "RowError", "batch_evaluate", "robust_efficiency"],
+    "robust": ["EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"],
     "scenario": ["AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint",
                  "PriceSampler", "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum",
                  "facet_tables", "global_optimum", "load_scenario", "price_at", "revenue",
-                 "simulate_coverage", "uniqueness_diagnostics", "withstand_capacity"],
+                 "simulate_coverage", "uniqueness_diagnostics"],
     "signpattern": ["SignPatternResult", "solve_sign_pattern"],
 }
 
@@ -87,7 +86,7 @@ def test_every_public_name_is_its_home_object():
         "                  'dir': sorted(set(dir(facetbench)) & set(same)), 'version': facetbench.__version__}))"
     )
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 58
+    assert len(names) == 52
     assert sorted(out["same"]) == names
     assert all(out["same"].values())
     assert out["missing"] == "module 'facetbench' has no attribute 'no_such_name' / ImportError"

@@ -32,7 +32,7 @@ def test_toy_partition(toy_facets, toy_a):
     part = partition_robust(toy_facets)
     assert part.maxcount == 2
     assert [toy_a.names[d] for d in part.s_star] == ["C"]
-    assert part.group_count == 1
+    assert len(part.groups) == 1
     assert part.groups[0].facet_ids == (1, 2)
 
 
@@ -41,7 +41,7 @@ def test_single_facet_partition():
     part = partition_robust(fs)
     assert part.maxcount == 1
     assert part.s_star == (4, 7, 9)
-    assert part.group_count == 1
+    assert len(part.groups) == 1
     assert part.groups[0].members == (4, 7, 9)
 
 
@@ -62,7 +62,7 @@ def test_985_partition(uni985, uni_partition):
     part = uni_partition
     assert part.maxcount == 8
     assert {uni985.names[d] for d in part.s_star} == {"WHU", "CQU"}
-    assert part.group_count == 2
+    assert len(part.groups) == 2
     g1, g2 = part.groups
     assert g1.facet_ids == (1, 2, 3, 4, 5, 6, 7, 8)
     assert [uni985.names[d] for d in g1.members] == ["CQU"]

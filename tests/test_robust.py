@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 import facetbench as fb
-from facetbench.robust import batch_evaluate, robust_efficiency
+from facetbench.robust import RowError, batch_evaluate
+
+
+def robust_row(ds, part, o, aggregation="table4-max"):
+    """DMU o's row of the batch that a report evaluates."""
+    return batch_evaluate(ds, part, aggregation)[o]
 
 
 def group_result(ds, part, o, leader):
     """DMU o's result against the robust group whose first member is leader."""
     index = next(g.index for g in part.groups if ds.names[g.members[0]] == leader)
-    return next(g for g in robust_efficiency(ds, part, o).groups if g.group_index == index)
+    return next(g for g in robust_row(ds, part, o).groups if g.group_index == index)
 
 
 def grid_refine_oracle(x_o, y_o, x_ref, y_ref, lam_hi=None, steps=100_001):
-    """Best (z_count, gamma) over a dense lambda grid for one-reference
+    """Best (sum(z), gamma) over a dense lambda grid for one-reference
     groups: counts nonnegative slacks first, then distance."""
     if lam_hi is None:
         lam_hi = min(float(a) / float(b) for a, b in zip(x_o, x_ref))
@@ -62,17 +67,17 @@ def test_whu_self_evaluation(uni985, uni_partition):
 
 def test_aggregation_modes_pku(uni985, uni_partition):
     o = uni985.index("PKU")
-    res_max = robust_efficiency(uni985, uni_partition, o, "table4-max")
+    res_max = robust_row(uni985, uni_partition, o, "table4-max")
     assert res_max.theta == pytest.approx(0.725, abs=5e-4)
     assert res_max.slacks == pytest.approx([0.0, -24.2421, -3107.3474], abs=1e-2)
-    res_min = robust_efficiency(uni985, uni_partition, o, "paper-min")
+    res_min = robust_row(uni985, uni_partition, o, "paper-min")
     assert res_min.theta == pytest.approx(0.6308, abs=5e-4)
     assert res_min.chosen_group != res_max.chosen_group
 
 
 def test_cun_row(uni985, uni_partition):
     o = uni985.index("CUN")
-    res = robust_efficiency(uni985, uni_partition, o)
+    res = robust_row(uni985, uni_partition, o)
     assert res.theta == pytest.approx(0.6381, abs=5e-4)
     assert res.slacks == pytest.approx([0.8908, -8.1092, 0.0], abs=1e-2)
     chosen = res.chosen()
@@ -82,7 +87,7 @@ def test_cun_row(uni985, uni_partition):
 
 def test_ruc_row(uni985, uni_partition):
     o = uni985.index("RUC")
-    res = robust_efficiency(uni985, uni_partition, o)
+    res = robust_row(uni985, uni_partition, o)
     assert res.theta == pytest.approx(0.7676, abs=5e-4)
     assert res.slacks == pytest.approx([0.3645, -2.1787, 0.0], abs=1e-2)
     chosen = res.chosen()
@@ -90,9 +95,9 @@ def test_ruc_row(uni985, uni_partition):
 
 
 def test_slack_kinds(uni985, uni_partition):
-    res = robust_efficiency(uni985, uni_partition, uni985.index("PKU"))
+    res = robust_row(uni985, uni_partition, uni985.index("PKU"))
     assert res.slack_kinds == ("zero", "distortion", "distortion")
-    res = robust_efficiency(uni985, uni_partition, uni985.index("NKU"))
+    res = robust_row(uni985, uni_partition, uni985.index("NKU"))
     assert "shortfall" in res.slack_kinds
 
 
@@ -123,7 +128,7 @@ def test_lambda_shrink_warning_on_toy(toy_a, toy_facets):
     # D against the robust group {C}: the distance term drives lambda to
     # 1/90 and the target collapses toward the origin
     part = fb.partition_robust(toy_facets)
-    res = robust_efficiency(toy_a, part, toy_a.index("D"))
+    res = robust_row(toy_a, part, toy_a.index("D"))
     chosen = res.chosen()
     assert chosen.intensities[toy_a.index("C")] == pytest.approx(1 / 90, abs=1e-10)
     assert res.warnings and "shrink" in res.warnings[0]
@@ -133,23 +138,22 @@ def test_lambda_shrink_warning_on_toy(toy_a, toy_facets):
 def test_empty_partition_rejected(uni985):
     from facetbench.partition import RobustPartition
     empty = RobustPartition(membership={}, maxcount=0, s_star=(), groups=())
-    with pytest.raises(fb.DataError, match="empty partition"):
-        robust_efficiency(uni985, empty, 0)
+    rows = batch_evaluate(uni985, empty)
+    assert len(rows) == uni985.n
+    assert all(isinstance(r, RowError) and "empty partition" in r.error for r in rows)
 
 
 def test_unknown_aggregation_rejected(uni985, uni_partition):
     # raised for the whole call, not turned into a per-row RowError
     with pytest.raises(fb.DataError, match="aggregation must be one of"):
         batch_evaluate(uni985, uni_partition, "bogus")
-    with pytest.raises(fb.DataError, match="aggregation must be one of"):
-        robust_efficiency(uni985, uni_partition, uni985.index("PKU"), "bogus")
 
 
 def test_monotone_distance_term(uni985, uni_partition):
     # enlarging a slack magnitude in a fixed-sign solution never lowers
     # the objective: the distance term has strictly positive weights
     o = uni985.index("SEU")
-    res = robust_efficiency(uni985, uni_partition, o)
+    res = robust_row(uni985, uni_partition, o)
     g = res.chosen()
     base = float(np.sum(np.abs(g.slacks) / uni985.outputs[:, o])) / uni985.s
     assert base == pytest.approx(g.gamma, abs=1e-12)

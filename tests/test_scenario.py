@@ -9,6 +9,7 @@ from facetbench.scenario import (
     OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
+    WithstandResult,
     check_assumptions,
     facet_optimum,
     facet_tables,
@@ -17,7 +18,6 @@ from facetbench.scenario import (
     revenue,
     simulate_coverage,
     uniqueness_diagnostics,
-    withstand_capacity,
 )
 from scenario_oracle import lp_facet_contains, lp_facet_optimum
 
@@ -76,6 +76,11 @@ def test_revenue_values(toy_a, toy_scenario):
     assert revenue(np.zeros(3), toy_scenario, 1.0) == 0.0
 
 
+def test_revenue_beyond_the_double_range_is_a_data_error(toy_scenario):
+    with pytest.raises(fb.DataError, match="revenue at delta=0.0 is not finite"):
+        revenue(np.full(3, 1e307), toy_scenario, 0.0)
+
+
 def test_revenue_linearity(toy_a, toy_scenario):
     y = toy_a.outputs[:, 2]
     for alpha in (0.0, 0.3, 2.5):
@@ -123,26 +128,32 @@ def test_theorem5_facet_below_global(toy_facets, toy_tables, toy_scenario):
 
 
 def test_withstand_capacity(toy_a, toy_facets, toy_tables, toy_scenario):
-    f1 = toy_facets.facets[0]
     yF = toy_a.outputs[:, toy_a.index("F")]
-    res = withstand_capacity(toy_a, f1, toy_tables, yF, toy_scenario, 0.0, 1.0)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yF, 0.0, 1.0)
+    assert [e["facet"] for e in rep.recovery_entries] == [1]  # F lies on facet 1 only
+    (res,) = rep.withstand
     assert res.wr == pytest.approx(553.8, abs=1e-9)
     assert res.bound == pytest.approx(898.8, abs=1e-9)
     assert res.within_bound
 
 
 def test_withstand_zero_at_post_risk_optimum(toy_a, toy_facets, toy_tables, toy_scenario):
-    f1 = toy_facets.facets[0]
     yC = toy_a.outputs[:, toy_a.index("C")]  # facet-1 post-risk optimum
-    res = withstand_capacity(toy_a, f1, toy_tables, yC, toy_scenario, 0.0, 1.0)
-    assert res.wr == pytest.approx(0.0, abs=1e-9)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yC, 0.0, 1.0)
+    assert rep.recovery_entries[0]["facet"] == 1
+    assert rep.withstand[0].wr == pytest.approx(0.0, abs=1e-9)
 
 
 def test_withstand_requires_on_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
-    f1 = toy_facets.facets[0]
+    # D lies on facet 2 only, so facet 1 gets no withstand row; half of F
+    # lies on no facet at all
     yD = toy_a.outputs[:, toy_a.index("D")]
-    with pytest.raises(fb.DataError, match="not on facet"):
-        withstand_capacity(toy_a, f1, toy_tables, yD, toy_scenario, 0.0, 1.0)
+    rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yD, 0.0, 1.0)
+    assert [e["facet"] for e in rep.recovery_entries] == [2]
+    assert len(rep.withstand) == 1
+    yF = toy_a.outputs[:, toy_a.index("F")]
+    with pytest.raises(fb.DataError, match="lies on no facet"):
+        check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, 0.5 * yF, 0.0, 1.0)
 
 
 def test_residual_losses(toy_a, toy_facets, toy_tables, toy_scenario):
@@ -167,14 +178,18 @@ def test_assumptions_toy(toy_a, toy_facets, toy_tables, toy_scenario):
 
 
 def test_assumptions_carry_each_containing_facets_withstand(toy_a, toy_facets, toy_tables, toy_scenario):
-    # C is the vertex both facets share: one withstand row per facet, the
-    # same bits as the one-facet entry point gives
+    # C is the vertex both facets share: one withstand row per facet, each
+    # the facet's post-risk optimum less C's post-risk revenue, against
+    # C's revenue loss
     yC = toy_a.outputs[:, toy_a.index("C")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yC, 0.0, 1.0)
     assert [e["facet"] for e in rep.recovery_entries] == list(toy_facets.ids()) == [1, 2]
-    assert rep.withstand == tuple(
-        withstand_capacity(toy_a, f, toy_tables, yC, toy_scenario, 0.0, 1.0) for f in toy_facets.facets
-    )
+    r0, r1 = revenue(yC, toy_scenario, 0.0), revenue(yC, toy_scenario, 1.0)
+    expected = []
+    for f in toy_facets.facets:
+        wr = facet_optimum(toy_tables, f.id, toy_scenario, 1.0).value - r1
+        expected.append(WithstandResult(wr=wr, bound=r0 - r1, within_bound=wr <= r0 - r1))
+    assert rep.withstand == tuple(expected)
 
 
 def test_facet_tables_check_their_inputs(toy_a, toy_facets, toy_tables, toy_scenario):
@@ -227,6 +242,14 @@ def test_uniqueness_parallel_price(toy_a, toy_facets):
     )
     d = uniqueness_diagnostics(toy_a, f1, sc, 0.0)
     assert d.kind == "facet-degenerate"
+
+
+def test_uniqueness_parallel_price_whose_squares_overflow(toy_a, toy_facets):
+    f1 = toy_facets.facets[0]
+    sc = PriceScenario(
+        output_names=("a", "b", "c"), bases=f1.u * 1e200, slopes=np.zeros(3), domain=(0.0, 1.0)
+    )
+    assert uniqueness_diagnostics(toy_a, f1, sc, 0.0).kind == "facet-degenerate"
 
 
 def test_uniqueness_edge_tie(toy_a, toy_facets):

@@ -113,7 +113,7 @@ def test_agrees_with_bigm_oracle_random():
         mine = fb.solve_sign_pattern(x_o, y_o, X[:, cols], Y[:, cols])
         z_ref, gamma_ref, theta_ref = solve_bigm(x_o, y_o, X[:, cols], Y[:, cols])
         detail = f"instance {i}: gamma {mine.gamma!r} vs oracle {gamma_ref!r}, z {mine.z} vs oracle {z_ref}"
-        assert mine.z_count == sum(z_ref), detail
+        assert sum(mine.z) == sum(z_ref), detail
         assert 1.0 / (1.0 + mine.gamma) == pytest.approx(theta_ref, abs=1e-7), detail
 
 
