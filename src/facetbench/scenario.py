@@ -8,9 +8,12 @@ revenue by moving within one facet (withstand capacity), and a seeded
 Monte-Carlo check that multi-facet strategies cover at least as many
 sampled price draws as any of their sub-strategies.
 
-Sampling is counter-based: trial i draws from Philox(key=seed) advanced
-to counter i * 2**64, so any subset of trials can be reproduced (or run
-concurrently) without generating the rest of the stream.
+Sampling is counter-based: trial i reads the Philox4x64-10 stream keyed
+by the seed whose j-th block of four 64-bit words has counter
+(j + 1, i, 0, 0), and maps each word w to the price
+low + (high - low) * ((w >> 11) * 2**-53).  So any subset of trials can be
+reproduced (or run concurrently) without generating the rest of the
+stream, and a block of trials is drawn in one vectorised pass.
 
 No LP is solved here.  With the inputs fixed, a facet's feasible set
 {lambda >= 0 : X_f lambda = xbar} does not depend on prices, so its
@@ -234,8 +237,6 @@ class AssumptionReport:
     revenue_violations: tuple[dict, ...]   # per anchor-facet generator: risk raised revenue
     recovery_entries: tuple[dict, ...]     # per containing facet: bound check
     withstand: tuple[WithstandResult, ...]   # per containing facet, as recovery_entries
-    global_post_risk_optimum: float = float("nan")
-    global_recovery_holds: bool = True     # global optimum <= pre-risk revenue
 
     def ok(self) -> bool:
         return self.assumption1_holds and self.assumption2_holds
@@ -299,9 +300,6 @@ def check_assumptions(
     facet's generators implies it on the whole facet cone; recovery
     boundedness is checked directly per containing facet, and each
     containing facet's withstand capacity comes from the same optimum.
-    The report also carries the global post-risk optimum so the derived
-    claim (global recovery never beats the pre-risk revenue) is visible
-    even for scenarios where other facets gain value under risk.
     """
     yhat = np.asarray(yhat, dtype=float)
     containing = [f for f in facets.facets if facet_contains(f, ds, tables.xbar, yhat)]
@@ -335,23 +333,18 @@ def check_assumptions(
         # recoverable by within-facet substitution, against the gap bounding it
         wr = opt1.value - r_hat1
         withstand.append(WithstandResult(wr=wr, bound=gap, within_bound=wr <= gap + 1e-9 * max(1.0, abs(gap))))
-    best, _ = global_optimum(tables, sc, delta1)
     return AssumptionReport(
         assumption1_holds=not violations,
         assumption2_holds=all(e["holds"] for e in entries),
         revenue_violations=tuple(violations),
         recovery_entries=tuple(entries),
         withstand=tuple(withstand),
-        global_post_risk_optimum=best.value,
-        global_recovery_holds=best.value <= r_hat0 + 1e-9 * max(1.0, abs(r_hat0)),
     )
 
 
 @dataclass(frozen=True)
 class Diagnosis:
     kind: str                          # unique | facet-degenerate | edge-degenerate
-    detail: str
-    tied_pairs: tuple[tuple[str, str], ...] = ()
 
 
 @np.errstate(over="ignore")
@@ -375,10 +368,7 @@ def uniqueness_diagnostics(
     pu = q / np.sqrt(np.sum(q * q))
     uu = facet.u / np.sqrt(np.sum(facet.u * facet.u))
     if float(np.max(np.abs(pu - uu))) <= PARALLEL_TOL:
-        return Diagnosis(
-            kind="facet-degenerate",
-            detail=f"prices are parallel to facet {facet.id}'s output normal: every point ties",
-        )
+        return Diagnosis(kind="facet-degenerate")  # every point of the facet ties
     cols = list(facet.members)
     if ds.m == 1:
         # Per unit input the candidate vertices are the scaled generators;
@@ -391,23 +381,56 @@ def uniqueness_diagnostics(
     if not np.all(np.isfinite(values)):
         raise DataError(f"a generator's revenue on facet {facet.id} at delta={delta} is not finite")
     best = float(np.max(values))
-    tied = [cols[i] for i in range(len(cols)) if values[i] >= best - TIE_RTOL * max(1.0, abs(best))]
-    if len(tied) > 1:
-        pairs = tuple(
-            (ds.names[a], ds.names[b]) for i, a in enumerate(tied) for b in tied[i + 1:]
-        )
-        return Diagnosis(
-            kind="edge-degenerate",
-            detail="prices are orthogonal to a generator difference: tie along an edge",
-            tied_pairs=pairs,
-        )
-    return Diagnosis(kind="unique", detail=f"unique optimal vertex at {ds.names[tied[0]]}")
+    tied = int(np.sum(values >= best - TIE_RTOL * max(1.0, abs(best))))
+    # several tied generators: prices are orthogonal to a generator
+    # difference, so the optimum is an edge
+    return Diagnosis(kind="edge-degenerate" if tied > 1 else "unique")
+
+
+_MASK64 = 2**64 - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)   # Weyl key bumps
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo64(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of the 128-bit products a * m, from 32-bit
+    halves so every partial product fits a uint64 word."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    mid = ((a_lo * m_lo) >> _SHIFT32) + (lh & _LO32) + (hl & _LO32)
+    hi = a_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * np.uint64(m)
+
+
+def _philox4x64(ctr: list[np.ndarray], seed: int) -> list[np.ndarray]:
+    """Philox4x64-10 (Salmon et al., SC 2011) of the counter words ctr
+    under the 128-bit key seed.  The key stays in Python ints masked to
+    64 bits: NumPy warns when scalar uint64 arithmetic wraps, arrays
+    wrap silently."""
+    c0, c1, c2, c3 = ctr
+    k0, k1 = seed & _MASK64, seed >> 64
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo64(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo64(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return [c0, c1, c2, c3]
 
 
 @dataclass(frozen=True)
 class PriceSampler:
     """Independent uniform prices on [low, high], one counter-based
-    stream per trial: draw i depends only on (seed, i)."""
+    stream per trial: draw i depends only on (seed, i).
+
+    Trial i's stream is Philox4x64-10 keyed by seed, whose j-th block of
+    four 64-bit words has counter (j + 1, i, 0, 0); each price is
+    low + (high - low) * ((w >> 11) * 2**-53) for the stream's next word
+    w.  This is numpy.random.Philox(key=seed, counter=i << 64) read by
+    Generator.uniform, computed here for a block of trials at once."""
 
     low: float = 0.1
     high: float = 10.0
@@ -416,9 +439,16 @@ class PriceSampler:
         if not (0.0 < self.low < self.high):
             raise DataError("sampler needs 0 < low < high (prices stay positive)")
 
-    def draw(self, seed: int, trial: int, s: int) -> np.ndarray:
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=trial << 64))
-        return gen.uniform(self.low, self.high, size=s)
+    def draw(self, seed: int, start: int, stop: int, s: int) -> np.ndarray:
+        """Prices of trials start .. stop-1, one row of s per trial."""
+        if not (0 <= seed < 2**128 and 0 <= start < 2**64 and start <= stop <= 2**64):
+            raise DataError("sampler needs 0 <= seed < 2**128 and 0 <= start <= stop <= 2**64, start < 2**64")
+        shape = (stop - start, -(-s // 4))   # trials x blocks of four words
+        trial, block = np.indices(shape, dtype=np.uint64)
+        zero = np.zeros(shape, dtype=np.uint64)
+        ctr = [block + np.uint64(1), trial + np.uint64(start), zero, zero]
+        words = np.stack(_philox4x64(ctr, seed), axis=-1).reshape(shape[0], 4 * shape[1])[:, :s]
+        return self.low + (self.high - self.low) * ((words >> np.uint64(11)) * 2.0**-53)
 
     def describe(self) -> dict:
         return {"law": "uniform", "low": self.low, "high": self.high, "stream": "philox-counter"}
@@ -474,6 +504,8 @@ def simulate_coverage(
         raise DataError("coverage simulation needs a nonempty facet set")
     if trials < 1:
         raise DataError("trials must be >= 1")
+    if trials > 2**64:
+        raise DataError("trials must be <= 2**64 (a trial index fills one Philox counter word)")
     if not 0 <= seed < 2**128:
         raise DataError("seed must be in [0, 2**128) (the Philox key range)")
     if not strategies:
@@ -496,7 +528,7 @@ def simulate_coverage(
     incidence = np.zeros((trials, len(fids)), dtype=bool)
     for start in range(0, trials, COVERAGE_CHUNK):
         stop = min(start + COVERAGE_CHUNK, trials)
-        prices = np.array([sampler.draw(seed, i, ds.s) for i in range(start, stop)])
+        prices = sampler.draw(seed, start, stop, ds.s)
         values = np.full((stop - start, len(fids)), -np.inf)
         with np.errstate(over="ignore"):
             for col, V in usable:

@@ -232,7 +232,8 @@ def test_c10_invariant_suite(uni985, uni_facets, uni_partition, robust_rows, toy
     wr = rep.withstand[0]
     assert 0.0 <= wr.wr <= wr.bound + 1e-9
     # and the theorem-3 consequence on the same evaluation
-    assert rep.global_post_risk_optimum <= revenue(yF, toy_scenario, 0.0) + 1e-9
+    best1, _ = global_optimum(tables, toy_scenario, 1.0)
+    assert best1.value <= revenue(yF, toy_scenario, 0.0) + 1e-9
     _ok("C10", "(complementarity, theta ranges, facet residuals, theorem bounds)")
 
 

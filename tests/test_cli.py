@@ -448,6 +448,7 @@ INPUT_FAULTS = {
     "trials-non-ascii-digits": ({}, ["coverage", "--trials", "\u0661\u0660"]),
     "seed-negative": ({}, ["coverage", "--trials", "10", "--seed", "-1"]),
     "seed-beyond-philox-key": ({}, ["coverage", "--trials", "10", "--seed", str(2**128)]),
+    "trials-beyond-philox-counter": ({}, ["coverage", "--trials", str(2**64 + 1)]),
     "delta1-digit-separator": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta1", "0_1"]),
     "delta-not-number": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "one"]),
     "delta0-nan": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta0", "nan"]),

@@ -193,5 +193,6 @@ def test_each_command_loads_only_its_modules(command):
                    "from facetbench import cli\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    f"    assert cli.main({argv!r}) == 0\n"
+                   "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
                    f"print({LOADED})")
     assert loaded == sorted(["facetbench"] + [f"facetbench.{m}" for m in CLI_MODULES + extra])
