@@ -16,21 +16,22 @@ data and keeps the stated tolerances meaningful across scales: a variable
 measured in a unit 1024 times too small is solved as if its unit were
 right.
 
-Problems are solved in batches.  ``solve_lps`` groups independent problems
-by variable count and row relations, and sends each group in one pass
-through phase 1 and phase 2 as one stack of tableaus that the kernel
-advances in lockstep, one pivot of every running problem per pass.  The
-set-up, the phase-1 infeasibility test and the read-out of the solution
-(basic values, the negativity check, the objective value, the
-alternate-optima probe) are vectorised over the stack.  Every problem
-sees the same elementwise operations it would see alone; max, min, any,
-argmax and argmin are exact, and a row sum along the last axis adds in
-the same order as the sum of that row alone.  So a problem's result does
-not depend by a single bit on the other problems of its batch.  Driving
-leftover artificials out of the basis, which may drop rows, goes row by
-row over the problems that need it, and the survivors are split by the
-rows they kept for phase 2.
-``solve_lp(p)`` is ``solve_lps([p])[0]``: there is one LP path.
+Problems are solved in stacks.  ``solve_lps(c, A, relations, b)`` takes
+B minimisation problems of one shape, one row of ``c`` and ``b`` each,
+and sends them in one pass through phase 1 and phase 2 as one stack of
+tableaus that the kernel advances in lockstep, one pivot of every
+running problem per pass.  The set-up, the phase-1 infeasibility test
+and the read-out of the solution (basic values, the negativity check,
+the objective value, the alternate-optima probe) are vectorised over the
+stack.  Every problem sees the same elementwise operations it would see
+alone; max, min, any, argmax and argmin are exact, and a row sum along
+the last axis adds in the same order as the sum of that row alone.  So a
+problem's result does not depend by a single bit on the other problems
+of its stack.  Driving leftover artificials out of the basis, which may
+drop rows, goes row by row over the problems that need it, and the
+survivors are split by the rows they kept for phase 2.
+``solve_lp(p)`` solves the single ``LpProblem`` p as a stack of one,
+minimising -c for a max problem: there is one LP path.
 
 The pivot loop itself lives in the NumPy kernel module ``_simplex_py``,
 bound here as ``_kernel``; its ``run`` and ``pivot`` are called through
@@ -40,8 +41,7 @@ that name so that a profiler can wrap them in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,7 @@ OPTIMALITY_TOL = 1e-9
 class LpProblem:
     """min/max c@x subject to A x (<=|=|>=) b and x >= 0.
 
-    All coefficients must be finite.
+    ``solve_lp`` raises SolverError for a coefficient that is not finite.
     """
 
     sense: str
@@ -87,9 +87,6 @@ class LpProblem:
             raise SolverError(f"rhs shape {self.b.shape} != ({nrow},)")
         if not _CODES.keys() >= set(self.relations):
             raise SolverError(f"relations must be <=, =, >=: {self.relations}")
-        for arr, what in ((self.c, "objective"), (self.A, "matrix"), (self.b, "rhs")):
-            if not np.isfinite(arr).all():
-                raise SolverError(f"non-finite coefficient in {what}")
 
 
 @dataclass(frozen=True)
@@ -110,36 +107,54 @@ class LpSolution:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a dense LP; deterministic given the problem."""
-    sol = solve_lps([problem])[0]
+    c = -problem.c if problem.sense == "max" else problem.c
+    sol = solve_lps(c[None], problem.A, problem.relations, problem.b[None])[0]
     if isinstance(sol, SolverError):
         raise sol
+    if sol.status == "optimal":
+        sol = replace(sol, value=float(np.sum(problem.c * sol.x)))
     return sol
 
 
-def solve_lps(problems: Iterable[LpProblem]) -> list[LpSolution | SolverError]:
-    """Solve independent dense LPs together, in input order.
+def solve_lps(
+    c: np.ndarray, A: np.ndarray, relations: tuple[str, ...], b: np.ndarray,
+) -> list[LpSolution | SolverError]:
+    """Solve B independent problems min c[i]@x s.t. A[i] x (relations) b[i],
+    x >= 0, together, in input order.
 
-    Each entry is the problem's solution, or the SolverError that solving
-    it alone would raise; one failing problem leaves the others' results
-    untouched.
+    c is (B, n) and b is (B, rows); A is (B, rows, n), or one (rows, n)
+    matrix that every problem shares.  Each entry is the problem's
+    solution, or the SolverError that solving it alone would raise (a
+    non-finite coefficient among them); one failing problem leaves the
+    others' results untouched.
     """
-    problems = list(problems)
-    out: list[LpSolution | SolverError | None] = [None] * len(problems)
-    shapes: dict[tuple, list[int]] = {}
-    for i, p in enumerate(problems):
-        shapes.setdefault((p.c.size, p.relations), []).append(i)
-    for (nvar, rels), idx in shapes.items():
-        for art_start, stack in _tableaus(problems, np.array(idx), nvar, rels, out):
-            for ready in _phase1(stack, art_start, out):
-                _phase2(ready, problems, out)
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nprob, nvar = c.shape
+    rows = len(relations)
+    if b.shape != (nprob, rows) or A.shape not in ((rows, nvar), (nprob, rows, nvar)):
+        raise SolverError(f"stack shapes disagree: c {c.shape}, A {A.shape}, b {b.shape}, {rows} relations")
+    out: list[LpSolution | SolverError | None] = [None] * nprob
+    ok = np.ones(nprob, dtype=bool)
+    for what, finite in (("objective", np.isfinite(c).all(axis=1)),
+                         ("matrix", np.isfinite(A).all(axis=(-2, -1))),
+                         ("rhs", np.isfinite(b).all(axis=1))):
+        for i in np.flatnonzero(ok & ~finite):
+            out[i] = SolverError(f"non-finite coefficient in {what}")
+        ok &= finite
+    codes = np.array([_CODES[r] for r in relations], dtype=np.int64)
+    for art_start, stack in _tableaus(A, b, np.flatnonzero(ok), nvar, codes, out):
+        for ready in _phase1(stack, art_start, out):
+            _phase2(ready, c, out)
     return out
 
 
 @dataclass
 class _Stack:
-    """Same-shape tableaus of the batch's problems idx, solved together."""
+    """Same-shape tableaus of the problems idx, solved together."""
 
-    idx: np.ndarray        # (B,) positions in the batch
+    idx: np.ndarray        # (B,) positions in the stack solve_lps was given
     T: np.ndarray          # (B, rows + 1, cols + 1)
     basis: np.ndarray      # (B, rows)
     iters: np.ndarray      # (B,) pivots so far
@@ -164,9 +179,10 @@ def _split(keep: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(np.array(ks), np.flatnonzero(keep[ks[0]])) for ks in groups.values()]
 
 
-def _tableaus(problems, idx, nvar, rels, out):
-    """Equilibrate and orient the problems idx, which share nvar and rels,
-    and yield (first artificial column, phase-1 tableaus).
+def _tableaus(A, b, idx, nvar, codes, out):
+    """Equilibrate and orient the problems idx of the stack (A, b), whose
+    rows have the relation codes codes, and yield (first artificial
+    column, phase-1 tableaus).
 
     A row gets an artificial column when it needs one (= or oriented >=)
     in any problem of the stack; a problem whose row does not need it
@@ -180,9 +196,9 @@ def _tableaus(problems, idx, nvar, rels, out):
     # Equilibrate each row (with its rhs) by the power of two that brings
     # its largest magnitude into [1, 2).  Adding 0.0 turns -0.0 into +0.0,
     # so the tableau's zeros do not depend on how the caller built A.
-    A = np.stack([problems[i].A for i in idx])
+    A = np.broadcast_to(A, (len(b),) + A.shape[-2:])[idx]
     A += 0.0
-    b = np.stack([problems[i].b for i in idx])
+    b = b[idx]
     mx = np.maximum(np.abs(A).max(axis=2, initial=0.0), np.abs(b))
     scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
     A /= scale[:, :, None]
@@ -198,7 +214,6 @@ def _tableaus(problems, idx, nvar, rels, out):
 
     # Orient rhs nonnegative and classify rows.  An all-zero row is
     # dropped when 0 satisfies it and makes the problem infeasible if not.
-    codes = np.array([_CODES[r] for r in rels], dtype=np.int64)
     zero = ~A.any(axis=2)
     sat = np.where(codes == _LE, rhs >= -FEASIBILITY_TOL,
                    np.where(codes == _GE, rhs <= FEASIBILITY_TOL, np.abs(rhs) <= FEASIBILITY_TOL))
@@ -282,22 +297,20 @@ def _phase1(st: _Stack, art_start: int, out) -> list[_Stack]:
             for ks, keep in _split(~drop)]
 
 
-def _phase2(st: _Stack, problems, out) -> None:
+def _phase2(st: _Stack, c: np.ndarray, out) -> None:
     """Run phase 2 and read out every problem's solution."""
     T, basis, nvar = st.T, st.basis, st.nvar
     nrow = T.shape[1] - 1
     total = T.shape[2] - 1
-    batch = [problems[i] for i in st.idx]
-    C = np.stack([p.c for p in batch])
-    maximize = np.array([p.sense == "max" for p in batch])
+    C = c[st.idx]
 
-    # Phase 2 objective row (minimization form): eliminate basic columns.
-    b = np.arange(len(batch))
+    # Phase 2 objective row: eliminate basic columns.
+    b = np.arange(len(C))
     T[:, nrow, :] = 0.0
     # The objective in the solved columns' units, scaled by the power of
     # two of its largest entry, so reduced costs meet the tolerance at
     # the same scale whatever the caller's unit.
-    cost = np.where(maximize[:, None], -C, C) / st.colscale
+    cost = C / st.colscale
     mx = np.abs(cost).max(axis=1, initial=0.0)
     cost /= np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
     T[:, nrow, :nvar] = cost + 0.0

@@ -13,8 +13,9 @@
   the bound exceeds the best gamma by more than a rounding margin; the
   winner is the one solving every facet's LP would pick.
 
-Each layer submits its independent LPs together (``lp.solve_lps``): the
-extreme test and Russell solve every DMU in one batch, and the closest
+Each layer solves its independent LPs, which share one shape, as one
+stack (``lp.solve_lps``): the extreme test and Russell solve every DMU in
+one stack, over a constraint matrix all DMUs share, and the closest
 measure in rounds, each holding every unfinished DMU's unsolved facets
 that pass the stop test against its least bound, then its best gamma.
 Russell and the closest measure take a sequence of DMUs and return a
@@ -34,7 +35,7 @@ from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
 from .facets import SUPPORT_TOL, FacetSet
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import LpProblem, LpSolution, solve_lp, solve_lps  # noqa: F401
+from .lp import solve_lp, solve_lps  # noqa: F401
 
 EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
@@ -67,18 +68,6 @@ class ExtremeSetResult:
         }
 
 
-def _extreme_problems(ds: Dataset, dmus) -> list[LpProblem]:
-    A = np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
-    rels = ("<=",) * (ds.m + ds.s) + ("=",)
-    problems = []
-    for o in dmus:
-        c = np.zeros(ds.n)
-        c[o] = 1.0
-        b = np.concatenate([ds.inputs[:, o], -ds.outputs[:, o], [1.0]])
-        problems.append(LpProblem("min", c, A, rels, b))
-    return problems
-
-
 def extreme_set(
     ds: Dataset,
     override: list[str] | tuple[str, ...] | None = None,
@@ -87,7 +76,9 @@ def extreme_set(
     a dominating convex combination; a unit minimum means nothing else can
     represent it.  An override pins the returned list verbatim while the
     computed set is kept for the discrepancy report."""
-    sols = solve_lps(_extreme_problems(ds, range(ds.n)))
+    # DMU o's right-hand side is its own column of the shared matrix.
+    A = np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
+    sols = solve_lps(np.eye(ds.n), A, ("<=",) * (ds.m + ds.s) + ("=",), A.T)
     lambda0: dict[int, float] = {}
     computed = []
     for o, sol in enumerate(sols):
@@ -121,22 +112,6 @@ def extremes_export(ds: Dataset, ext: ExtremeSetResult) -> dict:
     }
 
 
-def _solve_each(make, items) -> list[LpSolution | SolverError]:
-    """One batch of the LPs make(item); an item whose LP cannot be built
-    (a non-finite coefficient) gets the SolverError building it raised."""
-    out: list[LpSolution | SolverError | None] = [None] * len(items)
-    problems, built = [], []
-    for i, item in enumerate(items):
-        try:
-            problems.append(make(item))
-            built.append(i)
-        except SolverError as exc:
-            out[i] = exc
-    for i, sol in zip(built, solve_lps(problems)):
-        out[i] = sol
-    return out
-
-
 def russell_farthest(ds: Dataset, dmus: Sequence[int]) -> list[MeasureResult | SolverError]:
     """Maximize the mean normalized output slack over the full CRS
     technology (weights 1/s); theta = 1/(1 + optimum)."""
@@ -146,14 +121,11 @@ def russell_farthest(ds: Dataset, dmus: Sequence[int]) -> list[MeasureResult | S
     A[:m, :n] = ds.inputs
     A[m:, :n] = ds.outputs
     A[m:, n:] = -np.eye(s)
-    rels = ("<=",) * m + ("=",) * s
-
-    def problem(d: int) -> LpProblem:
-        c = np.concatenate([np.zeros(n), -1.0 / (s * ds.outputs[:, d])])
-        return LpProblem("min", c, A, rels, np.concatenate([ds.inputs[:, d], ds.outputs[:, d]]))
-
+    C = np.zeros((len(dmus), n + s))
+    C[:, n:] = -1.0 / (s * ds.outputs[:, dmus].T)
     results: list[MeasureResult | SolverError] = []
-    for d, sol in zip(dmus, _solve_each(problem, dmus)):
+    # DMU d's right-hand side is its own column of the shared matrix.
+    for d, sol in zip(dmus, solve_lps(C, A, ("<=",) * m + ("=",) * s, A[:, dmus].T)):
         if isinstance(sol, SolverError):
             results.append(sol)
         elif sol.status == "unbounded":
@@ -205,8 +177,8 @@ def closest_on_efpps(
     bound[:, positive] = -rhs[:, positive] * np.min(C[:, None, :] / U[positive], axis=2)
     order = np.argsort(bound, axis=1, kind="stable")
     # facet k's LP: its own row as the equality, then the others as <=
-    rows = [[k] + [i for i in range(F) if i != k] for k in range(F)]
-    systems = [(U[r], ("=",) + ("<=",) * (F - 1)) for r in rows]
+    rows = np.array([[k] + [i for i in range(F) if i != k] for k in range(F)])
+    rels = ("=",) + ("<=",) * (F - 1)
 
     results: list[MeasureResult | FacetBenchError | None] = [None] * len(dmus)
     best: list[tuple[float, int, np.ndarray] | None] = [None] * len(dmus)
@@ -217,11 +189,6 @@ def closest_on_efpps(
             results[i] = MeasureResult(status="out-of-envelope", theta=None, slacks=None)
         else:
             live.append(i)
-
-    def problem(ik: tuple[int, int]) -> LpProblem:
-        i, k = ik
-        A, rels = systems[k]
-        return LpProblem("min", C[i], A, rels, -rhs[i, rows[k]])
 
     ranked = np.take_along_axis(bound, order, axis=1)
 
@@ -234,9 +201,11 @@ def closest_on_efpps(
         for i in live:
             end = max(step[i] + 1, reach(i, ranked[i, step[i]] if best[i] is None else best[i][0]))
             batch += [(i, int(k)) for k in order[i, step[i]:end]]
+        I, K = np.array(batch).T
+        sols = solve_lps(C[I], U[rows[K]], rels, -rhs[I[:, None], rows[K]])
         # Read in bound order with the running best, as if solved one at a
         # time: the first error is the DMU's own, and step F marks it done.
-        for (i, k), sol in zip(batch, _solve_each(problem, batch)):
+        for (i, k), sol in zip(batch, sols):
             if step[i] == F or (best[i] is not None and step[i] >= reach(i, best[i][0])):
                 step[i] = F
             elif isinstance(sol, SolverError):

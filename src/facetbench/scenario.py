@@ -525,7 +525,10 @@ def simulate_coverage(
     if not usable:
         raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
 
-    incidence = np.zeros((trials, len(fids)), dtype=bool)
+    try:
+        incidence = np.zeros((trials, len(fids)), dtype=bool)
+    except (ValueError, MemoryError):       # too many trials for one array
+        raise DataError(f"trials={trials}: cannot allocate a {trials} x {len(fids)} incidence array") from None
     for start in range(0, trials, COVERAGE_CHUNK):
         stop = min(start + COVERAGE_CHUNK, trials)
         prices = sampler.draw(seed, start, stop, ds.s)

@@ -22,9 +22,10 @@ min(min_i x_oi/a_i, min_{z_r=0} y_or/b_r)].  A pattern with no room even
 with each row given the residual phase 1 allows (RAY_MARGIN) gets no LP.
 
 ``solve_sign_patterns`` evaluates many points against one reference block
-in one batch (``lp.solve_lps``): each point starts at its highest level
+in one LP stack (``lp.solve_lps``): the block's 2**s constraint matrices
+are one array indexed by pattern, each point starts at its highest level
 that has a pattern left, and only a point whose LPs there all come back
-infeasible goes on, in a later batch, to its next level down.
+infeasible goes on, in a later stack, to its next level down.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import SolverError
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import FEASIBILITY_TOL, LpProblem, solve_lp, solve_lps  # noqa: F401
+from .lp import FEASIBILITY_TOL, solve_lp, solve_lps  # noqa: F401
 
 # Phase 1 allows each row a residual of FEASIBILITY_TOL times the largest
 # basic value, in units of the row's power-of-two scale, which is at most
@@ -58,31 +59,10 @@ class SignPatternResult:
     degenerate_optimal_face: bool
 
 
-def _pattern_matrix(X_ref: np.ndarray, Y_ref: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Constraint matrix of pattern sigma; variables are lambda (k), then
-    t = |s_r| (s)."""
-    m, k = X_ref.shape
-    s = Y_ref.shape[0]
-    A = np.zeros((m + s, k + s))
-    A[:m, :k] = X_ref
-    A[m:, :k] = Y_ref
-    A[m:, k:] = -np.diag(sigma)
-    return A
-
-
-def _pattern_problems(x_o: np.ndarray, y_o: np.ndarray, matrices: list[np.ndarray]) -> list[LpProblem]:
-    """The pattern LPs of point (x_o, y_o), one per constraint matrix."""
-    s = y_o.size
-    c = np.concatenate([np.zeros(matrices[0].shape[1] - s), 1.0 / (s * y_o)])
-    b = np.concatenate([x_o, y_o])
-    rels = ("<=",) * x_o.size + ("=",) * s
-    return [LpProblem("min", c, A, rels, b) for A in matrices]
-
-
 def _ray_candidates(x_pts, y_pts, x_r, y_r, Z) -> np.ndarray:
     """(points, patterns) mask of the patterns whose LP against the ray
     (x_r, y_r) phase 1 might call feasible.  NaN keeps a pattern, and
-    pattern 0 is always kept, so a point whose LPs cannot be built fails."""
+    pattern 0 is always kept, so a point with a non-finite coefficient fails."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tol = RAY_MARGIN * np.maximum(1.0, np.min(x_pts / x_r, axis=1))[:, None]
         cap = np.min((x_pts + tol * np.maximum(np.abs(x_pts), x_r)) / x_r, axis=1)
@@ -122,14 +102,19 @@ def solve_sign_patterns(
     zs = [tuple((p >> r) & 1 for r in range(s)) for p in range(1 << s)]
     Z = np.array(zs, dtype=bool).reshape(-1, s)
     level, sigmas = Z.sum(axis=1), np.where(Z, 1.0, -1.0)
-    matrices = [_pattern_matrix(X_ref, Y_ref, sigma) for sigma in sigmas]
+    # Pattern p's constraint matrix; variables are lambda (k), then t = |s_r| (s).
+    mats = np.zeros((len(zs), m + s, k + s))
+    mats[:, :m, :k] = X_ref
+    mats[:, m:, :k] = Y_ref
+    mats[:, m + np.arange(s), k + np.arange(s)] = -sigmas
+    rels = ("<=",) * m + ("=",) * s
     left = np.ones((len(live), len(zs)), dtype=bool)
     if k == 1 and np.all(X_ref > 0) and np.all(Y_ref > 0):
         left = _ray_candidates(x_pts[live], y_pts[live], X_ref[:, 0], Y_ref[:, 0], Z)
     todo = dict(zip(live, left))            # point -> patterns not yet visited
 
     while todo:
-        problems, visits = [], []
+        pts, pats = [], []
         for j, pending in todo.items():
             if not pending.any():
                 out[j] = SolverError("all sign patterns infeasible: empty reference technology "
@@ -137,28 +122,26 @@ def solve_sign_patterns(
                 continue
             ps = np.flatnonzero(pending & (level == level[pending].max()))
             pending[ps] = False
-            try:
-                problems += _pattern_problems(x_pts[j], y_pts[j], [matrices[p] for p in ps])
-                visits.append((j, ps, len(problems) - len(ps)))
-            except SolverError as exc:      # a non-finite coefficient
-                out[j] = exc
-        sols = solve_lps(problems)
-        for j, ps, n in visits:
-            best = None
-            for p, sol in zip(ps, sols[n:n + len(ps)]):
-                if isinstance(sol, SolverError):
-                    out[j] = sol
-                    break
-                if sol.status == "unbounded":
-                    out[j] = SolverError("signed-slack pattern LP unbounded (inputs cannot be positive)")
-                    break
-                if sol.status == "optimal":
-                    gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
-                    if best is None or (gamma, p) < best[:2]:
-                        best = (gamma, int(p), sol)
-            if out[j] is not None or best is None:
+            pts += [j] * len(ps)
+            pats += list(ps)
+        pts, pats = np.array(pts, dtype=int), np.array(pats, dtype=int)
+        c = np.hstack([np.zeros((len(pts), k)), 1.0 / (s * y_pts[pts])])
+        sols = solve_lps(c, mats[pats], rels, np.hstack([x_pts[pts], y_pts[pts]]))
+        best = {}
+        for j, p, sol in zip(pts, pats, sols):
+            if out[j] is not None:
                 continue
-            gamma, p, sol = best
+            if isinstance(sol, SolverError):
+                out[j] = sol
+            elif sol.status == "unbounded":
+                out[j] = SolverError("signed-slack pattern LP unbounded (inputs cannot be positive)")
+            elif sol.status == "optimal":
+                gamma = float(np.sum(sol.x[k:] / y_pts[j])) / s
+                if j not in best or (gamma, p) < best[j][:2]:
+                    best[j] = (gamma, int(p), sol)
+        for j, (gamma, p, sol) in best.items():
+            if out[j] is not None:
+                continue
             sigma, t = sigmas[p], sol.x[k:]
             out[j] = SignPatternResult(
                 z=zs[p],

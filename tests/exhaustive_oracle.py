@@ -3,14 +3,26 @@
 The two loops as the package ran them before it visited candidates in
 bound order and stopped early: every sign pattern and every facet is
 solved, and the winner is the least key over all of them.  Each LP is
-built by the same code as the package's, so winners, gammas, slacks and
-intensities can be compared bit for bit.
+built here as an ``LpProblem`` from the program's statement and solved
+alone by ``solve_lp``; it has the same coefficients as the package's
+stacked LP, so winners, gammas, slacks and intensities can be compared
+bit for bit.
 """
 
 import numpy as np
 
 from facetbench.lp import LpProblem, solve_lp
-from facetbench.signpattern import _pattern_matrix, _pattern_problems
+
+
+def pattern_problem(x_o, y_o, X_ref, Y_ref, sigma) -> LpProblem:
+    """Pattern sigma's LP for point (x_o, y_o): variables lambda (k), then
+    t = |s_r| (s); min mean t_r / y_r s.t. X_ref lambda <= x_o and
+    Y_ref lambda - sigma * t = y_o."""
+    m, k = X_ref.shape
+    s = y_o.size
+    A = np.block([[X_ref, np.zeros((m, s))], [Y_ref, -np.diag(sigma)]])
+    c = np.concatenate([np.zeros(k), 1.0 / (s * y_o)])
+    return LpProblem("min", c, A, ("<=",) * m + ("=",) * s, np.concatenate([x_o, y_o]))
 
 
 def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref):
@@ -27,7 +39,7 @@ def exhaustive_sign_pattern(x_o, y_o, X_ref, Y_ref):
     for p in range(1 << s):
         z = [(p >> r) & 1 for r in range(s)]
         sigma = np.array([1.0 if zr else -1.0 for zr in z])
-        sol = solve_lp(_pattern_problems(x_o, y_o, [_pattern_matrix(X_ref, Y_ref, sigma)])[0])
+        sol = solve_lp(pattern_problem(x_o, y_o, X_ref, Y_ref, sigma))
         if sol.status != "optimal":
             continue
         t = sol.x[k:]

@@ -210,6 +210,23 @@ def test_985_report_stdout_pinned(capsys, data_dir, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_985_efficiency_all_is_the_report(capsys, data_dir, monkeypatch, fmt):
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(capsys, "efficiency", *REPORT_985[1:], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_985_DIGESTS[fmt][1]
+
+
+def test_985_efficiency_closest_is_the_report_column(capsys, data_dir, monkeypatch):
+    monkeypatch.chdir(data_dir.parent)
+    _, report, _ = run(capsys, *REPORT_985)
+    code, out, err = run(capsys, "efficiency", *REPORT_985[1:], "--measure", "closest")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == \
+        [{"dmu": row["dmu"], "closest": row["closest"]} for row in json.loads(report)["results"]]
+
+
 def test_985_report_echoes_the_facet_tolerances(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, _ = run(capsys, *REPORT_985)
@@ -449,6 +466,9 @@ INPUT_FAULTS = {
     "seed-negative": ({}, ["coverage", "--trials", "10", "--seed", "-1"]),
     "seed-beyond-philox-key": ({}, ["coverage", "--trials", "10", "--seed", str(2**128)]),
     "trials-beyond-philox-counter": ({}, ["coverage", "--trials", str(2**64 + 1)]),
+    # with the toy's two facets NumPy refuses these incidence arrays before allocating anything
+    "trials-beyond-numpy-dimension": ({}, ["coverage", "--trials", str(2**64)]),
+    "trials-beyond-numpy-array-size": ({}, ["coverage", "--trials", str(2**62)]),
     "delta1-digit-separator": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta1", "0_1"]),
     "delta-not-number": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta", "one"]),
     "delta0-nan": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta0", "nan"]),

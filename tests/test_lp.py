@@ -58,8 +58,8 @@ def test_dimension_mismatch_raises():
 
 
 def test_non_finite_raises():
-    with pytest.raises(SolverError, match="non-finite"):
-        fb.LpProblem("min", np.array([np.nan]), np.ones((1, 1)), ("<=",), np.ones(1))
+    with pytest.raises(SolverError, match="non-finite coefficient in objective"):
+        fb.solve_lp(fb.LpProblem("min", np.array([np.nan]), np.ones((1, 1)), ("<=",), np.ones(1)))
 
 
 def test_determinism_bit_identical():

@@ -1,8 +1,9 @@
-"""Lockstep batches: solving LPs together must give each one the result
-it gets alone, bit for bit, and the layers that batch their LPs must
-solve exactly the LPs they solved one by one."""
+"""Lockstep stacks: solving same-shape LPs together must give each one
+the result it gets alone, bit for bit, and the layers that stack their
+LPs must solve exactly the LPs they solved one by one."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 from collections import Counter
@@ -34,13 +35,40 @@ def _same(a, b) -> bool:
         (b.status, b.iterations, b.degenerate_optimal_face, repr(b.value), b.x.tobytes())
 
 
+def _shapes(problems) -> dict[tuple, list[int]]:
+    """(variable count, relations) -> positions of the problems of that shape."""
+    shapes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        shapes.setdefault((p.c.size, p.relations), []).append(i)
+    return shapes
+
+
+def _as_stack(group):
+    """Same-shape LpProblems as solve_lps arguments; a max problem minimises -c."""
+    c = np.stack([-p.c if p.sense == "max" else p.c for p in group])
+    return c, np.stack([p.A for p in group]), group[0].relations, np.stack([p.b for p in group])
+
+
+def _stacked(problems):
+    """Solve LpProblems as solve_lp reads them out, one solve_lps stack
+    per shape: an optimum's value is c@x."""
+    out = [None] * len(problems)
+    for idx in _shapes(problems).values():
+        group = [problems[i] for i in idx]
+        for i, p, sol in zip(idx, group, lp.solve_lps(*_as_stack(group))):
+            if not isinstance(sol, SolverError) and sol.status == "optimal":
+                sol = dataclasses.replace(sol, value=float(np.sum(p.c * sol.x)))
+            out[i] = sol
+    return out
+
+
 @pytest.fixture(scope="module")
 def instances():
     return list(_digest_instances(2000))
 
 
 def test_one_batch_reproduces_the_digest(instances):
-    assert _digest(lp.solve_lps(instances)) == LP_DIGEST
+    assert _digest(_stacked(instances)) == LP_DIGEST
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -52,20 +80,53 @@ def test_shuffled_batches_of_random_size_reproduce_the_digest(instances, seed):
     while start < len(order):
         chunk = order[start:start + int(rng.integers(1, 300))]
         start += len(chunk)
-        for i, sol in zip(chunk, lp.solve_lps([instances[i] for i in chunk])):
+        for i, sol in zip(chunk, _stacked([instances[i] for i in chunk])):
             sols[i] = sol
     assert _digest(sols) == LP_DIGEST
 
 
+def _largest_stack(instances):
+    """The problems of the most common shape, as solve_lps arguments."""
+    return _as_stack([instances[i] for i in max(_shapes(instances).values(), key=len)])
+
+
+def test_a_shared_matrix_solves_as_the_matrix_stacked(instances):
+    """Every problem of a stack over one shared A gets the bits it gets
+    with A repeated per problem, and the bits solve_lp gives it alone."""
+    c, A, rels, b = _largest_stack(instances)
+    assert len(c) > 10
+    for shared in (A[0], A[-1]):
+        got = lp.solve_lps(c, shared, rels, b)
+        assert _digest(got) == _digest(lp.solve_lps(c, np.stack([shared] * len(c)), rels, b))
+        alone = [lp.solve_lp(lp.LpProblem("min", ci, shared, rels, bi)) for ci, bi in zip(c, b)]
+        assert all(_same(g, a) for g, a in zip(got, alone))
+
+
+@pytest.mark.parametrize("where,what", [("c", "objective"), ("A", "matrix"), ("b", "rhs")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coefficient_fails_its_problem_alone(instances, where, what, bad):
+    c, A, rels, b = _largest_stack(instances)
+    clean = lp.solve_lps(c, A, rels, b)
+    broken = {"c": c.copy(), "A": A.copy(), "b": b.copy()}
+    broken[where][3].flat[-1] = bad
+    got = lp.solve_lps(broken["c"], broken["A"], rels, broken["b"])
+    assert isinstance(got[3], SolverError) and str(got[3]) == f"non-finite coefficient in {what}"
+    assert all(_same(g, a) for k, (g, a) in enumerate(zip(got, clean)) if k != 3)
+    if where == "A":
+        # a shared matrix is every problem's
+        got = lp.solve_lps(c, broken["A"][3], rels, b)
+        assert [str(g) for g in got] == ["non-finite coefficient in matrix"] * len(got)
+
+
 def test_an_error_stays_with_its_problem(instances, monkeypatch):
     """An iteration limit that only the hardest problem exceeds fails that
-    problem alone; its batch neighbours keep their normal results."""
-    alone = lp.solve_lps(instances)
+    problem alone; its neighbours keep their normal results."""
+    alone = _stacked(instances)
     hard = max(range(len(alone)), key=lambda i: alone[i].iterations)
     easy = [i for i in range(len(alone)) if alone[i].iterations <= 10]
     batch = easy[:300] + [hard] + easy[300:600]
     monkeypatch.setattr(lp, "_MAXITER", 11)
-    got = lp.solve_lps([instances[i] for i in batch])
+    got = _stacked([instances[i] for i in batch])
     assert isinstance(got[300], SolverError)
     assert "iteration limit exceeded" in str(got[300])
     assert all(_same(g, alone[i]) for g, i in zip(got, batch) if i != hard)
@@ -74,7 +135,12 @@ def test_an_error_stays_with_its_problem(instances, monkeypatch):
 
 
 def test_empty_batch():
-    assert lp.solve_lps([]) == []
+    assert lp.solve_lps(np.zeros((0, 3)), np.ones((2, 3)), ("<=", "="), np.zeros((0, 2))) == []
+
+
+def test_stack_shapes_must_agree():
+    with pytest.raises(SolverError, match="stack shapes disagree"):
+        lp.solve_lps(np.zeros((2, 3)), np.ones((3, 2, 3)), ("<=", "="), np.zeros((2, 2)))
 
 
 def test_layers_batched_equal_one_dmu_at_a_time(uni985, uni_facets):
@@ -86,8 +152,10 @@ def test_layers_batched_equal_one_dmu_at_a_time(uni985, uni_facets):
         assert [(r.status, repr(r.theta), None if r.slacks is None else r.slacks.tobytes()) for r in batched] == \
             [(r.status, repr(r.theta), None if r.slacks is None else r.slacks.tobytes()) for r in single]
     ext = fb.extreme_set(uni985)
-    assert [repr(ext.lambda0[o]) for o in dmus] == \
-        [repr(lp.solve_lp(measures._extreme_problems(uni985, [o])[0]).value) for o in dmus]
+    A = np.vstack([uni985.inputs, -uni985.outputs, np.ones((1, uni985.n))])
+    rels = ("<=",) * (uni985.m + uni985.s) + ("=",)
+    alone = [lp.solve_lp(lp.LpProblem("min", np.eye(uni985.n)[o], A, rels, A[:, o])) for o in dmus]
+    assert [repr(ext.lambda0[o]) for o in dmus] == [repr(sol.value) for sol in alone]
 
 
 def _with_output(ds, dmu, value):
@@ -99,9 +167,9 @@ def _with_output(ds, dmu, value):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("value,message", [(0.0, "strictly positive outputs"), (1e-320, "non-finite")])
 def test_a_failing_dmu_marks_only_its_own_entry(uni985, uni_facets, value, message):
-    """DMU 1's LPs fail (a zero output) or cannot be built (an output so
-    small that 1/(s*y) overflows); the other DMUs of the batch get what
-    they get alone."""
+    """DMU 1's LPs fail (a zero output) or have a non-finite objective (an
+    output so small that 1/(s*y) overflows); the other DMUs of the batch
+    get what they get alone."""
     ds = _with_output(uni985, 1, value)
     part = fb.partition_robust(uni_facets)
     rows = fb.batch_evaluate(ds, part)
@@ -171,8 +239,8 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
     counts: dict = {}
     real = lp.solve_lps
 
-    def counting(problems):
-        sols = real(problems)
+    def counting(*stack):
+        sols = real(*stack)
         c = counts.setdefault(layer[0], Counter())
         c["calls"] += 1
         for sol in sols:

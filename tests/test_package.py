@@ -169,19 +169,21 @@ def test_benchmark_wrappers_are_what_the_commands_call():
         assert out["names"].count(name) == 1, name
 
 
-# modules every command loads: the CLI and the pipeline up to the partition
-CLI_MODULES = ["cli", "dataset", "errors", "facets", "lp", "_simplex_py", "measures", "partition", "profiles"]
+# modules every command loads: the CLI, the dataset parser and the errors
+CLI_MODULES = ["cli", "dataset", "errors"]
+# modules of the pipeline up to the facets, which every command but validate runs
+PIPELINE = ["facets", "lp", "_simplex_py", "measures"]
 
 # command -> (its arguments after --data, the modules it loads beyond CLI_MODULES)
 COMMANDS = {
     "validate": ([], []),
-    "extremes": ([], []),
-    "facets": ([], []),
-    "partition": ([], []),
-    "efficiency": ([], ["report", "robust", "signpattern"]),
-    "report": ([], ["report", "robust", "signpattern"]),
-    "scenario": (["--prices", "data/prices_toy.json"], ["scenario"]),
-    "coverage": (["--trials", "10"], ["scenario"]),
+    "extremes": ([], PIPELINE),
+    "facets": ([], PIPELINE),
+    "partition": ([], PIPELINE + ["partition"]),
+    "efficiency": ([], PIPELINE + ["partition", "report", "robust", "signpattern"]),
+    "report": ([], PIPELINE + ["partition", "report", "robust", "signpattern"]),
+    "scenario": (["--prices", "data/prices_toy.json"], PIPELINE + ["scenario"]),
+    "coverage": (["--trials", "10"], PIPELINE + ["scenario"]),
 }
 
 

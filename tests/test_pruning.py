@@ -197,9 +197,9 @@ def solved_patterns(monkeypatch, x_o, y_o, X_ref, Y_ref):
     real = signpattern.solve_lps
     m, k = len(x_o), np.asarray(X_ref).reshape(len(x_o), -1).shape[1]
 
-    def recording(problems):
-        calls.append([sum(1 << r for r, a in enumerate(np.diag(p.A[m:, k:])) if a < 0) for p in problems])
-        return real(problems)
+    def recording(c, A, relations, b):
+        calls.append([sum(1 << r for r, a in enumerate(np.diag(pa[m:, k:])) if a < 0) for pa in A])
+        return real(c, A, relations, b)
 
     monkeypatch.setattr(signpattern, "solve_lps", recording)
     fb.solve_sign_pattern(x_o, y_o, X_ref, Y_ref)
@@ -332,7 +332,7 @@ def test_closest_second_round_matches_exhaustive(monkeypatch):
     assert list(lower_bounds(fs, ds)) == pytest.approx([0.0, 0.125, 0.2])
     calls = []
     real = measures.solve_lps
-    monkeypatch.setattr(measures, "solve_lps", lambda problems: calls.append(len(problems)) or real(problems))
+    monkeypatch.setattr(measures, "solve_lps", lambda c, *rest: calls.append(len(c)) or real(c, *rest))
     assert_closest_matches(fs, ds, 0)
     assert calls == [1, 2]
     assert exhaustive_closest(fs, ds, 0)[0] == 1
@@ -345,9 +345,9 @@ def test_closest_error_is_the_first_in_bound_order(monkeypatch, failing, raised)
     ds, fs = two_round_case()
     real = measures.solve_lps
 
-    def failing_lps(problems):
-        return [SolverError(f"facet {failing}") if np.array_equal(p.A[0], fs.facets[failing].u) else sol
-                for p, sol in zip(problems, real(problems))]
+    def failing_lps(c, A, relations, b):
+        return [SolverError(f"facet {failing}") if np.array_equal(a[0], fs.facets[failing].u) else sol
+                for a, sol in zip(A, real(c, A, relations, b))]
 
     monkeypatch.setattr(measures, "solve_lps", failing_lps)
     if raised:

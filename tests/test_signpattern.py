@@ -5,10 +5,10 @@ import pytest
 
 import facetbench as fb
 from facetbench.facets import basic_solutions
-from facetbench.lp import FEASIBILITY_TOL, solve_lps
-from facetbench.signpattern import _pattern_matrix, _pattern_problems
+from facetbench.lp import FEASIBILITY_TOL, solve_lp
 
 from bigm_oracle import solve_bigm
+from exhaustive_oracle import pattern_problem
 from test_pruning import random_reference
 
 
@@ -129,26 +129,20 @@ def test_zero_pattern_always_feasible(uni985):
     assert 0.0 < 1.0 / (1.0 + res.gamma) <= 1.0
 
 
-def phase1_against_basis_enumeration(x_o, y_o, matrices, detail):
+def phase1_against_basis_enumeration(x_o, y_o, X_ref, Y_ref, detail):
     """Assert that phase 1 calls each pattern system feasible exactly when
     its equality form, input slacks added, has a basic feasible solution;
     return how many of the systems are feasible."""
     m, s = x_o.size, y_o.size
-    b = np.concatenate([x_o, y_o])
-    sols = solve_lps(_pattern_problems(x_o, y_o, matrices))
     feasible = 0
-    for p, (A, sol) in enumerate(zip(matrices, sols)):
-        equality = np.hstack([A, np.vstack([np.eye(m), np.zeros((s, m))])])
-        has_basis = next(basic_solutions(equality, b, FEASIBILITY_TOL), None) is not None
-        assert (sol.status != "infeasible") == has_basis, (detail, p)
+    for p in range(1 << s):
+        sigma = np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)])
+        problem = pattern_problem(x_o, y_o, X_ref, Y_ref, sigma)
+        equality = np.hstack([problem.A, np.vstack([np.eye(m), np.zeros((s, m))])])
+        has_basis = next(basic_solutions(equality, problem.b, FEASIBILITY_TOL), None) is not None
+        assert (solve_lp(problem).status != "infeasible") == has_basis, (detail, p)
         feasible += has_basis
     return feasible
-
-
-def pattern_matrices(X_ref, Y_ref):
-    s = Y_ref.shape[0]
-    return [_pattern_matrix(X_ref, Y_ref, np.array([1.0 if (p >> r) & 1 else -1.0 for r in range(s)]))
-            for p in range(1 << s)]
 
 
 @pytest.mark.parametrize("scope, systems", [("extremes", 608), ("all", 304)])
@@ -158,11 +152,11 @@ def test_phase1_agrees_with_basis_enumeration_985(uni985, uni_extremes, scope, s
     part = fb.partition_robust(fb.enumerate_facets(ds, uni_extremes.indices, scope))
     checked = feasible = 0
     for g in part.groups:
-        matrices = pattern_matrices(ds.inputs[:, list(g.members)], ds.outputs[:, list(g.members)])
+        X_ref, Y_ref = ds.inputs[:, list(g.members)], ds.outputs[:, list(g.members)]
         for o in range(ds.n):
             feasible += phase1_against_basis_enumeration(
-                ds.inputs[:, o], ds.outputs[:, o], matrices, (scope, g.index, ds.names[o]))
-            checked += len(matrices)
+                ds.inputs[:, o], ds.outputs[:, o], X_ref, Y_ref, (scope, g.index, ds.names[o]))
+            checked += 1 << ds.s
     assert checked == systems
     assert 0 < feasible < checked
 
@@ -174,7 +168,6 @@ def test_phase1_agrees_with_basis_enumeration_seeded():
     checked = feasible = 0
     for i in range(30):
         x_o, y_o, X_ref, Y_ref = random_reference(rng, integer=i % 3 == 0)
-        matrices = pattern_matrices(X_ref, Y_ref)
-        feasible += phase1_against_basis_enumeration(x_o, y_o, matrices, f"instance {i}")
-        checked += len(matrices)
+        feasible += phase1_against_basis_enumeration(x_o, y_o, X_ref, Y_ref, f"instance {i}")
+        checked += 1 << y_o.size
     assert (checked, feasible) == (364, 104)
