@@ -171,8 +171,8 @@ def test_benchmark_wrappers_are_what_the_commands_call():
 
 # modules every command loads: the CLI, the dataset parser and the errors
 CLI_MODULES = ["cli", "dataset", "errors"]
-# modules of the pipeline up to the facets, which every command but validate runs
-PIPELINE = ["facets", "lp", "_simplex_py", "measures"]
+# modules every command but validate loads: the pipeline up to the facets, and the profiles
+PIPELINE = ["facets", "lp", "_simplex_py", "measures", "profiles"]
 
 # command -> (its arguments after --data, the modules it loads beyond CLI_MODULES)
 COMMANDS = {
