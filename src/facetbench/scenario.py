@@ -11,9 +11,12 @@ sampled price draws as any of their sub-strategies.
 Sampling is counter-based: trial i reads the Philox4x64-10 stream keyed
 by the seed whose j-th block of four 64-bit words has counter
 (j + 1, i, 0, 0), and maps each word w to the price
-low + (high - low) * ((w >> 11) * 2**-53).  So any subset of trials can be
+0.1 + (10.0 - 0.1) * ((w >> 11) * 2**-53).  So any subset of trials can be
 reproduced (or run concurrently) without generating the rest of the
-stream, and a block of trials is drawn in one vectorised pass.
+stream, and a block of trials is drawn in one vectorised pass.  Coverage
+draws COVERAGE_CHUNK trials at a time, works out which facets own each
+trial's optimum, checks the block and adds it to running counts, so its
+memory does not grow with the trial count.
 
 No LP is solved here.  With the inputs fixed, a facet's feasible set
 {lambda >= 0 : X_f lambda = xbar} does not depend on prices, so its
@@ -44,7 +47,11 @@ from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 OWNERSHIP_RTOL = 1e-9
 PARALLEL_TOL = 1e-9
 TIE_RTOL = 1e-9
-COVERAGE_CHUNK = 1024   # trials priced per block; bounds the block's arrays
+COVERAGE_CHUNK = 1024   # trials priced, checked and counted per block
+# Set on purpose and checked before any work: the 985 study prices a few
+# 1e5 trials/s, so 2**32 trials already take hours, and a count the Philox
+# counter word would still admit (2**62, say) would take centuries.
+MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -421,23 +428,18 @@ def _philox4x64(ctr: list[np.ndarray], seed: int) -> list[np.ndarray]:
     return [c0, c1, c2, c3]
 
 
-@dataclass(frozen=True)
 class PriceSampler:
-    """Independent uniform prices on [low, high], one counter-based
-    stream per trial: draw i depends only on (seed, i).
+    """Independent uniform prices on [LOW, HIGH], one counter-based stream
+    per trial: draw i depends only on (seed, i).
 
     Trial i's stream is Philox4x64-10 keyed by seed, whose j-th block of
     four 64-bit words has counter (j + 1, i, 0, 0); each price is
-    low + (high - low) * ((w >> 11) * 2**-53) for the stream's next word
+    LOW + (HIGH - LOW) * ((w >> 11) * 2**-53) for the stream's next word
     w.  This is numpy.random.Philox(key=seed, counter=i << 64) read by
     Generator.uniform, computed here for a block of trials at once."""
 
-    low: float = 0.1
-    high: float = 10.0
-
-    def __post_init__(self):
-        if not (0.0 < self.low < self.high):
-            raise DataError("sampler needs 0 < low < high (prices stay positive)")
+    LOW = 0.1
+    HIGH = 10.0
 
     def draw(self, seed: int, start: int, stop: int, s: int) -> np.ndarray:
         """Prices of trials start .. stop-1, one row of s per trial."""
@@ -448,10 +450,10 @@ class PriceSampler:
         zero = np.zeros(shape, dtype=np.uint64)
         ctr = [block + np.uint64(1), trial + np.uint64(start), zero, zero]
         words = np.stack(_philox4x64(ctr, seed), axis=-1).reshape(shape[0], 4 * shape[1])[:, :s]
-        return self.low + (self.high - self.low) * ((words >> np.uint64(11)) * 2.0**-53)
+        return self.LOW + (self.HIGH - self.LOW) * ((words >> np.uint64(11)) * 2.0**-53)
 
     def describe(self) -> dict:
-        return {"law": "uniform", "low": self.low, "high": self.high, "stream": "philox-counter"}
+        return {"law": "uniform", "low": self.LOW, "high": self.HIGH, "stream": "philox-counter"}
 
 
 @dataclass(frozen=True)
@@ -460,16 +462,14 @@ class CoverageReport:
     seed: int
     xbar: tuple[float, ...]
     sampler: dict
-    facet_ids: tuple[int, ...]
     facet_counts: dict[int, int]                     # |A_k| per facet
     strategies: tuple[tuple[int, ...], ...]
     strategy_counts: tuple[int, ...]                 # |union of A_k over the strategy|
-    incidence: np.ndarray                            # trials x facets, bool
     containment_checks: tuple[dict, ...]
 
     def to_payload(self) -> dict:
-        """JSON-ready summary (counts and seed; the incidence matrix is
-        kept in memory for exact set checks, not exported)."""
+        """JSON-ready summary: counts, seed and the per-sample containment
+        checks, which were run block by block as the trials were drawn."""
         return {
             "trials": self.trials,
             "seed": self.seed,
@@ -484,6 +484,21 @@ class CoverageReport:
         }
 
 
+def _ownership(tables: FacetTables, prices: np.ndarray) -> np.ndarray:
+    """(trials, facets) bool matrix, facets in table order: whether each
+    facet attains the best revenue at each row of prices within
+    OWNERSHIP_RTOL.  A facet with an empty table owns no trial."""
+    values = np.full((len(prices), len(tables.vertices)), -np.inf)
+    with np.errstate(over="ignore"):
+        for col, V in enumerate(tables.vertices.values()):
+            if len(V):
+                values[:, col] = (prices @ V.T).max(axis=1)
+    best = values.max(axis=1)
+    if not np.all(np.isfinite(best)):
+        raise DataError(f"a sampled revenue is not finite at input vector {tables.xbar.tolist()}")
+    return values >= (best - OWNERSHIP_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
+
+
 def simulate_coverage(
     ds: Dataset,
     facets: FacetSet,
@@ -491,96 +506,70 @@ def simulate_coverage(
     xbar: np.ndarray,
     trials: int,
     seed: int,
-    sampler: PriceSampler | None = None,
 ) -> CoverageReport:
     """Sample price vectors and record which facets own each global
     optimum.  Counts are exact per-sample set sizes; sampled frequencies
     are descriptive only (no distributional claim is attached).  The
     containment inequalities of the strategy lattice are verified sample
-    by sample, never via the frequencies.
+    by sample, never via the frequencies.  Trials are drawn, checked and
+    counted COVERAGE_CHUNK at a time, so memory does not grow with trials.
     """
-    sampler = sampler or PriceSampler()
     if not facets.facets:
         raise DataError("coverage simulation needs a nonempty facet set")
-    if trials < 1:
-        raise DataError("trials must be >= 1")
-    if trials > 2**64:
-        raise DataError("trials must be <= 2**64 (a trial index fills one Philox counter word)")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DataError(f"trials must be in [1, {MAX_TRIALS}]")
     if not 0 <= seed < 2**128:
         raise DataError("seed must be in [0, 2**128) (the Philox key range)")
     if not strategies:
         raise DataError("at least one strategy (set of facet ids) required")
     fids = facets.ids()
-    col_of = {fid: i for i, fid in enumerate(fids)}
     strategy_sets = []
     for strat in strategies:
         kset = tuple(sorted(set(int(k) for k in strat)))
-        unknown = [k for k in kset if k not in col_of]
+        unknown = [k for k in kset if k not in fids]
         if unknown:
             raise DataError(f"strategy names unknown facet ids {unknown}")
         strategy_sets.append(kset)
+    # facets x strategies; a bool product ORs the ANDs, so owned @ member
+    # is each trial's strategy unions (a float BLAS product would touch
+    # code and buffers that raise peak RSS by about 0.1 MB)
+    member = np.array([[fid in kset for kset in strategy_sets] for fid in fids])
+    in_facet, in_strategy = np.nonzero(member)
+    sub, sup = np.nonzero([[a != b and set(ka) <= set(kb) for b, kb in enumerate(strategy_sets)]
+                           for a, ka in enumerate(strategy_sets)])   # strategy sub[i] nested in sup[i]
 
     tables = facet_tables(ds, facets, xbar)
-    usable = [(col_of[fid], V) for fid, V in tables.vertices.items() if len(V)]
-    if not usable:
+    if not any(len(V) for V in tables.vertices.values()):
         raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
 
-    try:
-        incidence = np.zeros((trials, len(fids)), dtype=bool)
-    except (ValueError, MemoryError):       # too many trials for one array
-        raise DataError(f"trials={trials}: cannot allocate a {trials} x {len(fids)} incidence array") from None
+    sampler = PriceSampler()
+    facet_counts = np.zeros(len(fids), dtype=np.int64)
+    strategy_counts = np.zeros(len(strategy_sets), dtype=np.int64)
     for start in range(0, trials, COVERAGE_CHUNK):
-        stop = min(start + COVERAGE_CHUNK, trials)
-        prices = sampler.draw(seed, start, stop, ds.s)
-        values = np.full((stop - start, len(fids)), -np.inf)
-        with np.errstate(over="ignore"):
-            for col, V in usable:
-                values[:, col] = (prices @ V.T).max(axis=1)
-        best = values.max(axis=1)
-        if not np.all(np.isfinite(best)):
-            raise DataError(f"a sampled revenue is not finite at input vector {tables.xbar.tolist()}")
-        incidence[start:stop] = values >= (best - OWNERSHIP_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
+        owned = _ownership(tables, sampler.draw(seed, start, min(start + COVERAGE_CHUNK, trials), ds.s))
+        unions = owned @ member
+        # per sample, a union covers each of its members and each nested union
+        if np.any(owned[:, in_facet] & ~unions[:, in_strategy]):
+            raise SolverError("per-sample union check failed (internal inconsistency)")
+        if np.any(unions[:, sub] & ~unions[:, sup]):
+            raise SolverError("per-sample containment check failed (internal inconsistency)")
+        facet_counts += owned.sum(axis=0)
+        strategy_counts += unions.sum(axis=0)
 
-    facet_counts = {fid: int(incidence[:, col_of[fid]].sum()) for fid in fids}
-    strategy_counts = []
-    union_rows = []
-    for kset in strategy_sets:
-        cols = [col_of[k] for k in kset]
-        rows = incidence[:, cols].any(axis=1)
-        union_rows.append(rows)
-        strategy_counts.append(int(rows.sum()))
-
-    checks = []
-    for a, (ka, rows_a) in enumerate(zip(strategy_sets, union_rows)):
-        # union dominates every member, exactly, per sample
-        for k in ka:
-            member_rows = incidence[:, col_of[k]]
-            if not bool(np.all(rows_a >= member_rows)):
-                raise SolverError("per-sample union check failed (internal inconsistency)")
-        for b, (kb, rows_b) in enumerate(zip(strategy_sets, union_rows)):
-            if a == b or not set(ka) <= set(kb):
-                continue
-            subset_ok = bool(np.all(rows_b >= rows_a))
-            if not subset_ok:
-                raise SolverError("per-sample containment check failed (internal inconsistency)")
-            checks.append(
-                {
-                    "k1": list(ka), "k2": list(kb),
-                    "count_k1": int(rows_a.sum()), "count_k2": int(rows_b.sum()),
-                    "per_sample_subset": True,
-                }
-            )
-
-    incidence.flags.writeable = False
     return CoverageReport(
         trials=trials,
         seed=seed,
         xbar=tuple(float(v) for v in tables.xbar),
         sampler=sampler.describe(),
-        facet_ids=fids,
-        facet_counts=facet_counts,
+        facet_counts={fid: int(n) for fid, n in zip(fids, facet_counts)},
         strategies=tuple(strategy_sets),
-        strategy_counts=tuple(strategy_counts),
-        incidence=incidence,
-        containment_checks=tuple(checks),
+        strategy_counts=tuple(int(n) for n in strategy_counts),
+        containment_checks=tuple(
+            {
+                "k1": list(strategy_sets[a]), "k2": list(strategy_sets[b]),
+                "count_k1": int(strategy_counts[a]), "count_k2": int(strategy_counts[b]),
+                "per_sample_subset": True,
+            }
+            for a, b in zip(sub, sup)
+        ),
     )

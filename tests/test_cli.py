@@ -13,6 +13,7 @@ import pytest
 from facetbench import facets
 from facetbench.cli import main
 from facetbench.dataset import output_floors
+from facetbench.scenario import MAX_TRIALS
 
 from conftest import write_csv
 from test_facets import curved_dataset
@@ -290,6 +291,27 @@ def test_985_coverage_in_a_fresh_interpreter(data_dir):
     assert hashlib.sha256(proc.stdout).hexdigest() == COVERAGE_985_DIGEST
 
 
+# sha256 of `coverage` stdout over several blocks of COVERAGE_CHUNK (1,024)
+# trials, each ending in a partial block; run like the toy scenario cases
+COVERAGE_BLOCK_DIGESTS = {
+    "toy-2500": (["--data", "data/toy_isoquant_a.csv", "--trials", "2500", "--seed", "985",
+                  "--strategies", "1;2;1,2"],
+                 "0a8643307445adcb9cd504db94100b3ed6c96b3c3d8e00fce4a74034c903d7af"),
+    "985-3000": (["--data", "data/universities_985.csv", "--profile", "paper-985", "--xbar", "2579,344.467",
+                  "--trials", "3000", "--seed", "1"],
+                 "e4259e3960e1a68180e898dd3be2c83074aa04e91c990027d47f2d5547c93dd6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVERAGE_BLOCK_DIGESTS))
+def test_coverage_across_blocks_pinned(capsys, data_dir, monkeypatch, case):
+    argv, digest = COVERAGE_BLOCK_DIGESTS[case]
+    monkeypatch.chdir(data_dir.parent)
+    code, out, err = run(capsys, "coverage", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_985_scenario_target_off_every_facet_pinned(capsys, data_dir, monkeypatch):
     monkeypatch.chdir(data_dir.parent)
     code, out, err = run(capsys, *SCENARIO_985, "--target", "PKU")
@@ -466,7 +488,9 @@ INPUT_FAULTS = {
     "seed-negative": ({}, ["coverage", "--trials", "10", "--seed", "-1"]),
     "seed-beyond-philox-key": ({}, ["coverage", "--trials", "10", "--seed", str(2**128)]),
     "trials-beyond-philox-counter": ({}, ["coverage", "--trials", str(2**64 + 1)]),
-    # with the toy's two facets NumPy refuses these incidence arrays before allocating anything
+    # MAX_TRIALS rejects these before any vertex table is built or any trial
+    # is drawn (a 2**62-trial run would take centuries)
+    "trials-beyond-the-bound": ({}, ["coverage", "--trials", str(MAX_TRIALS + 1)]),
     "trials-beyond-numpy-dimension": ({}, ["coverage", "--trials", str(2**64)]),
     "trials-beyond-numpy-array-size": ({}, ["coverage", "--trials", str(2**62)]),
     "delta1-digit-separator": ({"p.json": TOY_TABLE}, ["scenario", "--prices", "p.json", "--delta1", "0_1"]),
@@ -511,6 +535,13 @@ def test_input_faults_exit_1(capsys, data_dir, tmp_path, monkeypatch, case):
     code, _, err = run(capsys, *argv)
     assert code == 1, err
     assert err.startswith("error: ")
+
+
+def test_trials_beyond_the_bound_error_names_it(capsys, data_dir):
+    code, out, err = run(capsys, "coverage", "--data", str(data_dir / "toy_isoquant_a.csv"),
+                         "--trials", str(MAX_TRIALS + 1))
+    assert (code, out) == (1, "")
+    assert f"[1, {MAX_TRIALS}]" in err
 
 
 @pytest.mark.parametrize("dmu", ["RUC", "PKU"])

@@ -19,6 +19,7 @@ from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.robust import batch_evaluate
 
 from conftest import write_csv
+from scenario_oracle import coverage_ownership
 
 COLUMNS = ("in:researchers", "in:size", "out:nsa", "out:sb", "out:hp")
 
@@ -126,14 +127,15 @@ def test_power_of_two_unit_change_keeps_russell_theta(uni985, column, factor):
 def test_power_of_two_input_unit_change_keeps_coverage(uni985, uni_facets, column, factor):
     def coverage(ds, facets):
         xbar = ds.inputs[:, ds.index("WHU")]
-        return fb.simulate_coverage(ds, facets, [facets.ids()], xbar, trials=1000, seed=11)
+        rep = fb.simulate_coverage(ds, facets, [facets.ids()], xbar, trials=1000, seed=11)
+        return rep, coverage_ownership(rep, ds, facets, xbar)
 
     scaled = _rescaled(uni985, column, factor)
     ext = fb.extreme_set(scaled, override=PAPER_985_EXTREMES)
-    base = coverage(uni985, uni_facets)
-    got = coverage(scaled, fb.enumerate_facets(scaled, ext.indices, "extremes"))
+    base, base_owned = coverage(uni985, uni_facets)
+    got, got_owned = coverage(scaled, fb.enumerate_facets(scaled, ext.indices, "extremes"))
     assert got.facet_counts == base.facet_counts
-    assert np.array_equal(got.incidence, base.incidence)
+    assert np.array_equal(got_owned, base_owned)
 
 
 def test_dmu_reordering_keeps_every_result(uni985):

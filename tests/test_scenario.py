@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import facetbench as fb
 from facetbench.facets import Facet, FacetSet
 from facetbench.scenario import (
+    MAX_TRIALS,
     OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
@@ -19,7 +21,7 @@ from facetbench.scenario import (
     simulate_coverage,
     uniqueness_diagnostics,
 )
-from scenario_oracle import lp_facet_contains, lp_facet_optimum
+from scenario_oracle import coverage_ownership, lp_facet_contains, lp_facet_optimum
 
 XBAR = np.array([1.0])
 
@@ -337,24 +339,50 @@ def test_coverage_toy(toy_a, toy_facets):
 def test_coverage_deterministic(toy_a, toy_facets):
     a = simulate_coverage(toy_a, toy_facets, [(1, 2)], XBAR, trials=200, seed=123)
     b = simulate_coverage(toy_a, toy_facets, [(1, 2)], XBAR, trials=200, seed=123)
-    assert np.array_equal(a.incidence, b.incidence)
+    owned_a = coverage_ownership(a, toy_a, toy_facets, XBAR)
+    assert np.array_equal(owned_a, coverage_ownership(b, toy_a, toy_facets, XBAR))
     assert a.to_payload() == b.to_payload()
     c = simulate_coverage(toy_a, toy_facets, [(1, 2)], XBAR, trials=200, seed=124)
-    assert not np.array_equal(a.incidence, c.incidence)
+    assert not np.array_equal(owned_a, coverage_ownership(c, toy_a, toy_facets, XBAR))
 
 
 def test_coverage_theorem7_subset_events(toy_a, toy_facets):
     # the set of samples won by strategy {1} is a subset of {1,2}'s, sample
     # by sample (set containment, not frequency comparison)
     rep = simulate_coverage(toy_a, toy_facets, [(1,), (1, 2)], XBAR, trials=400, seed=5)
-    rows_k1 = rep.incidence[:, 0]
-    rows_union = rep.incidence.any(axis=1)
+    owned = coverage_ownership(rep, toy_a, toy_facets, XBAR)
+    rows_k1 = owned[:, 0]
+    rows_union = owned.any(axis=1)
     assert np.all(rows_union >= rows_k1)
+    assert rep.containment_checks == ({
+        "k1": [1], "k2": [1, 2], "count_k1": int(rows_k1.sum()), "count_k2": int(rows_union.sum()),
+        "per_sample_subset": True,
+    },)
+
+
+def test_coverage_memory_does_not_grow_with_trials(uni985, uni_facets):
+    # trials are counted block by block, so 32 times the trials at WHU's
+    # inputs may raise the Python heap's peak by 64 kB at most
+    xbar = uni985.inputs[:, uni985.index("WHU")]
+    strategies = [(fid,) for fid in uni_facets.ids()] + [uni_facets.ids()]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            simulate_coverage(uni985, uni_facets, strategies, xbar, trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)   # first-call allocations count against neither run
+    assert peak(65_536) <= peak(2_048) + 64 * 1024
 
 
 def test_coverage_validates_inputs(toy_a, toy_facets):
     with pytest.raises(fb.DataError, match="trials"):
         simulate_coverage(toy_a, toy_facets, [(1,)], XBAR, trials=0, seed=1)
+    with pytest.raises(fb.DataError, match="trials"):
+        simulate_coverage(toy_a, toy_facets, [(1,)], XBAR, trials=MAX_TRIALS + 1, seed=1)
     with pytest.raises(fb.DataError, match="strategy"):
         simulate_coverage(toy_a, toy_facets, [], XBAR, trials=10, seed=1)
     with pytest.raises(fb.DataError, match="unknown facet"):
@@ -431,15 +459,17 @@ def lp_infeasible(ds, facet, xbar):
 
 def test_coverage_incidence_matches_lp_oracle_toy(toy_a, toy_facets):
     rep = simulate_coverage(toy_a, toy_facets, [(1, 2)], XBAR, trials=400, seed=985)
-    assert np.array_equal(rep.incidence, lp_incidence(toy_a, toy_facets, XBAR, 400, 985))
+    owned = coverage_ownership(rep, toy_a, toy_facets, XBAR)
+    assert np.array_equal(owned, lp_incidence(toy_a, toy_facets, XBAR, 400, 985))
 
 
 @pytest.mark.parametrize("dmu", ["WHU", "PKU"])
 def test_coverage_incidence_matches_lp_oracle_985(uni985, uni_facets, dmu):
     xbar = uni985.inputs[:, uni985.index(dmu)]
     rep = simulate_coverage(uni985, uni_facets, [uni_facets.ids()], xbar, trials=150, seed=31)
-    assert rep.facet_ids == uni_facets.ids()
-    assert np.array_equal(rep.incidence, lp_incidence(uni985, uni_facets, xbar, 150, 31))
+    assert tuple(rep.facet_counts) == uni_facets.ids()
+    owned = coverage_ownership(rep, uni985, uni_facets, xbar)
+    assert np.array_equal(owned, lp_incidence(uni985, uni_facets, xbar, 150, 31))
 
 
 def test_empty_vertex_table_iff_lp_infeasible_985(uni985, uni_facets):
@@ -497,7 +527,7 @@ def test_rank_deficient_facet_matches_lp(xbar, usable, unit):
                 lp_value = lp_facet_optimum(ds, f, xbar, prices)[2]
                 assert float(np.max(table @ prices)) == pytest.approx(lp_value, rel=1e-12)
     rep = simulate_coverage(ds, facets, [(1,), (2,), (3,), (1, 2, 3)], xbar, trials=300, seed=3)
-    assert np.array_equal(rep.incidence, lp_incidence(ds, facets, xbar, 300, 3))
+    assert np.array_equal(coverage_ownership(rep, ds, facets, xbar), lp_incidence(ds, facets, xbar, 300, 3))
     assert rep.strategy_counts[-1] == 300
 
 
