@@ -30,7 +30,7 @@ _EXPORTS = {
     "report": ("RunReport", "build_report", "emit"),
     "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"),
     "scenario": (
-        "AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint", "PriceSampler",
+        "AssumptionReport", "CoverageReport", "FacetTables", "OptimalPoint", "PriceSampler",
         "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum", "facet_tables",
         "global_optimum", "load_scenario", "price_at", "revenue", "simulate_coverage",
         "uniqueness_diagnostics",

@@ -296,7 +296,7 @@ def cmd_scenario(args) -> int:
         else:
             entry = {
                 "value": opt.value, "outputs": [float(v) for v in opt.outputs],
-                "uniqueness": uniqueness_diagnostics(ds, f, sc, d1).kind,
+                "uniqueness": uniqueness_diagnostics(tables, f.id, sc, d1),
             }
         payload["facet_optima_delta1"].append({"facet": f.id, **entry})
     for tag, dd in (("delta0", d0), ("delta1", d1)):

@@ -263,7 +263,7 @@ def basic_solutions(
     LP's scale.  The bases span a maximal independent row set, chosen
     greedily; each solution must still meet the dropped rows, which is
     the check that r is consistent with them.  A basis is kept when it is
-    nonsingular, lam_B >= -ftol * max(1, max lam_B), and every row's
+    nonsingular, lam_B >= -ftol * max |lam_B|, and every row's
     residual is at most ftol.  No solution means r is infeasible.
     """
     M = np.column_stack([A, r])
@@ -280,7 +280,7 @@ def basic_solutions(
         if np.linalg.matrix_rank(B) < len(rows):
             continue
         lam = np.linalg.solve(B, x[rows])
-        if lam.min() < -ftol * max(1.0, float(lam.max())):
+        if lam.min() < -ftol * float(np.abs(lam).max()):
             continue
         if np.abs(M[:, basis] @ lam - x).max() > ftol:
             continue

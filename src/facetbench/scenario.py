@@ -24,9 +24,10 @@ revenue optimum under any prices is the best of its basic feasible
 solutions (facets.basic_solutions).  A facet's vertex table holds the
 output vectors Y_B lambda_B of those solutions, one row per basis in
 itertools.combinations order.  facet_tables builds every table once
-per xbar, and each fixed-input question reads them: a facet optimum is
-the first best row of its table, and a coverage trial is one max over its
-rows.  A facet with an empty table admits no point at xbar.
+per xbar, and each fixed-input question reads them under one tie rule
+(_ties): a facet optimum is the first best row of its table, a coverage
+trial one max over its rows, and uniqueness the count of tied points.
+A facet with an empty table admits no point at xbar.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ import numpy as np
 
 from .dataset import Dataset, parse_float, read_text
 from .errors import DataError, FacetInfeasibleError, SolverError
-from .facets import Facet, FacetSet, basic_solutions, facet_contains
+from .facets import FacetSet, basic_solutions, facet_contains
 # solve_lp stays bound here for profilers that wrap it by this name.
 from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
 
-OWNERSHIP_RTOL = 1e-9
-PARALLEL_TOL = 1e-9
-TIE_RTOL = 1e-9
+OWNERSHIP_RTOL = 1e-9   # the one tie rule: within this share of |best|
 COVERAGE_CHUNK = 1024   # trials priced, checked and counted per block
 # Set on purpose and checked before any work: the 985 study prices a few
 # 1e5 trials/s, so 2**32 trials already take hours, and a count the Philox
@@ -249,44 +248,60 @@ class AssumptionReport:
         return self.assumption1_holds and self.assumption2_holds
 
 
+def _ties(values: np.ndarray, where: str) -> np.ndarray:
+    """The one tie rule: whether each revenue in each row of values is
+    within OWNERSHIP_RTOL * |best| of the row's best.  It is relative, so
+    it does not change when xbar or the prices change scale."""
+    best = values.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(best)):
+        raise DataError(f"a revenue is not finite {where}")
+    return values >= best - OWNERSHIP_RTOL * np.abs(best)
+
+
+def _ownership(tables: FacetTables, prices: np.ndarray) -> np.ndarray:
+    """(rows of prices, facets) bool matrix, facets in table order: whether
+    each facet's best revenue ties for the best over all facets at each
+    row of prices.  A facet with an empty table owns no row."""
+    if not any(len(V) for V in tables.vertices.values()):
+        raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
+    values = np.full((len(prices), len(tables.vertices)), -np.inf)
+    with np.errstate(over="ignore"):
+        for col, V in enumerate(tables.vertices.values()):
+            if len(V):
+                values[:, col] = (prices @ V.T).max(axis=1)
+    return _ties(values, f"at input vector {tables.xbar.tolist()}")
+
+
+def _table(tables: FacetTables, facet_id: int) -> np.ndarray:
+    if facet_id not in tables.vertices:
+        raise DataError(f"no vertex table for facet {facet_id}")
+    table = tables.vertices[facet_id]
+    if not len(table):
+        raise FacetInfeasibleError(f"facet {facet_id} admits no point with input vector {tables.xbar.tolist()}")
+    return table
+
+
 @np.errstate(over="ignore")
 def facet_optimum(tables: FacetTables, facet_id: int, sc: PriceScenario, delta: float) -> OptimalPoint:
     """Revenue-maximal point of one facet under the tables' fixed inputs:
     the first best row of the facet's vertex table."""
-    if facet_id not in tables.vertices:
-        raise DataError(f"no vertex table for facet {facet_id}")
-    prices = price_at(sc, delta)
-    table = tables.vertices[facet_id]
-    if not len(table):
-        raise FacetInfeasibleError(
-            f"facet {facet_id} admits no point with input vector {tables.xbar.tolist()}"
-        )
-    values = [float(np.sum(prices * y)) for y in table]
+    table = _table(tables, facet_id)
+    values = price_at(sc, delta) @ table.T
     if not np.all(np.isfinite(values)):
         raise DataError(f"revenue on facet {facet_id} at delta={delta} is not finite")
-    best = values.index(max(values))
-    return OptimalPoint(facet_id=facet_id, outputs=table[best], value=values[best])
+    best = int(np.argmax(values))
+    return OptimalPoint(facet_id=facet_id, outputs=table[best], value=float(values[best]))
 
 
 def global_optimum(
     tables: FacetTables, sc: PriceScenario, delta: float
 ) -> tuple[OptimalPoint, tuple[int, ...]]:
     """Best revenue over the whole facet configuration plus every facet
-    attaining it within tolerance (the ownership set)."""
-    points: list[OptimalPoint] = []
-    for fid in tables.vertices:
-        try:
-            points.append(facet_optimum(tables, fid, sc, delta))
-        except FacetInfeasibleError:
-            continue
-    if not points:
-        raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
-    best_value = max(p.value for p in points)
-    owners = tuple(
-        p.facet_id for p in points
-        if p.value >= best_value - OWNERSHIP_RTOL * max(1.0, abs(best_value))
-    )
-    best = next(p for p in points if p.value == best_value)
+    tying for it (the ownership set); the point is the first facet's
+    whose optimum is the exact best."""
+    owned = _ownership(tables, price_at(sc, delta)[None])[0]
+    owners = tuple(fid for fid, own in zip(tables.vertices, owned) if own)
+    best = max((facet_optimum(tables, fid, sc, delta) for fid in owners), key=lambda p: p.value)
     return best, owners
 
 
@@ -322,7 +337,7 @@ def check_assumptions(
             y_j = ds.outputs[:, j]
             r0 = revenue(y_j, sc, delta0)
             r1 = revenue(y_j, sc, delta1)
-            if r1 > r0 + 1e-9 * max(1.0, abs(r0)):
+            if r1 > r0 + OWNERSHIP_RTOL * abs(r0):
                 violations.append(
                     {"facet": f.id, "dmu": ds.names[j], "revenue_before": r0, "revenue_after": r1}
                 )
@@ -333,13 +348,13 @@ def check_assumptions(
     withstand = []
     for f in containing:
         opt1 = facet_optimum(tables, f.id, sc, delta1)
-        holds = opt1.value <= r_hat0 + 1e-9 * max(1.0, abs(r_hat0))
+        holds = opt1.value <= r_hat0 + OWNERSHIP_RTOL * abs(r_hat0)
         entries.append(
             {"facet": f.id, "post_risk_optimum": opt1.value, "pre_risk_revenue": r_hat0, "holds": holds}
         )
-        # recoverable by within-facet substitution, against the gap bounding it
+        # recoverable within the facet, against the gap; both are revenue differences, judged at |r_hat0|
         wr = opt1.value - r_hat1
-        withstand.append(WithstandResult(wr=wr, bound=gap, within_bound=wr <= gap + 1e-9 * max(1.0, abs(gap))))
+        withstand.append(WithstandResult(wr=wr, bound=gap, within_bound=wr <= gap + OWNERSHIP_RTOL * abs(r_hat0)))
     return AssumptionReport(
         assumption1_holds=not violations,
         assumption2_holds=all(e["holds"] for e in entries),
@@ -349,49 +364,22 @@ def check_assumptions(
     )
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    kind: str                          # unique | facet-degenerate | edge-degenerate
-
-
 @np.errstate(over="ignore")
-def uniqueness_diagnostics(
-    ds: Dataset,
-    facet: Facet,
-    sc: PriceScenario,
-    delta: float,
-) -> Diagnosis:
-    """Classify how many revenue-optimal points the facet has.
-
-    Prices parallel to the facet's output normal make the whole facet
-    optimal; otherwise, with a single input, ties between scaled
-    generators pin down degenerate edges exactly.  With several inputs
-    the generator-difference test is used directly (the optimal face then
-    depends on the fixed input vector, which this diagnosis abstracts
-    over).
-    """
-    prices = price_at(sc, delta)
-    q = prices / prices.max()  # so the norm cannot overflow
-    pu = q / np.sqrt(np.sum(q * q))
-    uu = facet.u / np.sqrt(np.sum(facet.u * facet.u))
-    if float(np.max(np.abs(pu - uu))) <= PARALLEL_TOL:
-        return Diagnosis(kind="facet-degenerate")  # every point of the facet ties
-    cols = list(facet.members)
-    if ds.m == 1:
-        # Per unit input the candidate vertices are the scaled generators;
-        # the scale cancels in both the argmax and the tie test.
-        values = np.array([
-            float(np.sum(prices * ds.outputs[:, j])) / float(ds.inputs[0, j]) for j in cols
-        ])
-    else:
-        values = np.array([float(np.sum(prices * ds.outputs[:, j])) for j in cols])
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"a generator's revenue on facet {facet.id} at delta={delta} is not finite")
-    best = float(np.max(values))
-    tied = int(np.sum(values >= best - TIE_RTOL * max(1.0, abs(best))))
-    # several tied generators: prices are orthogonal to a generator
-    # difference, so the optimum is an edge
-    return Diagnosis(kind="edge-degenerate" if tied > 1 else "unique")
+def uniqueness_diagnostics(tables: FacetTables, facet_id: int, sc: PriceScenario, delta: float) -> str:
+    """How many revenue-optimal points the facet has at the tables' xbar:
+    'unique' if one point of its vertex table ties for the best,
+    'facet-degenerate' if all of at least two do, else 'edge-degenerate'.
+    Rows within OWNERSHIP_RTOL (relative, max norm) of an earlier row are
+    one point, since several bases can give one vertex."""
+    points: list[np.ndarray] = []
+    for y in _table(tables, facet_id):
+        if not any(np.abs(y - p).max() <= OWNERSHIP_RTOL * np.abs(p).max() for p in points):
+            points.append(y)
+    values = price_at(sc, delta) @ np.array(points).T
+    tied = int(np.sum(_ties(values, f"on facet {facet_id} at delta={delta}")))
+    if tied == 1:
+        return "unique"
+    return "facet-degenerate" if tied == len(points) else "edge-degenerate"
 
 
 _MASK64 = 2**64 - 1
@@ -484,21 +472,6 @@ class CoverageReport:
         }
 
 
-def _ownership(tables: FacetTables, prices: np.ndarray) -> np.ndarray:
-    """(trials, facets) bool matrix, facets in table order: whether each
-    facet attains the best revenue at each row of prices within
-    OWNERSHIP_RTOL.  A facet with an empty table owns no trial."""
-    values = np.full((len(prices), len(tables.vertices)), -np.inf)
-    with np.errstate(over="ignore"):
-        for col, V in enumerate(tables.vertices.values()):
-            if len(V):
-                values[:, col] = (prices @ V.T).max(axis=1)
-    best = values.max(axis=1)
-    if not np.all(np.isfinite(best)):
-        raise DataError(f"a sampled revenue is not finite at input vector {tables.xbar.tolist()}")
-    return values >= (best - OWNERSHIP_RTOL * np.maximum(1.0, np.abs(best)))[:, None]
-
-
 def simulate_coverage(
     ds: Dataset,
     facets: FacetSet,
@@ -539,9 +512,6 @@ def simulate_coverage(
                            for a, ka in enumerate(strategy_sets)])   # strategy sub[i] nested in sup[i]
 
     tables = facet_tables(ds, facets, xbar)
-    if not any(len(V) for V in tables.vertices.values()):
-        raise FacetInfeasibleError(f"no facet admits the input vector {tables.xbar.tolist()}")
-
     sampler = PriceSampler()
     facet_counts = np.zeros(len(fids), dtype=np.int64)
     strategy_counts = np.zeros(len(strategy_sets), dtype=np.int64)

@@ -350,6 +350,21 @@ def test_toy_b_scenario_exit_1_pinned(capsys, data_dir, monkeypatch):
     assert (code, out, err) == (1, "", "error: no facet admits the input vector [1.0]\n")
 
 
+def test_scenario_prices_only_points_at_xbar(capsys, data_dir, tmp_path):
+    # a generator's own revenue (1e307 times an output near 100) overflows,
+    # but every point the command prices lies at inputs 1e-5, uniqueness's
+    # vertex-table rows included
+    prices = tmp_path / "p.json"
+    prices.write_text('{"outputs": [{"name": "a", "base": 1e307}, {"name": "b", "base": 5}, '
+                      '{"name": "c", "base": 12}], "delta_domain": [0, 1]}')
+    code, out, err = run(capsys, "scenario", "--data", str(data_dir / "toy_isoquant_a.csv"),
+                         "--prices", str(prices), "--xbar", "1e-5")
+    assert (code, err) == (0, "")
+    optima = json.loads(out)["facet_optima_delta1"]
+    assert [(e["value"], e["uniqueness"]) for e in optima] == [(1.0000000000000001e304, "unique"),
+                                                              (1.25e304, "unique")]
+
+
 def test_scenario_985_lists_facets_without_a_point(capsys, data_dir):
     # at WHU's inputs some facets admit no point: they are listed with
     # nulls, and the withstand rows are the facets that contain WHU
@@ -510,11 +525,6 @@ INPUT_FAULTS = {
         {"p.json": '{"outputs": [{"name": "a", "base": 1e306}, {"name": "b", "base": 1e306}, '
                    '{"name": "c", "base": 1e306}], "delta_domain": [0, 1]}'},
         ["scenario", "--prices", "p.json"],
-    ),
-    "scenario-generator-revenue-overflow": (
-        {"p.json": '{"outputs": [{"name": "a", "base": 1e307}, {"name": "b", "base": 5}, '
-                   '{"name": "c", "base": 12}], "delta_domain": [0, 1]}'},
-        ["scenario", "--prices", "p.json", "--xbar", "1e-5"],
     ),
 }
 

@@ -29,7 +29,7 @@ PUBLIC = {
     "partition": ["RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"],
     "report": ["RunReport", "build_report", "emit"],
     "robust": ["EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"],
-    "scenario": ["AssumptionReport", "CoverageReport", "Diagnosis", "FacetTables", "OptimalPoint",
+    "scenario": ["AssumptionReport", "CoverageReport", "FacetTables", "OptimalPoint",
                  "PriceSampler", "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum",
                  "facet_tables", "global_optimum", "load_scenario", "price_at", "revenue",
                  "simulate_coverage", "uniqueness_diagnostics"],
@@ -86,7 +86,7 @@ def test_every_public_name_is_its_home_object():
         "                  'dir': sorted(set(dir(facetbench)) & set(same)), 'version': facetbench.__version__}))"
     )
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 52
+    assert len(names) == 51
     assert sorted(out["same"]) == names
     assert all(out["same"].values())
     assert out["missing"] == "module 'facetbench' has no attribute 'no_such_name' / ImportError"

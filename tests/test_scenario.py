@@ -225,35 +225,47 @@ def test_assumptions_identity_delta(toy_a, toy_facets, toy_tables, toy_scenario)
     assert entry["post_risk_optimum"] == pytest.approx(entry["pre_risk_revenue"], rel=1e-12)
 
 
+def test_withstand_within_bound_at_identity_delta_985(uni985, uni_facets, whu_tables, toy_scenario):
+    # delta0 = delta1 makes every gap 0; WHU is the optimum of facets 1, 2,
+    # 5, 6 and 13, whose wr is a few ulps of WHU's revenue above 0: the
+    # tolerance scales with the revenues compared, not with the gap, and
+    # wr <= gap is then the same verdict as the recovery check
+    yhat = uni985.outputs[:, uni985.index("WHU")]
+    rep = check_assumptions(uni985, uni_facets, whu_tables, toy_scenario, yhat, 0.0, 0.0)
+    assert [(e["facet"], w.bound) for e, w in zip(rep.recovery_entries, rep.withstand)] == [
+        (k, 0.0) for k in (1, 2, 5, 6, 9, 10, 12, 13)]
+    assert 0.0 < rep.withstand[0].wr < 1e-10
+    within = [w.within_bound for w in rep.withstand]
+    assert within == [e["holds"] for e in rep.recovery_entries] == [True] * 4 + [False] * 3 + [True]
+
+
 def test_assumptions_require_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
     yD_off = np.array([1.0, 1.0, 1.0])
     with pytest.raises(fb.DataError, match="no facet"):
         check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yD_off, 0.0, 1.0)
 
 
-def test_uniqueness_unique_vertex(toy_a, toy_facets, toy_scenario):
-    d = uniqueness_diagnostics(toy_a, toy_facets.facets[1], toy_scenario, 1.0)
-    assert d.kind == "unique"
+def test_uniqueness_unique_vertex(toy_facets, toy_tables, toy_scenario):
+    assert uniqueness_diagnostics(toy_tables, toy_facets.facets[1].id, toy_scenario, 1.0) == "unique"
 
 
-def test_uniqueness_parallel_price(toy_a, toy_facets):
+def test_uniqueness_parallel_price(toy_facets, toy_tables):
     f1 = toy_facets.facets[0]
     sc = PriceScenario(
         output_names=("a", "b", "c"), bases=f1.u * 10.0, slopes=np.zeros(3), domain=(0.0, 1.0)
     )
-    d = uniqueness_diagnostics(toy_a, f1, sc, 0.0)
-    assert d.kind == "facet-degenerate"
+    assert uniqueness_diagnostics(toy_tables, f1.id, sc, 0.0) == "facet-degenerate"
 
 
-def test_uniqueness_parallel_price_whose_squares_overflow(toy_a, toy_facets):
+def test_uniqueness_parallel_price_whose_squares_overflow(toy_facets, toy_tables):
     f1 = toy_facets.facets[0]
     sc = PriceScenario(
         output_names=("a", "b", "c"), bases=f1.u * 1e200, slopes=np.zeros(3), domain=(0.0, 1.0)
     )
-    assert uniqueness_diagnostics(toy_a, f1, sc, 0.0).kind == "facet-degenerate"
+    assert uniqueness_diagnostics(toy_tables, f1.id, sc, 0.0) == "facet-degenerate"
 
 
-def test_uniqueness_edge_tie(toy_a, toy_facets):
+def test_uniqueness_edge_tie(toy_a, toy_facets, toy_tables):
     # equal prices on outputs 1 and 2 with a third price high enough that
     # A and B tie at the optimum: orthogonal to B - A
     f1 = toy_facets.facets[0]
@@ -262,8 +274,62 @@ def test_uniqueness_edge_tie(toy_a, toy_facets):
     assert float(prices @ (yB - yA)) == pytest.approx(0.0, abs=1e-12)
     assert float(prices @ yA) > float(prices @ toy_a.outputs[:, 2])  # A beats C
     sc = PriceScenario(output_names=("a", "b", "c"), bases=prices, slopes=np.zeros(3), domain=(0.0, 1.0))
-    d = uniqueness_diagnostics(toy_a, f1, sc, 0.0)
-    assert d.kind == "edge-degenerate"
+    assert uniqueness_diagnostics(toy_tables, f1.id, sc, 0.0) == "edge-degenerate"
+
+
+# Facets with a point at xbar, each pinned at delta 0, 0.5 and 1 under
+# prices_toy.json to the kind the generator rule gave before uniqueness read
+# the vertex tables: "unique" everywhere.  At WHU's inputs facets 1, 2, 5, 6
+# and 13 have three table rows that are one point, and facets 9, 10 and 12
+# five rows that are three points; a rule that counted rows instead of
+# points would call 17 of these 45 cells degenerate.
+UNIQUE_AT = {
+    "toy-1": ("toy", [1.0], (1, 2)),
+    "toy-2.5": ("toy", [2.5], (1, 2)),
+    "985-WHU": ("985", "WHU", (1, 2, 5, 6, 9, 10, 11, 12, 13)),
+    "985-2000-100": ("985", [2000.0, 100.0], (13, 14)),
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", sorted(UNIQUE_AT))
+def test_uniqueness_counts_points_not_rows(toy_a, toy_facets, uni985, uni_facets, toy_scenario, case, delta):
+    data, xbar, with_point = UNIQUE_AT[case]
+    ds, fs = (toy_a, toy_facets) if data == "toy" else (uni985, uni_facets)
+    tables = facet_tables(ds, fs, ds.inputs[:, ds.index(xbar)] if xbar == "WHU" else np.array(xbar))
+    assert tuple(fid for fid, V in tables.vertices.items() if len(V)) == with_point
+    kinds = {fid: uniqueness_diagnostics(tables, fid, toy_scenario, delta) for fid in with_point}
+    assert kinds == dict.fromkeys(with_point, "unique")
+
+
+@pytest.fixture
+def whu_tables(uni985, uni_facets):
+    return facet_tables(uni985, uni_facets, uni985.inputs[:, uni985.index("WHU")])
+
+
+def flat_prices(ds, prices):
+    return PriceScenario(ds.output_labels, bases=prices, slopes=np.zeros(ds.s), domain=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("fid,kind", [(9, "facet-degenerate"), (10, "facet-degenerate"),
+                                      (11, "facet-degenerate"), (12, "facet-degenerate"), (13, "unique")])
+def test_uniqueness_along_the_normal_with_two_inputs(uni985, uni_facets, whu_tables, fid, kind):
+    # prices along a facet's normal tie every point of it at WHU's inputs:
+    # three or four points on facets 9 to 12, but facet 13's three rows
+    # there are one point, so its optimum is unique
+    sc = flat_prices(uni985, uni_facets.facets[fid - 1].u)
+    assert uniqueness_diagnostics(whu_tables, fid, sc, 0.0) == kind
+
+
+def test_uniqueness_edge_tie_with_two_inputs(uni985, uni_facets, whu_tables):
+    # facet 9 at WHU's inputs: rows 0, 1 and 2 are its three points; the
+    # normal tilted within the facet plane, orthogonal to row 1 - row 0,
+    # ties those two and puts row 2 below them
+    u = uni_facets.facets[8].u
+    P = whu_tables.vertices[9]
+    tilt = np.cross(u, P[1] - P[0])
+    prices = u + 1e-3 * tilt / np.abs(tilt).max() * np.sign(tilt @ (P[0] - P[2]))
+    assert uniqueness_diagnostics(whu_tables, 9, flat_prices(uni985, prices), 0.0) == "edge-degenerate"
 
 
 def test_scenario_json_round_trip(tmp_path, toy_scenario):
@@ -445,7 +511,7 @@ def lp_incidence(ds, facets, xbar, trials, seed):
             except fb.FacetInfeasibleError:
                 pass
         best = float(np.max(values))
-        rows.append(values >= best - OWNERSHIP_RTOL * max(1.0, abs(best)))
+        rows.append(values >= best - OWNERSHIP_RTOL * abs(best))
     return np.array(rows)
 
 
@@ -575,7 +641,7 @@ def lp_global_optimum(ds, facets, xbar, prices):
         except fb.FacetInfeasibleError:
             pass
     best = max(values.values())
-    return best, tuple(k for k, v in values.items() if v >= best - OWNERSHIP_RTOL * max(1.0, abs(best)))
+    return best, tuple(k for k, v in values.items() if v >= best - OWNERSHIP_RTOL * abs(best))
 
 
 def test_facet_and_global_optima_match_lp_oracle_985(uni985, uni_facets, uni_extremes):
@@ -595,7 +661,8 @@ def test_facet_and_global_optima_match_lp_oracle_985(uni985, uni_facets, uni_ext
                     continue
                 got = facet_optimum(tables, f.id, sc, 0.0)
                 assert got.value == pytest.approx(want, rel=1e-12)
-                assert got.value == float(np.sum(prices * got.outputs))
+                # one summation for every scenario question: a row of prices @ V.T
+                assert got.value == float(np.max(prices @ tables.vertices[f.id].T))
             best, owners = global_optimum(tables, sc, 0.0)
             want_best, want_owners = lp_global_optimum(uni985, uni_facets, xbar, prices)
             assert owners == want_owners, (uni985.names[o], i)
