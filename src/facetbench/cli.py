@@ -31,7 +31,7 @@ if TYPE_CHECKING:
     from .measures import extreme_set, extremes_export
     from .partition import partition_export, partition_robust
     from .profiles import get_profile
-    from .report import build_report, emit
+    from .report import build_report, emit, measure_rows, results_table
     from .scenario import (
         check_assumptions,
         facet_optimum,
@@ -54,7 +54,7 @@ _DEFERRED = {
     "measures": ("extreme_set", "extremes_export"),
     "partition": ("partition_export", "partition_robust"),
     "profiles": ("get_profile",),
-    "report": ("build_report", "emit"),
+    "report": ("build_report", "emit", "measure_rows", "results_table"),
     "scenario": (
         "check_assumptions", "facet_optimum", "facet_tables", "global_optimum", "load_scenario", "price_at",
         "revenue", "simulate_coverage", "uniqueness_diagnostics",
@@ -248,8 +248,9 @@ def _run_report(args):
 def cmd_efficiency(args) -> int:
     if args.measure == "all":
         return cmd_report(args)
-    rows = _run_report(args).payload["results"]
-    _emit_payload({"results": [{"dmu": row["dmu"], args.measure: row[args.measure]} for row in rows]}, args)
+    ds, ext, fs, aggregation = _pipeline(args)
+    column = measure_rows(ds, fs, partition_robust(fs), aggregation, args.measure)
+    _emit_payload({"results": results_table(ds.names, {args.measure: column})}, args)
     return 0
 
 

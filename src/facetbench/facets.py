@@ -98,14 +98,14 @@ def _normals(ds: Dataset, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return ok, u, v
 
 
-def _residuals(ds: Dataset, u: np.ndarray, v: np.ndarray, cols) -> np.ndarray:
+def _residuals(ds: Dataset, u: np.ndarray, v: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
     """(k, len(cols)) values u@y_j - v@x_j of k normals at the DMUs cols,
-    each divided by the DMU's row norm."""
+    and the same values divided by each DMU's row norm."""
     cols = np.asarray(cols, dtype=np.intp)
     Y = ds.outputs[:, cols].T
     X = ds.inputs[:, cols].T
     value = (u[:, None, :] * Y[None]).sum(-1) - (v[:, None, :] * X[None]).sum(-1)
-    return value / _row_norms(ds)[cols]
+    return value, value / _row_norms(ds)[cols]
 
 
 def _row_norms(ds: Dataset) -> np.ndarray:
@@ -199,7 +199,7 @@ def enumerate_facets(ds: Dataset, extremes: list[int] | tuple[int, ...], scope: 
         subsets = subsets[_may_be_facets(blocks, probe, ds.s)]
         ok, u, v = _normals(ds, subsets)
         keep = np.flatnonzero(ok)
-        supported = ~(_residuals(ds, u[keep], v[keep], support) > SUPPORT_TOL).any(axis=1)
+        supported = ~(_residuals(ds, u[keep], v[keep], support)[1] > SUPPORT_TOL).any(axis=1)
         for i in keep[supported]:
             found.append((tuple(subsets[i].tolist()), u[i], v[i]))
     return _facet_set(ds, found, extremes, scope, examined)
@@ -313,7 +313,7 @@ def facet_checks(ds: Dataset, fs: FacetSet) -> tuple[dict, list[dict]]:
     support = fs.extremes if fs.scope == "extremes" else tuple(range(ds.n))
     u = np.array([f.u for f in fs.facets]).reshape(len(fs), ds.s)
     v = np.array([f.v for f in fs.facets]).reshape(len(fs), ds.m)
-    resid = _residuals(ds, u, v, range(ds.n))
+    _, resid = _residuals(ds, u, v, range(ds.n))
     summary = {}
     for f, row in zip(fs.facets, resid):
         summary[f.id] = {

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, FacetBenchError, SolverError
-from .facets import SUPPORT_TOL, FacetSet
+from .facets import SUPPORT_TOL, FacetSet, _residuals
 # solve_lp stays bound here for profilers that wrap it by this name.
 from .lp import solve_lp, solve_lps  # noqa: F401
 
@@ -150,9 +150,9 @@ def closest_on_efpps(
     """Least mean-normalized slack raising the DMU onto the boundary of
     the facet half-space intersection.
 
-    A DMU violating some facet half-space lies outside the extended-facet
-    technology; no nonnegative slack can reach the boundary through the
-    violated constraint, so the result is flagged instead of scored.
+    A DMU outside some facet half-space, as `facet_checks` judges it, lies
+    outside the extended-facet technology: no nonnegative slack reaches the
+    boundary through the violated constraint, so it is flagged, not scored.
     """
     dmus = list(dmus)
     if not facets.facets:
@@ -161,13 +161,10 @@ def closest_on_efpps(
     F = len(facets.facets)
     U = np.vstack([f.u for f in facets.facets])
     V = np.vstack([f.v for f in facets.facets])
-    X = np.ascontiguousarray(ds.inputs[:, dmus].T)      # one row per DMU
-    Y = np.ascontiguousarray(ds.outputs[:, dmus].T)
-    point_norm = np.sqrt(np.sum(Y * Y, axis=1) + np.sum(X * X, axis=1))
-    # u@y_o - v@x_o for every (DMU, facet), as Facet.value computes it
-    rhs = (np.sum((Y[:, None, :] * U).reshape(-1, s), axis=1)
-           - np.sum((X[:, None, :] * V).reshape(-1, ds.m), axis=1)).reshape(len(dmus), F)
-    outside = np.any(rhs / point_norm[:, None] > SUPPORT_TOL, axis=1)
+    value, resid = _residuals(ds, U, V, dmus)
+    rhs = value.T  # u@y_o - v@x_o, one row per DMU
+    outside = np.any(resid > SUPPORT_TOL, axis=0)
+    Y = ds.outputs[:, dmus].T
     C = 1.0 / (s * Y)
     # Facet k's LP cut down to its equality row u_k @ x = -rhs_k, x >= 0,
     # has the optimum -rhs_k * min_r c_r / u_kr when u_k > 0; any other

@@ -112,6 +112,27 @@ class RunReport:
         return buf.getvalue()
 
 
+def measure_rows(
+    ds: Dataset, fs: FacetSet, part: RobustPartition, aggregation: str, measure: str
+) -> list[dict | FacetBenchError]:
+    """Every DMU's payload under one measure (robust, closest or russell); where
+    the closest or Russell evaluation raised an error, the DMU's entry is the error."""
+    if measure == "robust":
+        return [_robust_payload(ds, r) for r in batch_evaluate(ds, part, aggregation)]
+    rows = closest_on_efpps(fs, ds, range(ds.n)) if measure == "closest" else russell_farthest(ds, range(ds.n))
+    return [r if isinstance(r, FacetBenchError) else _measure_payload(r) for r in rows]
+
+
+def results_table(names: tuple[str, ...], columns: dict[str, list]) -> list[dict]:
+    """One row per DMU from `measure_rows` columns; raises the first error in
+    DMU order, a DMU's columns in order, as if each DMU were evaluated in turn."""
+    for entries in zip(*columns.values()):
+        for entry in entries:
+            if isinstance(entry, FacetBenchError):
+                raise entry
+    return [{"dmu": name, **{m: col[o] for m, col in columns.items()}} for o, name in enumerate(names)]
+
+
 def build_report(
     ds: Dataset,
     extremes: ExtremeSetResult,
@@ -123,29 +144,8 @@ def build_report(
 ) -> RunReport:
     """Assemble the full pipeline report (steps 1-4 plus both comparison
     measures and the warnings ledger)."""
-    robust_rows = batch_evaluate(ds, part, aggregation)
-    closest_rows = closest_on_efpps(fs, ds, range(ds.n))
-    russell_rows = russell_farthest(ds, range(ds.n))
-    results = []
-    # Errors surface in DMU order, closest before Russell, as if each DMU
-    # were evaluated in turn; a DataError from the closest measure only
-    # marks its row.
-    for o in range(ds.n):
-        closest = closest_rows[o]
-        if isinstance(closest, DataError):
-            closest = {"status": "error", "theta": None, "slacks": None, "error": str(closest)}
-        elif isinstance(closest, FacetBenchError):
-            raise closest
-        else:
-            closest = _measure_payload(closest)
-        if isinstance(russell_rows[o], FacetBenchError):
-            raise russell_rows[o]
-        results.append({
-            "dmu": ds.names[o],
-            "robust": _robust_payload(ds, robust_rows[o]),
-            "closest": closest,
-            "russell": _measure_payload(russell_rows[o]),
-        })
+    results = results_table(ds.names, {m: measure_rows(ds, fs, part, aggregation, m)
+                                       for m in ("robust", "closest", "russell")})
     residuals, violations = facet_checks(ds, fs)
     warnings = list(fs.warnings)
     if extremes.discrepancy:
@@ -158,11 +158,11 @@ def build_report(
         warnings.append(
             f"out-of-envelope: {v['dmu']} violates facet {v['facet']} (scaled residual {v['residual']:.3e})"
         )
-    for row, rr in zip(results, robust_rows):
-        if isinstance(rr, RowError):
-            warnings.append(f"robust evaluation failed for {row['dmu']}: {rr.error}")
+    for row in results:
+        if "error" in row["robust"]:
+            warnings.append(f"robust evaluation failed for {row['dmu']}: {row['robust']['error']}")
         else:
-            warnings.extend(f"{row['dmu']}: {w}" for w in rr.warnings)
+            warnings.extend(f"{row['dmu']}: {w}" for w in row["robust"]["warnings"])
     payload = {
         "config": config_echo(aggregation, fs.scope, profile, data_path),
         "dataset": {

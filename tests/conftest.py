@@ -19,6 +19,13 @@ def write_csv(ds, path):
             w.writerow([name] + [repr(float(v)) for v in (*ds.inputs[:, j], *ds.outputs[:, j])])
 
 
+def envelope_verdicts(payload):
+    """(DMUs whose closest status is out-of-envelope, DMUs named in
+    envelope_violations) of a report payload."""
+    closest = {row["dmu"] for row in payload["results"] if row["closest"]["status"] == "out-of-envelope"}
+    return closest, {v["dmu"] for v in payload["envelope_violations"]}
+
+
 @pytest.fixture(scope="session")
 def toy_a():
     return fb.load_dataset(DATA / "toy_isoquant_a.csv")

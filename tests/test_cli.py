@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facetbench import facets
+from facetbench import facets, report
 from facetbench.cli import main
-from facetbench.dataset import output_floors
+from facetbench.dataset import json_text, output_floors
+from facetbench.errors import SolverError
 from facetbench.scenario import MAX_TRIALS
 
 from conftest import write_csv
@@ -219,13 +220,33 @@ def test_985_efficiency_all_is_the_report(capsys, data_dir, monkeypatch, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_985_DIGESTS[fmt][1]
 
 
-def test_985_efficiency_closest_is_the_report_column(capsys, data_dir, monkeypatch):
+@pytest.mark.parametrize("measure", ["robust", "closest", "russell"])
+def test_985_efficiency_measure_is_the_report_column(capsys, data_dir, monkeypatch, measure):
     monkeypatch.chdir(data_dir.parent)
-    _, report, _ = run(capsys, *REPORT_985)
-    code, out, err = run(capsys, "efficiency", *REPORT_985[1:], "--measure", "closest")
+    _, full, _ = run(capsys, *REPORT_985)
+    code, out, err = run(capsys, "efficiency", *REPORT_985[1:], "--measure", measure)
     assert (code, err) == (0, "")
-    assert json.loads(out)["results"] == \
-        [{"dmu": row["dmu"], "closest": row["closest"]} for row in json.loads(report)["results"]]
+    column = [{"dmu": row["dmu"], measure: row[measure]} for row in json.loads(full)["results"]]
+    assert out == json_text({"results": column})
+
+
+@pytest.mark.parametrize("measure", ["robust", "russell"])
+def test_985_efficiency_does_not_stop_on_a_closest_failure(capsys, data_dir, monkeypatch, measure):
+    """`efficiency --measure robust|russell` runs no closest measure, so a
+    closest failure that makes `report` exit 2 leaves it at exit 0."""
+    real = report.closest_on_efpps
+
+    def closest(*args):
+        rows = real(*args)
+        rows[3] = SolverError("closest at 3")
+        return rows
+
+    monkeypatch.setattr(report, "closest_on_efpps", closest)
+    monkeypatch.chdir(data_dir.parent)
+    assert run(capsys, *REPORT_985) == (2, "", "internal error: closest at 3\n")
+    code, out, err = run(capsys, "efficiency", *REPORT_985[1:], "--measure", measure)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["results"]) == 38
 
 
 def test_985_report_echoes_the_facet_tolerances(capsys, data_dir, monkeypatch):
@@ -425,6 +446,14 @@ def test_report_facetless_dataset_fails_before_emit(capsys, data_dir, tmp_path):
     assert code == 1
     assert "no facets" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("measure", ["robust", "closest", "russell"])
+def test_efficiency_facetless_dataset_exits_1_for_every_measure(capsys, data_dir, measure):
+    """The partition runs before any one measure, as it does for `report`."""
+    code, out, err = run(capsys, "efficiency", "--data", str(data_dir / "toy_isoquant_b.csv"), "--measure", measure)
+    assert (code, out) == (1, "")
+    assert "no facets" in err
 
 
 # command -> the arguments it needs besides --data, on the toy dataset

@@ -234,7 +234,9 @@ REPORT_985_LAYERS = {
 }
 
 
-def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
+def _layer_work(monkeypatch, data_dir, *command):
+    """solve_lps calls, LPs, pivots and statuses per layer of one command
+    run on the 985 study under the paper-985 profile."""
     layer = [None]
     counts: dict = {}
     real = lp.solve_lps
@@ -265,7 +267,30 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
                        ("russell", "russell_farthest")):
         monkeypatch.setattr(report, attr, entering(name, getattr(report, attr)))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["report", "--data", str(data_dir / "universities_985.csv"), "--profile", "paper-985"]) == 0
-    assert {k: dict(v) for k, v in counts.items()} == REPORT_985_LAYERS
+        argv = [*command, "--data", str(data_dir / "universities_985.csv"), "--profile", "paper-985"]
+        assert cli.main(argv) == 0
+    return {k: dict(v) for k, v in counts.items()}
+
+
+def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
+    assert _layer_work(monkeypatch, data_dir, "report") == REPORT_985_LAYERS
     assert sum(v["lps"] for v in REPORT_985_LAYERS.values()) == 234
     assert sum(v["pivots"] for v in REPORT_985_LAYERS.values()) == 2010
+
+
+# measure -> (its layer, LPs, solve_lps calls) of `efficiency --measure X
+# --profile paper-985`: the extreme test and that one layer of
+# REPORT_985_LAYERS, where each once built the whole report (234 LPs in 5).
+EFFICIENCY_985_WORK = {
+    "robust": ("signpattern", 114, 3),
+    "closest": ("closest", 120, 2),
+    "russell": ("russell", 76, 2),
+}
+
+
+@pytest.mark.parametrize("measure", sorted(EFFICIENCY_985_WORK))
+def test_efficiency_985_solves_only_its_measure(monkeypatch, data_dir, measure):
+    layer, lps, calls = EFFICIENCY_985_WORK[measure]
+    work = _layer_work(monkeypatch, data_dir, "efficiency", "--measure", measure)
+    assert work == {"extreme": REPORT_985_LAYERS["extreme"], layer: REPORT_985_LAYERS[layer]}
+    assert [sum(v["lps"] for v in work.values()), sum(v["calls"] for v in work.values())] == [lps, calls]

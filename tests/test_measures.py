@@ -7,6 +7,8 @@ import facetbench as fb
 from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
 
+from conftest import envelope_verdicts
+
 
 def extreme_test(ds, o):
     """(lambda0, extreme) of DMU o, read from the test run on every DMU."""
@@ -123,6 +125,23 @@ def test_closest_target_touches_boundary(uni985, uni_facets):
         scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(vals) <= 1e-7 * scale          # inside every half-space
         assert np.max(vals) >= -1e-7 * scale         # and touching one
+
+
+@pytest.mark.parametrize("data,pinned,scope,outside", [
+    ("universities_985.csv", True, "extremes", {"TSU"}),
+    ("universities_985.csv", True, "all", set()),
+    ("universities_985.csv", False, "extremes", set()),
+    ("universities_985.csv", False, "all", set()),
+    ("toy_isoquant_a.csv", False, "extremes", set()),
+], ids=["985-pinned-extremes", "985-pinned-all", "985-computed-extremes", "985-computed-all", "toy"])
+def test_out_of_envelope_is_an_envelope_violation(data_dir, data, pinned, scope, outside):
+    """The closest measure flags exactly the DMUs the report lists as
+    outside some facet half-space: both read one residual test."""
+    ds = fb.load_dataset(data_dir / data)
+    ext = extreme_set(ds, override=PAPER_985_EXTREMES if pinned else None)
+    fs = fb.enumerate_facets(ds, ext.indices, scope)
+    payload = fb.build_report(ds, ext, fs, fb.partition_robust(fs), "table4-max").payload
+    assert envelope_verdicts(payload) == (outside, outside)
 
 
 def test_theta_iff_zero_slacks(uni985, uni_facets):

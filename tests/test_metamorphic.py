@@ -12,6 +12,8 @@ so an output slack measured in a unit 1024 times too small is solved as
 if its unit were right.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from facetbench.cli import main
 from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.robust import batch_evaluate
 
-from conftest import write_csv
+from conftest import envelope_verdicts, write_csv
 from scenario_oracle import coverage_ownership
 
 COLUMNS = ("in:researchers", "in:size", "out:nsa", "out:sb", "out:hp")
@@ -100,11 +102,15 @@ CLOSEST_EXIT_2 = {("in:researchers", "x1024"), ("in:size", "x1024"), ("out:hp", 
 
 @pytest.mark.parametrize("column,factor", _cases(CLOSEST_EXIT_2, "ROADMAP item 1"))
 def test_power_of_two_unit_change_keeps_report_exit_0(uni985, tmp_path, capsys, column, factor):
+    """`report` exits 0, and its closest column flags as out-of-envelope
+    exactly the DMUs of its envelope_violations."""
     path = tmp_path / "rescaled.csv"
     write_csv(_rescaled(uni985, column, factor), path)
     code = main(["report", "--data", str(path), "--profile", "paper-985"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert (code, err) == (0, "")
+    closest, violations = envelope_verdicts(json.loads(out))
+    assert closest == violations
 
 
 # Dividing out:nsa or out:sb by 1024 moves some Russell thetas in the last
