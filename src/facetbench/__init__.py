@@ -27,7 +27,7 @@ _EXPORTS = {
         "ExtremeSetResult", "MeasureResult", "closest_on_efpps", "extreme_set", "russell_farthest",
     ),
     "partition": ("RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"),
-    "report": ("RunReport", "build_report", "emit"),
+    "report": ("build_report", "emit"),
     "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"),
     "scenario": (
         "AssumptionReport", "CoverageReport", "FacetTables", "OptimalPoint", "PriceSampler",

@@ -165,23 +165,23 @@ def _settings(args) -> tuple[tuple[str, ...] | None, str, str]:
     override = None
     scope = None
     aggregation = None
-    if getattr(args, "profile", None):
+    if args.profile:
         prof = get_profile(args.profile)
         override = prof["extremes"]
         scope = prof["support_scope"]
         aggregation = prof["aggregation"]
-    if getattr(args, "extremes", None):
+    if args.extremes:
         override = _read_extremes_file(args.extremes)
-    if getattr(args, "support_scope", None):
+    if args.support_scope:
         scope = args.support_scope
     if getattr(args, "aggregation", None):
         aggregation = args.aggregation
     return override, scope or "extremes", aggregation or "table4-max"
 
 
-def _emit_payload(payload: dict, args) -> None:
-    text = json_text(payload)
-    if getattr(args, "out", None):
+def _write(text: str, args) -> None:
+    """The one writer of command output: the --out file, else stdout."""
+    if args.out:
         write_text(args.out, text)
     else:
         sys.stdout.write(text)
@@ -206,7 +206,7 @@ def cmd_validate(args) -> int:
             for v in violations
         ],
     }
-    _emit_payload(payload, args)
+    _write(json_text(payload), args)
     return 1 if violations else 0
 
 
@@ -214,7 +214,7 @@ def cmd_extremes(args) -> int:
     ds = load_dataset(args.data)
     override, _, _ = _settings(args)
     ext = extreme_set(ds, override)
-    _emit_payload({"data": args.data, **extremes_export(ds, ext)}, args)
+    _write(json_text({"data": args.data, **extremes_export(ds, ext)}), args)
     return 0
 
 
@@ -228,7 +228,7 @@ def cmd_facets(args) -> int:
         "subsets_examined": fs.subsets_examined,
         "warnings": list(fs.warnings),
     }
-    _emit_payload(payload, args)
+    _write(json_text(payload), args)
     return 0
 
 
@@ -236,29 +236,25 @@ def cmd_partition(args) -> int:
     ds, ext, fs, aggregation = _pipeline(args)
     part = partition_robust(fs)
     payload = {"data": args.data, "partition": partition_export(ds, part)}
-    _emit_payload(payload, args)
+    _write(json_text(payload), args)
     return 0
-
-
-def _run_report(args):
-    ds, ext, fs, aggregation = _pipeline(args)
-    return build_report(ds, ext, fs, partition_robust(fs), aggregation, data_path=args.data, profile=args.profile)
 
 
 def cmd_efficiency(args) -> int:
     if args.measure == "all":
         return cmd_report(args)
+    if args.format == "csv":
+        raise DataError(f"--format csv needs --measure all, got --measure {args.measure}")
     ds, ext, fs, aggregation = _pipeline(args)
     column = measure_rows(ds, fs, partition_robust(fs), aggregation, args.measure)
-    _emit_payload({"results": results_table(ds.names, {args.measure: column})}, args)
+    _write(json_text({"results": results_table(ds.names, {args.measure: column})}), args)
     return 0
 
 
 def cmd_report(args) -> int:
-    report = _run_report(args)
-    text = emit(report, args.format, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    ds, ext, fs, aggregation = _pipeline(args)
+    report = build_report(ds, ext, fs, partition_robust(fs), aggregation, data_path=args.data, profile=args.profile)
+    _write(emit(report, args.format), args)
     return 0
 
 
@@ -325,7 +321,7 @@ def cmd_scenario(args) -> int:
                 for entry, wr in zip(rep.recovery_entries, rep.withstand)
             ],
         }
-    _emit_payload(payload, args)
+    _write(json_text(payload), args)
     return 0
 
 
@@ -339,7 +335,7 @@ def cmd_coverage(args) -> int:
     else:
         strategies = [(fid,) for fid in fs.ids()] + [tuple(fs.ids())]
     rep = simulate_coverage(ds, fs, strategies, xbar, trials, seed)
-    _emit_payload(rep.to_payload(), args)
+    _write(json_text(rep.to_payload()), args)
     return 0
 
 
@@ -360,18 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, profile=True):
+    def add_common(p):
         p.add_argument("--data", required=True, help="dataset CSV (see FORMATS.md)")
         p.add_argument("--extremes", help="file pinning the extreme set, one DMU name per line")
         p.add_argument("--support-scope", choices=["extremes", "all"], dest="support_scope")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if profile:
-            p.add_argument("--profile", help="named settings bundle (paper-985)")
+        p.add_argument("--profile", help="named settings bundle (paper-985)")
 
     p = sub.add_parser("validate", help="check a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_validate, profile=None)
+    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("extremes", help="extreme-efficiency test per DMU")
     add_common(p)
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=["robust", "closest", "russell", "all"], default="all")
     p.add_argument("--aggregation", choices=["table4-max", "paper-min"])
     p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="csv applies to the full table (--measure all); filtered output is json")
+                   help="csv needs --measure all (the full table); a single measure prints json only")
     p.set_defaults(fn=cmd_efficiency)
 
     p = sub.add_parser("scenario", help="two-stage revenue analysis")
@@ -403,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     post.add_argument("--delta", help="shorthand for --delta1")
     p.add_argument("--target", help="DMU whose point anchors the analysis")
     p.add_argument("--xbar", help="fixed input vector, comma-separated (default: target's inputs, else ones)")
-    p.set_defaults(fn=cmd_scenario, aggregation=None)
+    p.set_defaults(fn=cmd_scenario)
 
     p = sub.add_parser("coverage", help="Monte-Carlo strategy coverage")
     add_common(p)
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="0")
     p.add_argument("--strategies", help="semicolon-separated facet-id groups, e.g. '1;2;1,2'")
     p.add_argument("--xbar", help="fixed input vector, comma-separated (default: ones)")
-    p.set_defaults(fn=cmd_coverage, aggregation=None)
+    p.set_defaults(fn=cmd_coverage)
 
     p = sub.add_parser("report", help="full pipeline report")
     add_common(p)

@@ -32,7 +32,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError
 # solve_lp stays bound here for profilers that wrap it by this name.
-from .lp import FEASIBILITY_TOL, solve_lp  # noqa: F401
+from .lp import FEASIBILITY_TOL, pow2_scale, solve_lp  # noqa: F401
 
 FACET_CHUNK = 1024  # subsets per batched QR and SVD stage; bounds the chunk's arrays
 
@@ -53,10 +53,6 @@ class Facet:
     members: tuple[int, ...]
     u: np.ndarray
     v: np.ndarray
-
-    def value(self, y: np.ndarray, x: np.ndarray) -> float:
-        """Signed distance proxy u@y - v@x (zero on the hyperplane)."""
-        return float(np.sum(self.u * y) - np.sum(self.v * x))
 
 
 @dataclass(frozen=True)
@@ -267,8 +263,7 @@ def basic_solutions(
     residual is at most ftol.  No solution means r is infeasible.
     """
     M = np.column_stack([A, r])
-    mx = np.abs(M).max(axis=1)
-    M = M / np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
+    M = M / pow2_scale(np.abs(M).max(axis=1))[:, None]
     M, x = M[:, :-1], M[:, -1]
     rows: list[int] = []
     for i in range(len(M)):

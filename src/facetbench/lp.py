@@ -89,6 +89,11 @@ class LpProblem:
             raise SolverError(f"relations must be <=, =, >=: {self.relations}")
 
 
+def pow2_scale(mx: np.ndarray) -> np.ndarray:
+    """The power of two that brings each positive mx into [1, 2); 1 where mx is 0."""
+    return np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Solve outcome.  x and value are meaningful only when optimal.
@@ -133,6 +138,8 @@ def solve_lps(
     b = np.asarray(b, dtype=float)
     nprob, nvar = c.shape
     rows = len(relations)
+    if not _CODES.keys() >= set(relations):
+        raise SolverError(f"relations must be <=, =, >=: {relations}")
     if b.shape != (nprob, rows) or A.shape not in ((rows, nvar), (nprob, rows, nvar)):
         raise SolverError(f"stack shapes disagree: c {c.shape}, A {A.shape}, b {b.shape}, {rows} relations")
     out: list[LpSolution | SolverError | None] = [None] * nprob
@@ -199,8 +206,7 @@ def _tableaus(A, b, idx, nvar, codes, out):
     A = np.broadcast_to(A, (len(b),) + A.shape[-2:])[idx]
     A += 0.0
     b = b[idx]
-    mx = np.maximum(np.abs(A).max(axis=2, initial=0.0), np.abs(b))
-    scale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
+    scale = pow2_scale(np.maximum(np.abs(A).max(axis=2, initial=0.0), np.abs(b)))
     A /= scale[:, :, None]
     rhs = b / scale
     # Then scale each column by the power of two that brings its largest
@@ -208,8 +214,7 @@ def _tableaus(A, b, idx, nvar, codes, out):
     # a unit 1024 times too small is solved as if its unit were right.
     # Row maxima stay in [1, 2), since each sits in a column whose own
     # maximum it is.
-    mx = np.abs(A).max(axis=1, initial=0.0)
-    colscale = np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
+    colscale = pow2_scale(np.abs(A).max(axis=1, initial=0.0))
     A /= colscale[:, None, :]
 
     # Orient rhs nonnegative and classify rows.  An all-zero row is
@@ -311,8 +316,7 @@ def _phase2(st: _Stack, c: np.ndarray, out) -> None:
     # two of its largest entry, so reduced costs meet the tolerance at
     # the same scale whatever the caller's unit.
     cost = C / st.colscale
-    mx = np.abs(cost).max(axis=1, initial=0.0)
-    cost /= np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)[:, None]
+    cost /= pow2_scale(np.abs(cost).max(axis=1, initial=0.0))[:, None]
     T[:, nrow, :nvar] = cost + 0.0
     for i in range(nrow):
         cb = T[b, nrow, basis[:, i]][:, None]

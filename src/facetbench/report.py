@@ -1,4 +1,4 @@
-"""Run report assembly and emission.
+"""Run report assembly and rendering.
 
 The report is a plain dict of JSON-native values assembled in canonical
 order, serialized with sorted keys and no timestamps: two runs with the
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, json_text, write_text
+from .dataset import Dataset, json_text
 from .errors import DataError, FacetBenchError
 from .facets import DEDUP_TOL, POSITIVITY_TOL, RANK_TOL, SUPPORT_TOL, FacetSet, facet_checks, facet_export
 from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL
@@ -72,44 +70,30 @@ def _robust_payload(ds: Dataset, r: EfficiencyResult | RowError) -> dict:
     }
 
 
-@dataclass
-class RunReport:
-    payload: dict
-
-    def to_json(self) -> str:
-        return json_text(self.payload)
-
-    def to_csv(self) -> str:
-        ds_part = self.payload["dataset"]
-        rows = self.payload["results"]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = (
-            ["dmu"]
-            + [f"slack_{lb}" for lb in ds_part["output_labels"]]
-            + ["robust", "closest", "russell", "chosen_group", "warnings"]
-        )
-        writer.writerow(header)
-        for row in rows:
-            robust = row["robust"]
-            closest = row["closest"]
-            russell = row["russell"]
-            slacks = robust.get("slacks") if "error" not in robust else None
-            cells = [row["dmu"]]
-            if slacks is None:
-                cells += [""] * len(ds_part["output_labels"])
-            else:
-                cells += [repr(v) for v in slacks]
-            cells.append("" if "error" in robust else repr(robust["theta"]))
-            cells.append("" if closest["theta"] is None else repr(closest["theta"]))
-            cells.append("" if russell["theta"] is None else repr(russell["theta"]))
-            cells.append(str(robust.get("chosen_group", "")))
-            warn = list(robust.get("warnings", []))
-            if closest["status"] == "out-of-envelope":
-                warn.append("closest: out-of-envelope")
-            cells.append("; ".join(warn))
-            writer.writerow(cells)
-        return buf.getvalue()
+def _csv(payload: dict) -> str:
+    labels = payload["dataset"]["output_labels"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dmu"] + [f"slack_{lb}" for lb in labels]
+                    + ["robust", "closest", "russell", "chosen_group", "warnings"])
+    for row in payload["results"]:
+        robust = row["robust"]
+        closest = row["closest"]
+        russell = row["russell"]
+        cells = [row["dmu"]]
+        if "error" in robust:
+            cells += [""] * (len(labels) + 1)
+        else:
+            cells += [repr(v) for v in robust["slacks"]] + [repr(robust["theta"])]
+        cells.append("" if closest["theta"] is None else repr(closest["theta"]))
+        cells.append("" if russell["theta"] is None else repr(russell["theta"]))
+        cells.append(str(robust.get("chosen_group", "")))
+        warn = list(robust.get("warnings", []))
+        if closest["status"] == "out-of-envelope":
+            warn.append("closest: out-of-envelope")
+        cells.append("; ".join(warn))
+        writer.writerow(cells)
+    return buf.getvalue()
 
 
 def measure_rows(
@@ -141,9 +125,9 @@ def build_report(
     aggregation: str,
     data_path: str = "",
     profile: str | None = None,
-) -> RunReport:
-    """Assemble the full pipeline report (steps 1-4 plus both comparison
-    measures and the warnings ledger)."""
+) -> dict:
+    """The full pipeline report as a dict of JSON-native values (steps 1-4
+    plus both comparison measures and the warnings ledger)."""
     results = results_table(ds.names, {m: measure_rows(ds, fs, part, aggregation, m)
                                        for m in ("robust", "closest", "russell")})
     residuals, violations = facet_checks(ds, fs)
@@ -179,17 +163,13 @@ def build_report(
         "results": results,
         "warnings": warnings,
     }
-    return RunReport(payload)
+    return payload
 
 
-def emit(report: RunReport, fmt: str, path: str | Path | None) -> str:
-    """Serialize to json or csv; write to path when given, return the text."""
+def emit(payload: dict, fmt: str) -> str:
+    """The report's text: canonical json, or the csv results-table projection."""
     if fmt == "json":
-        text = report.to_json()
-    elif fmt == "csv":
-        text = report.to_csv()
-    else:
-        raise DataError(f"format must be json or csv, got {fmt!r}")
-    if path is not None:
-        write_text(path, text)
-    return text
+        return json_text(payload)
+    if fmt == "csv":
+        return _csv(payload)
+    raise DataError(f"format must be json or csv, got {fmt!r}")

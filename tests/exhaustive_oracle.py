@@ -13,6 +13,8 @@ import numpy as np
 
 from facetbench.lp import LpProblem, solve_lp
 
+from facet_oracle import facet_value
+
 
 def pattern_problem(x_o, y_o, X_ref, Y_ref, sigma) -> LpProblem:
     """Pattern sigma's LP for point (x_o, y_o): variables lambda (k), then
@@ -56,7 +58,7 @@ def facet_lp(facets, ds, o, k):
     s = ds.s
     x_o = ds.inputs[:, o]
     y_o = ds.outputs[:, o]
-    rhs = np.array([f.value(y_o, x_o) for f in facets.facets])
+    rhs = np.array([facet_value(f, y_o, x_o) for f in facets.facets])
     U = np.vstack([f.u for f in facets.facets])
     others = [i for i in range(len(U)) if i != k]
     A = np.vstack([U[k:k + 1], U[others]]) if others else U[k:k + 1]

@@ -107,6 +107,11 @@ def oracle_enumerate_facets(ds, extremes, scope="extremes"):
     return oracle_facet_set(ds, found, extremes, scope, examined)
 
 
+def facet_value(facet, y, x):
+    """Signed distance proxy u@y - v@x of one facet at one point (zero on its hyperplane)."""
+    return float(np.sum(facet.u * y) - np.sum(facet.v * x))
+
+
 def oracle_residual(ds, facet, j):
     """Scaled residual u@y_j - v@x_j of one facet at one DMU."""
-    return facet.value(ds.outputs[:, j], ds.inputs[:, j]) / _row_norms(ds)[j]
+    return facet_value(facet, ds.outputs[:, j], ds.inputs[:, j]) / _row_norms(ds)[j]

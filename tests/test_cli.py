@@ -518,6 +518,8 @@ INPUT_FAULTS = {
     "scenario-empty-table": ({"p.json": '{"table": {}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-key-not-number": ({"p.json": '{"table": {"a": [1, 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
     "scenario-price-not-number": ({"p.json": '{"table": {"0": ["x", 2, 3]}}'}, ["scenario", "--prices", "p.json"]),
+    # the csv projection is of the full table: --format csv needs --measure all
+    "efficiency-csv-single-measure": ({}, ["efficiency", "--measure", "russell", "--format", "csv"]),
     "xbar-nan": ({}, ["coverage", "--trials", "10", "--xbar", "nan"]),
     "xbar-inf": ({}, ["coverage", "--trials", "10", "--xbar", "inf"]),
     "xbar-digit-separator": ({}, ["coverage", "--trials", "10", "--xbar", "1_0"]),
@@ -581,6 +583,13 @@ def test_trials_beyond_the_bound_error_names_it(capsys, data_dir):
                          "--trials", str(MAX_TRIALS + 1))
     assert (code, out) == (1, "")
     assert f"[1, {MAX_TRIALS}]" in err
+
+
+def test_efficiency_csv_of_one_measure_error_names_the_rule(capsys, data_dir):
+    code, out, err = run(capsys, "efficiency", "--data", str(data_dir / "toy_isoquant_a.csv"),
+                         "--measure", "closest", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "--format csv needs --measure all" in err
 
 
 @pytest.mark.parametrize("dmu", ["RUC", "PKU"])

@@ -143,6 +143,14 @@ def test_stack_shapes_must_agree():
         lp.solve_lps(np.zeros((2, 3)), np.ones((3, 2, 3)), ("<=", "="), np.zeros((2, 2)))
 
 
+def test_unknown_relation_is_a_solver_error():
+    # the message LpProblem gives for the same relations
+    for solve in (lambda: lp.solve_lps(np.ones((1, 2)), np.ones((1, 2)), ("<",), np.ones((1, 1))),
+                  lambda: lp.LpProblem("min", np.ones(2), np.ones((1, 2)), ("<",), np.ones(1))):
+        with pytest.raises(SolverError, match=r"relations must be <=, =, >=: \('<',\)"):
+            solve()
+
+
 def test_layers_batched_equal_one_dmu_at_a_time(uni985, uni_facets):
     dmus = range(uni985.n)
     for batched, single in (

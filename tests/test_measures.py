@@ -8,6 +8,7 @@ from facetbench.measures import closest_on_efpps, extreme_set, russell_farthest
 from facetbench.profiles import PAPER_985_EXTREMES
 
 from conftest import envelope_verdicts
+from facet_oracle import facet_value
 
 
 def extreme_test(ds, o):
@@ -121,7 +122,7 @@ def test_closest_target_touches_boundary(uni985, uni_facets):
         o = uni985.index(name)
         r = closest_on_efpps(uni_facets, uni985, [o])[0]
         target = uni985.outputs[:, o] + r.slacks
-        vals = np.array([f.value(target, uni985.inputs[:, o]) for f in uni_facets.facets])
+        vals = np.array([facet_value(f, target, uni985.inputs[:, o]) for f in uni_facets.facets])
         scale = max(1.0, float(np.max(np.abs(vals))))
         assert np.max(vals) <= 1e-7 * scale          # inside every half-space
         assert np.max(vals) >= -1e-7 * scale         # and touching one
@@ -140,7 +141,7 @@ def test_out_of_envelope_is_an_envelope_violation(data_dir, data, pinned, scope,
     ds = fb.load_dataset(data_dir / data)
     ext = extreme_set(ds, override=PAPER_985_EXTREMES if pinned else None)
     fs = fb.enumerate_facets(ds, ext.indices, scope)
-    payload = fb.build_report(ds, ext, fs, fb.partition_robust(fs), "table4-max").payload
+    payload = fb.build_report(ds, ext, fs, fb.partition_robust(fs), "table4-max")
     assert envelope_verdicts(payload) == (outside, outside)
 
 

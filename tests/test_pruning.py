@@ -20,6 +20,7 @@ from facetbench.profiles import PAPER_985_EXTREMES
 from facetbench.signpattern import RAY_MARGIN
 
 from exhaustive_oracle import exhaustive_closest, exhaustive_sign_pattern, facet_lp
+from facet_oracle import facet_value
 
 
 def bits(a) -> bytes:
@@ -115,7 +116,7 @@ def facet_case(y_o, rows):
 def lower_bounds(fs, ds, o=0):
     """The closed-form bound of each facet's LP, as the package forms it."""
     y_o = ds.outputs[:, o]
-    rhs = np.array([f.value(y_o, ds.inputs[:, o]) for f in fs.facets])
+    rhs = np.array([facet_value(f, y_o, ds.inputs[:, o]) for f in fs.facets])
     U = np.vstack([f.u for f in fs.facets])
     c = 1.0 / (ds.s * y_o)
     return np.where(np.all(U > 0, axis=1), -rhs * np.min(c / np.where(U > 0, U, 1.0), axis=1), 0.0)
