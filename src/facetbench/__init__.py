@@ -30,10 +30,9 @@ _EXPORTS = {
     "report": ("build_report", "emit"),
     "robust": ("EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"),
     "scenario": (
-        "AssumptionReport", "CoverageReport", "FacetTables", "OptimalPoint", "PriceSampler",
-        "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum", "facet_tables",
-        "global_optimum", "load_scenario", "price_at", "revenue", "simulate_coverage",
-        "uniqueness_diagnostics",
+        "CoverageReport", "FacetTables", "OptimalPoint", "PriceSampler", "PriceScenario", "check_assumptions",
+        "facet_optimum", "facet_tables", "global_optimum", "load_scenario", "price_at", "revenue",
+        "simulate_coverage", "uniqueness_diagnostics",
     ),
     "signpattern": ("SignPatternResult", "solve_sign_pattern"),
     "cli": (),

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import json_text, load_dataset, parse_dataset, parse_float, read_text, validate_dataset, write_text
-from .errors import DataError, FacetBenchError, FacetInfeasibleError, SolverError
+from .errors import DataError, FacetBenchError, SolverError
 
 if TYPE_CHECKING:
     from .facets import enumerate_facets, facet_checks, facet_export
@@ -32,17 +32,7 @@ if TYPE_CHECKING:
     from .partition import partition_export, partition_robust
     from .profiles import get_profile
     from .report import build_report, emit, measure_rows, results_table
-    from .scenario import (
-        check_assumptions,
-        facet_optimum,
-        facet_tables,
-        global_optimum,
-        load_scenario,
-        price_at,
-        revenue,
-        simulate_coverage,
-        uniqueness_diagnostics,
-    )
+    from .scenario import load_scenario, scenario_payload, simulate_coverage
 
 # module -> the names its commands call, bound in this namespace when main
 # runs a command that uses the module (_COMMANDS), or on first attribute
@@ -55,10 +45,7 @@ _DEFERRED = {
     "partition": ("partition_export", "partition_robust"),
     "profiles": ("get_profile",),
     "report": ("build_report", "emit", "measure_rows", "results_table"),
-    "scenario": (
-        "check_assumptions", "facet_optimum", "facet_tables", "global_optimum", "load_scenario", "price_at",
-        "revenue", "simulate_coverage", "uniqueness_diagnostics",
-    ),
+    "scenario": ("load_scenario", "scenario_payload", "simulate_coverage"),
 }
 
 _DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
@@ -268,60 +255,11 @@ def cmd_scenario(args) -> int:
     sc = load_scenario(args.prices)
     if sc.s != ds.s:
         raise DataError(f"scenario has {sc.s} outputs, dataset has {ds.s}")
-    if args.xbar is not None:
-        xbar = _parse_xbar(args.xbar, ds.m)
-    elif args.target:
+    if args.target and args.xbar is None:
         xbar = ds.inputs[:, ds.index(args.target)]
     else:
-        xbar = np.ones(ds.m)
-    payload = {
-        "data": args.data,
-        "xbar": [float(v) for v in xbar],
-        "prices": {
-            "at_delta0": [float(v) for v in price_at(sc, d0)],
-            "at_delta1": [float(v) for v in price_at(sc, d1)],
-        },
-        "facet_optima_delta1": [],
-        "global": {},
-    }
-    tables = facet_tables(ds, fs, xbar)
-    for f in fs.facets:
-        try:
-            opt = facet_optimum(tables, f.id, sc, d1)
-        except FacetInfeasibleError:
-            entry = {"value": None, "outputs": None, "uniqueness": None}
-        else:
-            entry = {
-                "value": opt.value, "outputs": [float(v) for v in opt.outputs],
-                "uniqueness": uniqueness_diagnostics(tables, f.id, sc, d1),
-            }
-        payload["facet_optima_delta1"].append({"facet": f.id, **entry})
-    for tag, dd in (("delta0", d0), ("delta1", d1)):
-        best, owners = global_optimum(tables, sc, dd)
-        payload["global"][tag] = {
-            "value": best.value, "outputs": [float(v) for v in best.outputs],
-            "owning_facets": list(owners),
-        }
-    if args.target:
-        o = ds.index(args.target)
-        yhat = ds.outputs[:, o]
-        rep = check_assumptions(ds, fs, tables, sc, yhat, d0, d1)
-        payload["target"] = {
-            "dmu": args.target,
-            "revenue_delta0": revenue(yhat, sc, d0),
-            "revenue_delta1": revenue(yhat, sc, d1),
-            "assumptions": {
-                "assumption1_holds": rep.assumption1_holds,
-                "assumption2_holds": rep.assumption2_holds,
-                "revenue_violations": list(rep.revenue_violations),
-                "recovery_entries": list(rep.recovery_entries),
-            },
-            "withstand": [
-                {"facet": entry["facet"], "wr": wr.wr, "bound": wr.bound, "within_bound": wr.within_bound}
-                for entry, wr in zip(rep.recovery_entries, rep.withstand)
-            ],
-        }
-    _write(json_text(payload), args)
+        xbar = _parse_xbar(args.xbar, ds.m)
+    _write(json_text({"data": args.data, **scenario_payload(ds, fs, sc, xbar, d0, d1, args.target)}), args)
     return 0
 
 
@@ -427,8 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out == "":
-            raise DataError("bad --out '': expected a file path")
+        for dest, value in vars(args).items():
+            if value == "":
+                what = "a file path" if dest in ("data", "extremes", "out", "prices") else "a nonempty value"
+                raise DataError(f"bad --{dest.replace('_', '-')} '': expected {what}")
         return args.fn(args)
     except SolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

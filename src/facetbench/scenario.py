@@ -211,6 +211,8 @@ def facet_tables(ds: Dataset, facets: FacetSet, xbar: np.ndarray) -> FacetTables
     xbar = np.asarray(xbar, dtype=float).reshape(-1)
     if xbar.size != ds.m:
         raise DataError(f"input vector length {xbar.size} != m = {ds.m}")
+    if not np.all(xbar >= sys.float_info.min):
+        raise DataError(f"input vector {xbar.tolist()} must be positive and normal (each component >= 2**-1022)")
     vertices = {}
     for f in facets.facets:
         cols = list(f.members)
@@ -227,25 +229,6 @@ class OptimalPoint:
     facet_id: int
     outputs: np.ndarray
     value: float
-
-
-@dataclass(frozen=True)
-class WithstandResult:
-    wr: float
-    bound: float
-    within_bound: bool
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    assumption1_holds: bool
-    assumption2_holds: bool
-    revenue_violations: tuple[dict, ...]   # per anchor-facet generator: risk raised revenue
-    recovery_entries: tuple[dict, ...]     # per containing facet: bound check
-    withstand: tuple[WithstandResult, ...]   # per containing facet, as recovery_entries
-
-    def ok(self) -> bool:
-        return self.assumption1_holds and self.assumption2_holds
 
 
 def _ties(values: np.ndarray, where: str) -> np.ndarray:
@@ -313,7 +296,7 @@ def check_assumptions(
     yhat: np.ndarray,
     delta0: float,
     delta1: float,
-) -> AssumptionReport:
+) -> dict:
     """Verify the two revenue assumptions for a two-stage (delta0,
     delta1) analysis anchored at the point yhat.
 
@@ -322,6 +305,9 @@ def check_assumptions(
     facet's generators implies it on the whole facet cone; recovery
     boundedness is checked directly per containing facet, and each
     containing facet's withstand capacity comes from the same optimum.
+    Returns the scenario JSON's target section but its ``dmu``:
+    ``revenue_delta0``, ``revenue_delta1``, ``assumptions`` and one
+    ``withstand`` row per containing facet, as JSON-native values.
     """
     yhat = np.asarray(yhat, dtype=float)
     containing = [f for f in facets.facets if facet_contains(f, ds, tables.xbar, yhat)]
@@ -354,14 +340,20 @@ def check_assumptions(
         )
         # recoverable within the facet, against the gap; both are revenue differences, judged at |r_hat0|
         wr = opt1.value - r_hat1
-        withstand.append(WithstandResult(wr=wr, bound=gap, within_bound=wr <= gap + OWNERSHIP_RTOL * abs(r_hat0)))
-    return AssumptionReport(
-        assumption1_holds=not violations,
-        assumption2_holds=all(e["holds"] for e in entries),
-        revenue_violations=tuple(violations),
-        recovery_entries=tuple(entries),
-        withstand=tuple(withstand),
-    )
+        withstand.append(
+            {"facet": f.id, "wr": wr, "bound": gap, "within_bound": wr <= gap + OWNERSHIP_RTOL * abs(r_hat0)}
+        )
+    return {
+        "revenue_delta0": r_hat0,
+        "revenue_delta1": r_hat1,
+        "assumptions": {
+            "assumption1_holds": not violations,
+            "assumption2_holds": all(e["holds"] for e in entries),
+            "revenue_violations": violations,
+            "recovery_entries": entries,
+        },
+        "withstand": withstand,
+    }
 
 
 @np.errstate(over="ignore")
@@ -381,6 +373,33 @@ def uniqueness_diagnostics(tables: FacetTables, facet_id: int, sc: PriceScenario
         return "unique"
     return "facet-degenerate" if tied == len(points) else "edge-degenerate"
 
+
+def scenario_payload(
+    ds: Dataset, facets: FacetSet, sc: PriceScenario, xbar: np.ndarray, delta0: float, delta1: float, target: str | None
+) -> dict:
+    """The scenario command's JSON but its ``data`` echo: the prices at
+    both deltas, each facet's delta1 optimum, the global optimum at
+    delta0 and delta1 and, when target names a DMU, its section from
+    check_assumptions.  Each facet's vertex table is built once, at xbar."""
+    prices = {"at_delta0": price_at(sc, delta0).tolist(), "at_delta1": price_at(sc, delta1).tolist()}
+    tables = facet_tables(ds, facets, xbar)
+    optima = []
+    for f in facets.facets:
+        entry = {"facet": f.id, "value": None, "outputs": None, "uniqueness": None}
+        if len(tables.vertices[f.id]):
+            opt = facet_optimum(tables, f.id, sc, delta1)
+            entry.update(value=opt.value, outputs=opt.outputs.tolist(),
+                         uniqueness=uniqueness_diagnostics(tables, f.id, sc, delta1))
+        optima.append(entry)
+    best = {}
+    for tag, delta in (("delta0", delta0), ("delta1", delta1)):
+        point, owners = global_optimum(tables, sc, delta)
+        best[tag] = {"value": point.value, "outputs": point.outputs.tolist(), "owning_facets": list(owners)}
+    payload = {"xbar": tables.xbar.tolist(), "prices": prices, "facet_optima_delta1": optima, "global": best}
+    if target:
+        yhat = ds.outputs[:, ds.index(target)]
+        payload["target"] = {"dmu": target, **check_assumptions(ds, facets, tables, sc, yhat, delta0, delta1)}
+    return payload
 
 _MASK64 = 2**64 - 1
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)   # round multipliers

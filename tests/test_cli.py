@@ -179,6 +179,9 @@ SCENARIO_985 = ["scenario", "--data", "data/universities_985.csv", "--profile", 
 SCENARIO_985_DIGESTS = {
     "target-WHU": (["--target", "WHU"], "afebc00b85e1c161dd4a30dca954c5adfef3f34402d49bea1779f415944cbe78"),
     "xbar-2000-100": (["--xbar", "2000,100"], "93b5e00c701b34a6aedc0d1f809534d687a71c72ded68b7ef5b7862a2a892635"),
+    # WHU's own inputs given as --xbar: the same bytes as target-WHU
+    "target-WHU-xbar-own-inputs": (["--target", "WHU", "--xbar", "2579,344.467"],
+                                   "afebc00b85e1c161dd4a30dca954c5adfef3f34402d49bea1779f415944cbe78"),
 }
 
 
@@ -463,13 +466,26 @@ OUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-def test_empty_out_is_an_input_error(capsys, data_dir, monkeypatch, command):
+# case -> (argv on the toy dataset, the flag given as "", what it expects):
+# --out in every command, each case named by its command, then the flags
+# that used to be ignored when empty, so that the command exited 0
+EMPTY_FLAGS = {
+    **{command: ([command, *extra], "--out", "a file path") for command, extra in OUT_COMMANDS.items()},
+    "report-profile": (["report"], "--profile", "a nonempty value"),
+    "report-extremes": (["report"], "--extremes", "a file path"),
+    "scenario-target": (["scenario", *OUT_COMMANDS["scenario"]], "--target", "a nonempty value"),
+    "coverage-strategies": (["coverage", *OUT_COMMANDS["coverage"]], "--strategies", "a nonempty value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_FLAGS))
+def test_empty_out_is_an_input_error(capsys, data_dir, monkeypatch, case):
     # `report` and `efficiency` used to try to write the path "", the
     # other commands to print to stdout
+    (command, *extra), flag, what = EMPTY_FLAGS[case]
     monkeypatch.chdir(data_dir.parent)
-    argv = [command, "--data", "data/toy_isoquant_a.csv", *OUT_COMMANDS[command], "--out", ""]
-    assert run(capsys, *argv) == (1, "", "error: bad --out '': expected a file path\n")
+    argv = [command, "--data", "data/toy_isoquant_a.csv", *extra, flag, ""]
+    assert run(capsys, *argv) == (1, "", f"error: bad {flag} '': expected {what}\n")
 
 
 UNI_985 = (Path(__file__).resolve().parents[1] / "data" / "universities_985.csv").read_text()
@@ -523,6 +539,19 @@ INPUT_FAULTS = {
     "xbar-nan": ({}, ["coverage", "--trials", "10", "--xbar", "nan"]),
     "xbar-inf": ({}, ["coverage", "--trials", "10", "--xbar", "inf"]),
     "xbar-digit-separator": ({}, ["coverage", "--trials", "10", "--xbar", "1_0"]),
+    # xbar must be positive and normal: these used to exit 0, at zero with
+    # every facet owning every trial, and subnormal with owners and counts
+    # that differ from those at (1, 1)
+    "xbar-zero": ({}, ["coverage", "--trials", "5", "--xbar", "0"]),
+    "coverage-xbar-subnormal": (
+        {"d.csv": UNI_985},
+        ["coverage", "--data", "d.csv", "--profile", "paper-985", "--trials", "300", "--xbar",
+         f"{2.0**-1060!r},{2.0**-1060!r}"],
+    ),
+    "scenario-xbar-subnormal": (
+        {"d.csv": UNI_985, "p.json": TOY_TABLE},
+        ["scenario", "--data", "d.csv", "--profile", "paper-985", "--prices", "p.json", "--xbar", "1e-320,1e-320"],
+    ),
     "cell-digit-separator": (
         {"d.csv": "dmu,in:a,out:b,out:c\nA,1,1_0,2\nB,1,2,3\n"}, ["extremes", "--data", "d.csv"],
     ),

@@ -29,10 +29,9 @@ PUBLIC = {
     "partition": ["RobustGroup", "RobustPartition", "membership_map", "partition_export", "partition_robust"],
     "report": ["build_report", "emit"],
     "robust": ["EfficiencyResult", "GroupResult", "RowError", "batch_evaluate"],
-    "scenario": ["AssumptionReport", "CoverageReport", "FacetTables", "OptimalPoint",
-                 "PriceSampler", "PriceScenario", "WithstandResult", "check_assumptions", "facet_optimum",
-                 "facet_tables", "global_optimum", "load_scenario", "price_at", "revenue",
-                 "simulate_coverage", "uniqueness_diagnostics"],
+    "scenario": ["CoverageReport", "FacetTables", "OptimalPoint", "PriceSampler", "PriceScenario",
+                 "check_assumptions", "facet_optimum", "facet_tables", "global_optimum", "load_scenario",
+                 "price_at", "revenue", "simulate_coverage", "uniqueness_diagnostics"],
     "signpattern": ["SignPatternResult", "solve_sign_pattern"],
 }
 
@@ -86,7 +85,7 @@ def test_every_public_name_is_its_home_object():
         "                  'dir': sorted(set(dir(facetbench)) & set(same)), 'version': facetbench.__version__}))"
     )
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 50
+    assert len(names) == 48
     assert sorted(out["same"]) == names
     assert all(out["same"].values())
     assert out["missing"] == "module 'facetbench' has no attribute 'no_such_name' / ImportError"

@@ -11,7 +11,6 @@ from facetbench.scenario import (
     OWNERSHIP_RTOL,
     PriceSampler,
     PriceScenario,
-    WithstandResult,
     check_assumptions,
     facet_optimum,
     facet_tables,
@@ -132,18 +131,19 @@ def test_theorem5_facet_below_global(toy_facets, toy_tables, toy_scenario):
 def test_withstand_capacity(toy_a, toy_facets, toy_tables, toy_scenario):
     yF = toy_a.outputs[:, toy_a.index("F")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yF, 0.0, 1.0)
-    assert [e["facet"] for e in rep.recovery_entries] == [1]  # F lies on facet 1 only
-    (res,) = rep.withstand
-    assert res.wr == pytest.approx(553.8, abs=1e-9)
-    assert res.bound == pytest.approx(898.8, abs=1e-9)
-    assert res.within_bound
+    assert [e["facet"] for e in rep["assumptions"]["recovery_entries"]] == [1]  # F lies on facet 1 only
+    (res,) = rep["withstand"]
+    assert res["facet"] == 1
+    assert res["wr"] == pytest.approx(553.8, abs=1e-9)
+    assert res["bound"] == pytest.approx(898.8, abs=1e-9)
+    assert res["within_bound"]
 
 
 def test_withstand_zero_at_post_risk_optimum(toy_a, toy_facets, toy_tables, toy_scenario):
     yC = toy_a.outputs[:, toy_a.index("C")]  # facet-1 post-risk optimum
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yC, 0.0, 1.0)
-    assert rep.recovery_entries[0]["facet"] == 1
-    assert rep.withstand[0].wr == pytest.approx(0.0, abs=1e-9)
+    assert rep["assumptions"]["recovery_entries"][0]["facet"] == 1
+    assert rep["withstand"][0]["wr"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_withstand_requires_on_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
@@ -151,8 +151,8 @@ def test_withstand_requires_on_facet_point(toy_a, toy_facets, toy_tables, toy_sc
     # lies on no facet at all
     yD = toy_a.outputs[:, toy_a.index("D")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yD, 0.0, 1.0)
-    assert [e["facet"] for e in rep.recovery_entries] == [2]
-    assert len(rep.withstand) == 1
+    assert [e["facet"] for e in rep["assumptions"]["recovery_entries"]] == [2]
+    assert len(rep["withstand"]) == 1
     yF = toy_a.outputs[:, toy_a.index("F")]
     with pytest.raises(fb.DataError, match="lies on no facet"):
         check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, 0.5 * yF, 0.0, 1.0)
@@ -172,8 +172,8 @@ def test_residual_losses(toy_a, toy_facets, toy_tables, toy_scenario):
 def test_assumptions_toy(toy_a, toy_facets, toy_tables, toy_scenario):
     yF = toy_a.outputs[:, toy_a.index("F")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yF, 0.0, 1.0)
-    assert rep.assumption1_holds and rep.assumption2_holds
-    assert rep.recovery_entries[0]["post_risk_optimum"] == pytest.approx(1509.0, abs=1e-9)
+    assert rep["assumptions"]["assumption1_holds"] and rep["assumptions"]["assumption2_holds"]
+    assert rep["assumptions"]["recovery_entries"][0]["post_risk_optimum"] == pytest.approx(1509.0, abs=1e-9)
     # theorem-3 form: global recovery bounded by the pre-risk revenue
     best1, _ = global_optimum(toy_tables, toy_scenario, 1.0)
     assert best1.value <= revenue(yF, toy_scenario, 0.0) + 1e-9
@@ -185,18 +185,22 @@ def test_assumptions_carry_each_containing_facets_withstand(toy_a, toy_facets, t
     # C's revenue loss
     yC = toy_a.outputs[:, toy_a.index("C")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, yC, 0.0, 1.0)
-    assert [e["facet"] for e in rep.recovery_entries] == list(toy_facets.ids()) == [1, 2]
+    assert [e["facet"] for e in rep["assumptions"]["recovery_entries"]] == list(toy_facets.ids()) == [1, 2]
     r0, r1 = revenue(yC, toy_scenario, 0.0), revenue(yC, toy_scenario, 1.0)
+    assert (rep["revenue_delta0"], rep["revenue_delta1"]) == (r0, r1)
     expected = []
     for f in toy_facets.facets:
         wr = facet_optimum(toy_tables, f.id, toy_scenario, 1.0).value - r1
-        expected.append(WithstandResult(wr=wr, bound=r0 - r1, within_bound=wr <= r0 - r1))
-    assert rep.withstand == tuple(expected)
+        expected.append({"facet": f.id, "wr": wr, "bound": r0 - r1, "within_bound": wr <= r0 - r1})
+    assert rep["withstand"] == expected
 
 
 def test_facet_tables_check_their_inputs(toy_a, toy_facets, toy_tables, toy_scenario):
     with pytest.raises(fb.DataError, match="input vector length 2 != m = 1"):
         facet_tables(toy_a, toy_facets, np.array([1.0, 1.0]))
+    for xbar in (0.0, -1.0, 2.0**-1060):
+        with pytest.raises(fb.DataError, match="must be positive and normal"):
+            facet_tables(toy_a, toy_facets, np.array([xbar]))
     with pytest.raises(fb.DataError, match="no vertex table for facet 9"):
         facet_optimum(toy_tables, 9, toy_scenario, 1.0)
 
@@ -210,9 +214,9 @@ def test_assumptions_violated_by_rising_prices(toy_a, toy_facets, toy_tables):
     )
     yF = toy_a.outputs[:, toy_a.index("F")]
     rep = check_assumptions(toy_a, toy_facets, toy_tables, rising, yF, 0.0, 1.0)
-    assert not rep.assumption1_holds
+    assert not rep["assumptions"]["assumption1_holds"]
     # every anchor-facet generator gains revenue
-    assert {v["dmu"] for v in rep.revenue_violations} == {"A", "B", "C"}
+    assert {v["dmu"] for v in rep["assumptions"]["revenue_violations"]} == {"A", "B", "C"}
 
 
 def test_assumptions_identity_delta(toy_a, toy_facets, toy_tables, toy_scenario):
@@ -220,8 +224,8 @@ def test_assumptions_identity_delta(toy_a, toy_facets, toy_tables, toy_scenario)
     # anchor point is the facet optimum itself
     opt = facet_optimum(toy_tables, toy_facets.facets[0].id, toy_scenario, 0.5)
     rep = check_assumptions(toy_a, toy_facets, toy_tables, toy_scenario, opt.outputs, 0.5, 0.5)
-    assert rep.assumption1_holds and rep.assumption2_holds
-    entry = next(e for e in rep.recovery_entries if e["facet"] == 1)
+    assert rep["assumptions"]["assumption1_holds"] and rep["assumptions"]["assumption2_holds"]
+    entry = next(e for e in rep["assumptions"]["recovery_entries"] if e["facet"] == 1)
     assert entry["post_risk_optimum"] == pytest.approx(entry["pre_risk_revenue"], rel=1e-12)
 
 
@@ -232,11 +236,12 @@ def test_withstand_within_bound_at_identity_delta_985(uni985, uni_facets, whu_ta
     # wr <= gap is then the same verdict as the recovery check
     yhat = uni985.outputs[:, uni985.index("WHU")]
     rep = check_assumptions(uni985, uni_facets, whu_tables, toy_scenario, yhat, 0.0, 0.0)
-    assert [(e["facet"], w.bound) for e, w in zip(rep.recovery_entries, rep.withstand)] == [
-        (k, 0.0) for k in (1, 2, 5, 6, 9, 10, 12, 13)]
-    assert 0.0 < rep.withstand[0].wr < 1e-10
-    within = [w.within_bound for w in rep.withstand]
-    assert within == [e["holds"] for e in rep.recovery_entries] == [True] * 4 + [False] * 3 + [True]
+    entries = rep["assumptions"]["recovery_entries"]
+    assert [(e["facet"], w["facet"], w["bound"]) for e, w in zip(entries, rep["withstand"])] == [
+        (k, k, 0.0) for k in (1, 2, 5, 6, 9, 10, 12, 13)]
+    assert 0.0 < rep["withstand"][0]["wr"] < 1e-10
+    within = [w["within_bound"] for w in rep["withstand"]]
+    assert within == [e["holds"] for e in entries] == [True] * 4 + [False] * 3 + [True]
 
 
 def test_assumptions_require_facet_point(toy_a, toy_facets, toy_tables, toy_scenario):
