@@ -28,7 +28,7 @@ from .errors import DataError, FacetBenchError, SolverError
 
 if TYPE_CHECKING:
     from .facets import enumerate_facets, facet_checks, facet_export
-    from .measures import extreme_set, extremes_export
+    from .measures import extreme_set, extremes_export, pinned_indices
     from .partition import partition_export, partition_robust
     from .profiles import get_profile
     from .report import build_report, emit, measure_rows, results_table
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 # on this module's binding beforehand is the object the command calls.
 _DEFERRED = {
     "facets": ("enumerate_facets", "facet_checks", "facet_export"),
-    "measures": ("extreme_set", "extremes_export"),
+    "measures": ("extreme_set", "extremes_export", "pinned_indices"),
     "partition": ("partition_export", "partition_robust"),
     "profiles": ("get_profile",),
     "report": ("build_report", "emit", "measure_rows", "results_table"),
@@ -174,11 +174,19 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _pipeline(args):
+def _pipeline(args, report: bool = False):
+    """(dataset, extreme-set result, facets, aggregation).  The extreme
+    test runs when no set is pinned, or for a report, which prints the
+    test's discrepancy with the pin; a pinned set is otherwise resolved
+    without it, and the result is None."""
     ds = load_dataset(args.data)
     override, scope, aggregation = _settings(args)
-    ext = extreme_set(ds, override)
-    fs = enumerate_facets(ds, ext.indices, scope)
+    if report or override is None:
+        ext = extreme_set(ds, override)
+        extremes = ext.indices
+    else:
+        ext, extremes = None, pinned_indices(ds, override)
+    fs = enumerate_facets(ds, extremes, scope)
     return ds, ext, fs, aggregation
 
 
@@ -210,7 +218,7 @@ def cmd_facets(args) -> int:
     payload = {
         "data": args.data,
         "support_scope": fs.scope,
-        "extremes": [ds.names[d] for d in ext.indices],
+        "extremes": [ds.names[d] for d in fs.extremes],
         "facets": facet_export(ds, fs, facet_checks(ds, fs)[0]),
         "subsets_examined": fs.subsets_examined,
         "warnings": list(fs.warnings),
@@ -239,7 +247,7 @@ def cmd_efficiency(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ds, ext, fs, aggregation = _pipeline(args)
+    ds, ext, fs, aggregation = _pipeline(args, report=True)
     report = build_report(ds, ext, fs, partition_robust(fs), aggregation, data_path=args.data, profile=args.profile)
     _write(emit(report, args.format), args)
     return 0

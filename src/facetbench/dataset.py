@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ def json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken dataset invariant, with enough context to locate it."""
 
     rule: str
@@ -89,41 +88,65 @@ class Violation:
         return f"{self.rule}({where}): {self.message}" if where else f"{self.rule}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _ReadOnly:
+    """Base of the read-only plain classes (Dataset, FacetSet,
+    PriceScenario): __init__ sets the fields once, through _set, and
+    assigning or deleting a field afterwards raises AttributeError.  The
+    repr names every field, in the order of the class's __slots__."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set every field, in the order of the class's __slots__."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class Dataset(_ReadOnly):
     """Named DMUs with an m-input by n and s-output by n data block.
 
     Column j of both matrices belongs to DMU ``names[j]``.  Arrays are
-    frozen after construction; all reads are safe to share across threads.
+    frozen after construction and no field can be reassigned; all reads
+    are safe to share across threads.
     """
+
+    __slots__ = ("names", "inputs", "outputs", "input_labels", "output_labels")
 
     names: tuple[str, ...]
     inputs: np.ndarray
     outputs: np.ndarray
-    input_labels: tuple[str, ...] = ()
-    output_labels: tuple[str, ...] = ()
+    input_labels: tuple[str, ...]
+    output_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        inputs = np.ascontiguousarray(np.asarray(self.inputs, dtype=float))
-        outputs = np.ascontiguousarray(np.asarray(self.outputs, dtype=float))
+    def __init__(self, names, inputs, outputs, input_labels=(), output_labels=()):
+        inputs = np.ascontiguousarray(np.asarray(inputs, dtype=float))
+        outputs = np.ascontiguousarray(np.asarray(outputs, dtype=float))
         if inputs.ndim != 2 or outputs.ndim != 2:
             raise DataError("inputs and outputs must be 2-D matrices (dims x DMUs)")
-        n = len(self.names)
+        n = len(names)
         if inputs.shape[1] != n or outputs.shape[1] != n:
             raise DataError(
                 f"column counts {inputs.shape[1]}/{outputs.shape[1]} do not match {n} DMU names"
             )
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.input_labels:
-            object.__setattr__(self, "input_labels", tuple(f"x{i+1}" for i in range(inputs.shape[0])))
-        if not self.output_labels:
-            object.__setattr__(self, "output_labels", tuple(f"y{r+1}" for r in range(outputs.shape[0])))
-        if len(self.input_labels) != inputs.shape[0] or len(self.output_labels) != outputs.shape[0]:
+        if not input_labels:
+            input_labels = tuple(f"x{i+1}" for i in range(inputs.shape[0]))
+        if not output_labels:
+            output_labels = tuple(f"y{r+1}" for r in range(outputs.shape[0]))
+        if len(input_labels) != inputs.shape[0] or len(output_labels) != outputs.shape[0]:
             raise DataError("label counts do not match matrix row counts")
         inputs.flags.writeable = False
         outputs.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
+        self._set(tuple(names), inputs, outputs, input_labels, output_labels)
 
     @property
     def n(self) -> int:

@@ -24,12 +24,11 @@ host, NumPy 2.4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _ReadOnly
 from .errors import DataError
 # solve_lp stays bound here for profilers that wrap it by this name.
 from .lp import FEASIBILITY_TOL, pow2_scale, solve_lp  # noqa: F401
@@ -44,8 +43,7 @@ DEDUP_TOL = 1e-7       # distance between unit normals
 QR_MARGIN = 64.0 * np.finfo(float).eps / RANK_TOL  # the QR prefilter's margin (see above)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One facet: spanning members (dataset indices, ascending) and the
     unit normal split into output part u and input part v, both > 0."""
 
@@ -55,13 +53,20 @@ class Facet:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class FacetSet:
+class FacetSet(_ReadOnly):
+    """The facets of one extreme set, in canonical order, with the
+    extreme indices and support scope they were enumerated under."""
+
+    __slots__ = ("facets", "extremes", "scope", "warnings", "subsets_examined")
+
     facets: tuple[Facet, ...]
     extremes: tuple[int, ...]
     scope: str
-    warnings: tuple[str, ...] = ()
-    subsets_examined: int = 0
+    warnings: tuple[str, ...]
+    subsets_examined: int
+
+    def __init__(self, facets, extremes, scope, warnings=(), subsets_examined=0):
+        self._set(facets, extremes, scope, warnings, subsets_examined)
 
     def __len__(self) -> int:
         return len(self.facets)
@@ -261,6 +266,10 @@ def basic_solutions(
     the check that r is consistent with them.  A basis is kept when it is
     nonsingular, lam_B >= -ftol * max |lam_B|, and every row's
     residual is at most ftol.  No solution means r is infeasible.
+
+    One matrix_rank call tests every candidate basis and one solve
+    solves the nonsingular ones: both run LAPACK on each matrix of the
+    stack as a call on that matrix alone does.
     """
     M = np.column_stack([A, r])
     M = M / pow2_scale(np.abs(M).max(axis=1))[:, None]
@@ -269,12 +278,14 @@ def basic_solutions(
     for i in range(len(M)):
         if np.linalg.matrix_rank(M[rows + [i]]) > len(rows):
             rows.append(i)
-    for basis in itertools.combinations(range(M.shape[1]), len(rows)):
-        basis = list(basis)
-        B = M[np.ix_(rows, basis)]
-        if np.linalg.matrix_rank(B) < len(rows):
-            continue
-        lam = np.linalg.solve(B, x[rows])
+    k = len(rows)
+    bases = np.array(list(itertools.combinations(range(M.shape[1]), k)), dtype=np.intp).reshape(-1, k)
+    B = M[rows][:, bases].transpose(1, 0, 2)  # B[i] is M[np.ix_(rows, bases[i])]
+    full = np.linalg.matrix_rank(B) == k
+    bases, B = bases[full], B[full]
+    # a (..., k, 1) right-hand side: NumPy 2 reads a 2-D one as a matrix
+    lams = np.linalg.solve(B, np.broadcast_to(x[rows, None], (len(B), k, 1)))[:, :, 0]
+    for basis, lam in zip(bases.tolist(), lams):
         if lam.min() < -ftol * float(np.abs(lam).max()):
             continue
         if np.abs(M[:, basis] @ lam - x).max() > ftol:

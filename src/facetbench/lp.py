@@ -41,7 +41,7 @@ that name so that a profiler can wrap them in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +59,13 @@ FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
 
 
-@dataclass
 class LpProblem:
     """min/max c@x subject to A x (<=|=|>=) b and x >= 0.
 
     ``solve_lp`` raises SolverError for a coefficient that is not finite.
     """
+
+    __slots__ = ("sense", "c", "A", "relations", "b")
 
     sense: str
     c: np.ndarray
@@ -72,21 +73,23 @@ class LpProblem:
     relations: tuple[str, ...]
     b: np.ndarray
 
-    def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise SolverError(f"sense must be min or max, got {self.sense!r}")
-        self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float).reshape(len(self.relations), -1) \
-            if np.size(self.A) else np.zeros((len(self.relations), self.c.size))
-        self.b = np.asarray(self.b, dtype=float)
+    def __init__(self, sense, c, A, relations, b):
+        if sense not in ("min", "max"):
+            raise SolverError(f"sense must be min or max, got {sense!r}")
+        self.sense = sense
+        self.relations = relations
+        self.c = np.asarray(c, dtype=float)
+        self.A = np.asarray(A, dtype=float).reshape(len(relations), -1) \
+            if np.size(A) else np.zeros((len(relations), self.c.size))
+        self.b = np.asarray(b, dtype=float)
         nvar = self.c.size
-        nrow = len(self.relations)
+        nrow = len(relations)
         if self.A.shape != (nrow, nvar):
             raise SolverError(f"constraint matrix shape {self.A.shape} != ({nrow}, {nvar})")
         if self.b.shape != (nrow,):
             raise SolverError(f"rhs shape {self.b.shape} != ({nrow},)")
-        if not _CODES.keys() >= set(self.relations):
-            raise SolverError(f"relations must be <=, =, >=: {self.relations}")
+        if not _CODES.keys() >= set(relations):
+            raise SolverError(f"relations must be <=, =, >=: {relations}")
 
 
 def pow2_scale(mx: np.ndarray) -> np.ndarray:
@@ -94,8 +97,7 @@ def pow2_scale(mx: np.ndarray) -> np.ndarray:
     return np.where(mx > 0.0, np.ldexp(1.0, np.frexp(mx)[1] - 1), 1.0)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """Solve outcome.  x and value are meaningful only when optimal.
 
     degenerate_optimal_face is True when the optimal face has dimension
@@ -117,7 +119,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if isinstance(sol, SolverError):
         raise sol
     if sol.status == "optimal":
-        sol = replace(sol, value=float(np.sum(problem.c * sol.x)))
+        sol = sol._replace(value=float(np.sum(problem.c * sol.x)))
     return sol
 
 
@@ -157,8 +159,7 @@ def solve_lps(
     return out
 
 
-@dataclass
-class _Stack:
+class _Stack(NamedTuple):
     """Same-shape tableaus of the problems idx, solved together."""
 
     idx: np.ndarray        # (B,) positions in the stack solve_lps was given
@@ -270,7 +271,7 @@ def _phase1(st: _Stack, art_start: int, out) -> list[_Stack]:
     total = T.shape[2] - 1
     if (basis >= art_start).any():
         codes, it = _kernel.run(T, basis, art_start, OPTIMALITY_TOL, _MAXITER)
-        st.iters += it
+        st.iters[:] += it
         for k in np.flatnonzero(codes == _kernel.MAXITER):
             out[st.idx[k]] = SolverError("phase-1 iteration limit exceeded")
         for k in np.flatnonzero(codes == _kernel.UNBOUNDED):
@@ -322,7 +323,7 @@ def _phase2(st: _Stack, c: np.ndarray, out) -> None:
         cb = T[b, nrow, basis[:, i]][:, None]
         T[:, nrow, :] -= np.where(cb != 0.0, cb * T[:, i, :], 0.0)
     codes, it = _kernel.run(T, basis, total, OPTIMALITY_TOL, _MAXITER)
-    st.iters += it
+    st.iters[:] += it
     for k in np.flatnonzero(codes == _kernel.MAXITER):
         out[st.idx[k]] = SolverError("phase-2 iteration limit exceeded")
     for k in np.flatnonzero(codes == _kernel.UNBOUNDED):

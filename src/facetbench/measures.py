@@ -2,6 +2,7 @@
 
 * extreme_set: the convex-representability LP of every DMU, exactly as
   the four-step procedure states it (convexity row included).
+  pinned_indices resolves a pinned extreme list without it.
 * russell_farthest: output-oriented weighted Russell measure over the full
   constant-returns technology, weights 1/s, efficiency 1/(1 + mean
   normalized slack) -- the farthest-target comparison column.
@@ -27,7 +28,7 @@ untouched.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,15 +42,13 @@ EXTREME_TOL = 1e-7
 ZERO_SLACK_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     status: str                       # scored | on-frontier | out-of-envelope
     theta: float | None
     slacks: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class ExtremeSetResult:
+class ExtremeSetResult(NamedTuple):
     indices: tuple[int, ...]           # effective set (pinned when overridden)
     computed: tuple[int, ...]          # what the test itself found
     lambda0: dict[int, float]          # per-DMU optimal value of the test LP
@@ -68,6 +67,15 @@ class ExtremeSetResult:
         }
 
 
+def pinned_indices(ds: Dataset, names: Sequence[str]) -> tuple[int, ...]:
+    """The dataset indices of a pinned extreme list, in its order; a name
+    listed twice or not in the dataset is a DataError.  No LP is solved."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise DataError(f"override lists a DMU more than once: {list(names)}")
+    return tuple(ds.index(name) for name in names)
+
+
 def extreme_set(
     ds: Dataset,
     override: list[str] | tuple[str, ...] | None = None,
@@ -75,7 +83,9 @@ def extreme_set(
     """Run the test on every DMU: minimize the DMU's own intensity inside
     a dominating convex combination; a unit minimum means nothing else can
     represent it.  An override pins the returned list verbatim while the
-    computed set is kept for the discrepancy report."""
+    computed set is kept for the discrepancy report; it is resolved
+    (pinned_indices) before any LP is solved."""
+    pinned = None if override is None else pinned_indices(ds, override)
     # DMU o's right-hand side is its own column of the shared matrix.
     A = np.vstack([ds.inputs, -ds.outputs, np.ones((1, ds.n))])
     sols = solve_lps(np.eye(ds.n), A, ("<=",) * (ds.m + ds.s) + ("=",), A.T)
@@ -92,11 +102,8 @@ def extreme_set(
         lambda0[o] = float(sol.value)
         if lambda0[o] >= 1.0 - EXTREME_TOL:
             computed.append(o)
-    if override is None:
+    if pinned is None:
         return ExtremeSetResult(tuple(computed), tuple(computed), lambda0, pinned=False)
-    if len(set(override)) != len(tuple(override)):
-        raise DataError(f"override lists a DMU more than once: {list(override)}")
-    pinned = tuple(ds.index(name) for name in override)
     return ExtremeSetResult(pinned, tuple(computed), lambda0, pinned=True)
 
 

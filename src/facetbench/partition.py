@@ -8,22 +8,20 @@ structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataset import Dataset
 from .errors import DataError
 from .facets import FacetSet
 
 
-@dataclass(frozen=True)
-class RobustGroup:
+class RobustGroup(NamedTuple):
     index: int                    # 1-based, ordered by canonical facet-id set
     facet_ids: tuple[int, ...]    # sorted, the exact subset G_p
     members: tuple[int, ...]      # dataset indices, ascending
 
 
-@dataclass(frozen=True)
-class RobustPartition:
+class RobustPartition(NamedTuple):
     membership: dict[int, frozenset[int]]  # dmu index -> facet ids spanned
     maxcount: int
     s_star: tuple[int, ...]                # ascending dataset indices

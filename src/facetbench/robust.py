@@ -21,7 +21,7 @@ infeasible goes on to the next level in a later batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ AGGREGATIONS = ("table4-max", "paper-min")
 SHRINK_WARN_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class GroupResult:
+class GroupResult(NamedTuple):
     group_index: int
     z: tuple[int, ...]
     slacks: np.ndarray
@@ -51,8 +50,7 @@ class GroupResult:
     target_inputs: np.ndarray
 
 
-@dataclass(frozen=True)
-class EfficiencyResult:
+class EfficiencyResult(NamedTuple):
     dmu: int
     theta: float
     chosen_group: int
@@ -72,8 +70,7 @@ class EfficiencyResult:
         raise FacetBenchError(f"chosen group {self.chosen_group} missing")
 
 
-@dataclass(frozen=True)
-class RowError:
+class RowError(NamedTuple):
     dmu: int
     error: str
 

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, parse_float, read_text
+from .dataset import Dataset, _ReadOnly, parse_float, read_text
 from .errors import DataError, FacetInfeasibleError, SolverError
 from .facets import FacetSet, basic_solutions, facet_contains
 # solve_lp stays bound here for profilers that wrap it by this name.
@@ -53,8 +53,7 @@ COVERAGE_CHUNK = 1024   # trials priced, checked and counted per block
 MAX_TRIALS = 2**32
 
 
-@dataclass(frozen=True)
-class PriceScenario:
+class PriceScenario(_ReadOnly):
     """Per-output price functions p_i(delta) on a declared domain.
 
     Affine form: p_i(delta) = base_i + slope_i * delta on [domain_lo,
@@ -63,48 +62,48 @@ class PriceScenario:
     mapping, each entry checked directly.
     """
 
-    output_names: tuple[str, ...]
-    bases: np.ndarray | None = None
-    slopes: np.ndarray | None = None
-    domain: tuple[float, float] | None = None
-    table: dict[float, np.ndarray] | None = None
+    __slots__ = ("output_names", "bases", "slopes", "domain", "table")
 
-    def __post_init__(self):
-        if (self.table is None) == (self.bases is None):
+    output_names: tuple[str, ...]
+    bases: np.ndarray | None
+    slopes: np.ndarray | None
+    domain: tuple[float, float] | None
+    table: dict[float, np.ndarray] | None
+
+    def __init__(self, output_names, bases=None, slopes=None, domain=None, table=None):
+        if (table is None) == (bases is None):
             raise DataError("scenario must be affine (bases/slopes/domain) or a table, not both")
-        if self.table is None:
-            bases = np.asarray(self.bases, dtype=float)
-            slopes = np.asarray(self.slopes, dtype=float)
+        if table is None:
+            bases = np.asarray(bases, dtype=float)
+            slopes = np.asarray(slopes, dtype=float)
             if bases.shape != slopes.shape or bases.ndim != 1:
                 raise DataError("bases and slopes must be equal-length vectors")
             if not (np.all(np.isfinite(bases)) and np.all(np.isfinite(slopes))):
                 raise DataError("bases and slopes must be finite")
-            if self.domain is None or not (np.isfinite(self.domain).all() and self.domain[0] <= self.domain[1]):
+            if domain is None or not (np.isfinite(domain).all() and domain[0] <= domain[1]):
                 raise DataError("affine scenario needs a finite domain [lo, hi] with lo <= hi")
-            for endpoint in self.domain:
+            for endpoint in domain:
                 with np.errstate(over="ignore"):
                     p = bases + slopes * endpoint
                 if np.any(p <= 0):
                     bad = int(np.argmin(p))
                     raise DataError(
-                        f"price of output {self.output_names[bad]!r} is {p[bad]!r} "
+                        f"price of output {output_names[bad]!r} is {p[bad]!r} "
                         f"at delta={endpoint}: prices must stay strictly positive on the domain"
                     )
                 if not np.all(np.isfinite(p)):
                     bad = int(np.argmax(p))
-                    raise DataError(f"price of output {self.output_names[bad]!r} is not finite at delta={endpoint}")
-            object.__setattr__(self, "bases", bases)
-            object.__setattr__(self, "slopes", slopes)
+                    raise DataError(f"price of output {output_names[bad]!r} is not finite at delta={endpoint}")
         else:
-            table = {float(k): np.asarray(v, dtype=float) for k, v in self.table.items()}
+            table = {float(k): np.asarray(v, dtype=float) for k, v in table.items()}
             if not table:
                 raise DataError("empty price table")
             for d, p in table.items():
-                if p.shape != (len(self.output_names),):
+                if p.shape != (len(output_names),):
                     raise DataError(f"price vector at delta={d} has wrong length")
                 if not np.all(np.isfinite(p)) or np.any(p <= 0):
                     raise DataError(f"price at delta={d} must be finite and positive")
-            object.__setattr__(self, "table", table)
+        self._set(output_names, bases, slopes, domain, table)
 
     @property
     def s(self) -> int:
@@ -195,8 +194,7 @@ def load_scenario(path: str | Path) -> PriceScenario:
     )
 
 
-@dataclass(frozen=True)
-class FacetTables:
+class FacetTables(NamedTuple):
     """Every facet's vertex table at one fixed input vector xbar, keyed by
     facet id in FacetSet order; an empty table admits no point at xbar."""
 
@@ -224,8 +222,7 @@ def facet_tables(ds: Dataset, facets: FacetSet, xbar: np.ndarray) -> FacetTables
     return FacetTables(xbar=xbar, vertices=vertices)
 
 
-@dataclass(frozen=True)
-class OptimalPoint:
+class OptimalPoint(NamedTuple):
     facet_id: int
     outputs: np.ndarray
     value: float
@@ -463,8 +460,7 @@ class PriceSampler:
         return {"law": "uniform", "low": self.LOW, "high": self.HIGH, "stream": "philox-counter"}
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     trials: int
     seed: int
     xbar: tuple[float, ...]

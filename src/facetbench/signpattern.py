@@ -30,7 +30,7 @@ infeasible goes on, in a later stack, to its next level down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .lp import FEASIBILITY_TOL, solve_lp, solve_lps  # noqa: F401
 RAY_MARGIN = 4 * FEASIBILITY_TOL
 
 
-@dataclass(frozen=True)
-class SignPatternResult:
+class SignPatternResult(NamedTuple):
     """Lexicographic optimum of the signed-slack program."""
 
     z: tuple[int, ...]

@@ -3,7 +3,6 @@ the result it gets alone, bit for bit, and the layers that stack their
 LPs must solve exactly the LPs they solved one by one."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 from collections import Counter
@@ -57,7 +56,7 @@ def _stacked(problems):
         group = [problems[i] for i in idx]
         for i, p, sol in zip(idx, group, lp.solve_lps(*_as_stack(group))):
             if not isinstance(sol, SolverError) and sol.status == "optimal":
-                sol = dataclasses.replace(sol, value=float(np.sum(p.c * sol.x)))
+                sol = sol._replace(value=float(np.sum(p.c * sol.x)))
             out[i] = sol
     return out
 
@@ -287,12 +286,13 @@ def test_report_985_solves_the_same_lps_per_layer(monkeypatch, data_dir):
 
 
 # measure -> (its layer, LPs, solve_lps calls) of `efficiency --measure X
-# --profile paper-985`: the extreme test and that one layer of
-# REPORT_985_LAYERS, where each once built the whole report (234 LPs in 5).
+# --profile paper-985`: that one layer of REPORT_985_LAYERS, where each
+# once built the whole report (234 LPs in 5).  Under the pinned set no
+# extreme test runs: nothing a single measure prints reads it.
 EFFICIENCY_985_WORK = {
-    "robust": ("signpattern", 114, 3),
-    "closest": ("closest", 120, 2),
-    "russell": ("russell", 76, 2),
+    "robust": ("signpattern", 76, 2),
+    "closest": ("closest", 82, 1),
+    "russell": ("russell", 38, 1),
 }
 
 
@@ -300,5 +300,34 @@ EFFICIENCY_985_WORK = {
 def test_efficiency_985_solves_only_its_measure(monkeypatch, data_dir, measure):
     layer, lps, calls = EFFICIENCY_985_WORK[measure]
     work = _layer_work(monkeypatch, data_dir, "efficiency", "--measure", measure)
-    assert work == {"extreme": REPORT_985_LAYERS["extreme"], layer: REPORT_985_LAYERS[layer]}
+    assert work == {layer: REPORT_985_LAYERS[layer]}
     assert [sum(v["lps"] for v in work.values()), sum(v["calls"] for v in work.values())] == [lps, calls]
+
+
+@pytest.mark.parametrize("command", [
+    ("coverage", "--trials", "50"),
+    ("facets",),
+    ("partition",),
+    ("scenario", "--prices", "data/prices_toy.json", "--target", "WHU"),
+], ids=lambda command: command[0])
+def test_a_pinned_set_runs_no_extreme_test(monkeypatch, data_dir, command):
+    # none of these commands prints the extreme test's result
+    monkeypatch.chdir(data_dir.parent)
+    assert _layer_work(monkeypatch, data_dir, *command) == {}
+
+
+@pytest.mark.parametrize("command", ["extremes", "report", "facets"])
+@pytest.mark.parametrize("names,message", [
+    (["WHU", "CQU", "WHU"], "override lists a DMU more than once"),
+    (["WHU", "CQU", "NOPE"], "unknown DMU name: 'NOPE'"),
+])
+def test_a_bad_pinned_list_exits_1_before_any_lp(monkeypatch, capsys, data_dir, tmp_path, command, names, message):
+    calls = []
+    real = lp.solve_lps
+    monkeypatch.setattr(measures, "solve_lps", lambda *stack: calls.append(1) or real(*stack))
+    path = tmp_path / "extremes.txt"
+    path.write_text("\n".join(names) + "\n")
+    argv = [command, "--data", str(data_dir / "universities_985.csv"), "--extremes", str(path)]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []

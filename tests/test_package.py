@@ -52,6 +52,7 @@ LOADED = "json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'facetb
 def test_load_dataset_loads_only_its_modules():
     loaded = fresh("import json, sys, facetbench\n"
                    "facetbench.load_dataset('data/universities_985.csv')\n"
+                   "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
                    f"print({LOADED})")
     assert loaded == ["facetbench", "facetbench.dataset", "facetbench.errors"]
 
@@ -187,14 +188,52 @@ COMMANDS = {
 }
 
 
+def _loaded_by(argv: list[str]) -> list[str]:
+    """The facetbench modules a fresh interpreter loads to run one command;
+    neither numpy.random nor dataclasses may be among its imports."""
+    return fresh("import contextlib, io, json, sys\n"
+                 "from facetbench import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert cli.main({argv!r}) == 0\n"
+                 "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+                 "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+                 f"print({LOADED})")
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_each_command_loads_only_its_modules(command):
     args, extra = COMMANDS[command]
-    argv = [command, "--data", "data/toy_isoquant_a.csv", *args]
-    loaded = fresh("import contextlib, io, json, sys\n"
-                   "from facetbench import cli\n"
-                   "with contextlib.redirect_stdout(io.StringIO()):\n"
-                   f"    assert cli.main({argv!r}) == 0\n"
-                   "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
-                   f"print({LOADED})")
+    loaded = _loaded_by([command, "--data", "data/toy_isoquant_a.csv", *args])
     assert loaded == sorted(["facetbench"] + [f"facetbench.{m}" for m in CLI_MODULES + extra])
+
+
+def test_a_pinned_command_still_loads_the_measures(tmp_path):
+    # coverage runs no extreme test under a pinned set, yet binds the
+    # measures before its parser, as without one
+    extremes = tmp_path / "extremes.txt"
+    extremes.write_text("A\nB\nC\n")
+    args, extra = COMMANDS["coverage"]
+    loaded = _loaded_by(["coverage", "--data", "data/toy_isoquant_a.csv", "--extremes", str(extremes), *args])
+    assert "measures" in extra
+    assert loaded == sorted(["facetbench"] + [f"facetbench.{m}" for m in CLI_MODULES + extra])
+
+
+def test_formerly_frozen_records_stay_read_only(toy_a, toy_facets, toy_scenario):
+    import facetbench as fb
+
+    # the records are named tuples; Dataset, FacetSet and PriceScenario
+    # are plain classes that refuse assignment after construction
+    records = [cls._make([None] * len(cls._fields)) for cls in (
+        fb.Violation, fb.LpSolution, fb.Facet, fb.MeasureResult, fb.ExtremeSetResult, fb.RobustGroup,
+        fb.RobustPartition, fb.GroupResult, fb.EfficiencyResult, fb.RowError, fb.FacetTables,
+        fb.OptimalPoint, fb.CoverageReport, fb.SignPatternResult)]
+    cases = [(r, name) for r in records for name in r._fields]
+    cases += [(obj, name) for obj in (toy_a, toy_facets, toy_scenario) for name in type(obj).__slots__]
+    assert len(cases) == 82
+    for obj, name in cases:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
